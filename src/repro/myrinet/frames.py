@@ -14,12 +14,16 @@ real interface's maximum-packet guard.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, List, Optional
 
 from repro.myrinet.symbols import GAP, IDLE, Symbol, decode_control
 
 #: Default maximum frame size in bytes (route + type + payload + CRC).
 DEFAULT_MAX_FRAME = 4096
+
+_is_data = attrgetter("is_data")
+_value = attrgetter("value")
 
 
 class FrameAssembler:
@@ -64,22 +68,38 @@ class FrameAssembler:
             self._on_control(decoded)
 
     def push_burst(self, burst: List[Symbol]) -> None:
-        """Feed a burst of symbols (fused loop over data runs)."""
+        """Feed a burst of symbols, one maximal data run at a time.
+
+        Byte-exact equivalent of calling :meth:`push` per symbol: data
+        runs extend the open frame in one C-level pass with the same
+        ``max_frame`` overflow semantics as :meth:`push_buffer`, and
+        control symbols go through :meth:`push` singly.
+        """
+        flags = list(map(_is_data, burst))
+        length = len(burst)
         current = self._current
-        max_frame = self._max_frame
-        append = current.append
-        for symbol in burst:
-            if symbol.is_data:
-                if self._overflowed:
-                    continue
-                if len(current) >= max_frame:
+        index = 0
+        while index < length:
+            if not flags[index]:
+                self.push(burst[index])
+                index += 1
+                continue
+            try:
+                end = flags.index(False, index)
+            except ValueError:
+                end = length
+            if not self._overflowed:
+                space = self._max_frame - len(current)
+                if end - index <= space:
+                    current.extend(map(_value, burst[index:end]))
+                else:
+                    # Fill to the limit; the next data byte trips the
+                    # overflow guard exactly as in push().
+                    current.extend(map(_value, burst[index:index + space]))
                     self._overflowed = True
                     self.oversize_frames += 1
                     current.clear()
-                    continue
-                append(symbol.value)
-                continue
-            self.push(symbol)
+            index = end
 
     def push_buffer(self, values: bytes, flags: bytes) -> None:
         """Feed a whole buffer from its value/flag planes.

@@ -9,8 +9,8 @@ fills an otherwise silent channel.
 The encodings keep a pairwise Hamming distance of at least two
 (STOP=0x0F, GO=0x03, GAP=0x0C — paper §4.3.1); we add IDLE=0x00, which
 preserves the property.  Symbols suffering a single 1→0 fault decode to
-their unique parent control symbol; see :func:`decode_control` for the
-paper-erratum discussion.
+their unique parent control symbol; see :func:`_decode_control_rule` for
+the paper-erratum discussion.
 """
 
 from __future__ import annotations
@@ -134,6 +134,15 @@ def symbol_bytes(symbols: Iterable[Symbol]) -> bytes:
 def decode_control(value: int) -> Optional[Symbol]:
     """Decode a received control-symbol value, tolerating 1→0 bit faults.
 
+    One lookup in a 256-entry table built by :func:`_decode_control_rule`;
+    values outside the byte range are undecodable (``None``).
+    """
+    return _DECODED_CONTROL[value] if 0 <= value <= 0xFF else None
+
+
+def _decode_control_rule(value: int) -> Optional[Symbol]:
+    """The decoding rule behind :func:`decode_control`.
+
     Exact encodings decode directly.  A value that can be produced from
     exactly one control symbol by a single 1→0 bit fault decodes to that
     symbol (paper §4.3.1: "symbols that suffer single 1 to 0 faults will
@@ -171,6 +180,10 @@ def _build_single_fault_table() -> Dict[int, Tuple[int, ...]]:
 
 
 _SINGLE_FAULT_PARENTS = _build_single_fault_table()
+
+_DECODED_CONTROL: Tuple[Optional[Symbol], ...] = tuple(
+    _decode_control_rule(value) for value in range(256)
+)
 
 
 def hamming_distance(a: int, b: int) -> int:

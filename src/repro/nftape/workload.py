@@ -62,12 +62,47 @@ def _filler_byte(seq: int, index: int, alphabet: List[int]) -> int:
     return alphabet[(seq * 31 + index * 7) % len(alphabet)]
 
 
+class _FillerCache:
+    """Filler bytes of one payload length, computed once per alphabet offset.
+
+    The filler depends on ``seq`` only through the offset
+    ``(seq * 31) % len(alphabet)``.  A workload builds one cache and
+    shares it between its senders and its validating sinks.
+    """
+
+    def __init__(self, alphabet: List[int], length: int) -> None:
+        self._alphabet = alphabet
+        self._length = length
+        self._by_offset: Dict[int, bytes] = {}
+
+    def __call__(self, seq: int) -> bytes:
+        offset = (seq * 31) % len(self._alphabet)
+        filler = self._by_offset.get(offset)
+        if filler is None:
+            filler = bytes(
+                _filler_byte(seq, index, self._alphabet)
+                for index in range(self._length)
+            )
+            self._by_offset[offset] = filler
+        return filler
+
+    def matches(self, seq: int, filler: bytes) -> bool:
+        """True if ``filler`` is a prefix of the filler of ``seq``."""
+        if len(filler) <= self._length:
+            return filler == self(seq)[:len(filler)]
+        # Longer than any generated payload: the per-byte rule.
+        return all(
+            byte == _filler_byte(seq, index, self._alphabet)
+            for index, byte in enumerate(filler)
+        )
+
+
 class _ValidatingSink:
     """Counts received messages and checks them for active-fault evidence."""
 
-    def __init__(self, stack: HostStack, alphabet: List[int]) -> None:
+    def __init__(self, stack: HostStack, filler: _FillerCache) -> None:
         self._stack = stack
-        self._alphabet = alphabet
+        self._filler = filler
         self.received = 0
         self.misdeliveries = 0
         self.corrupted = 0
@@ -86,11 +121,8 @@ class _ValidatingSink:
             self.misdeliveries += 1
             return
         seq = int.from_bytes(payload[6:10], "big")
-        filler = payload[_HEADER_LEN:]
-        for index, byte in enumerate(filler):
-            if byte != _filler_byte(seq, index, self._alphabet):
-                self.corrupted += 1
-                return
+        if not self._filler.matches(seq, payload[_HEADER_LEN:]):
+            self.corrupted += 1
 
 
 class _PairSender:
@@ -100,27 +132,21 @@ class _PairSender:
         self,
         stack: HostStack,
         dest: MacAddress,
-        config: WorkloadConfig,
-        alphabet: List[int],
+        filler: _FillerCache,
         start_seq: int,
     ) -> None:
         self._stack = stack
         self._dest = dest
-        self._config = config
-        self._alphabet = alphabet
+        self._filler = filler
         self.seq = start_seq
         self.sent = 0
 
     def send_one(self) -> None:
         self.seq += 1
-        filler_len = max(0, self._config.payload_size - _HEADER_LEN)
         payload = (
             self._dest.to_bytes()
             + self.seq.to_bytes(4, "big")
-            + bytes(
-                _filler_byte(self.seq, i, self._alphabet)
-                for i in range(filler_len)
-            )
+            + self._filler(self.seq)
         )
         self._stack.send_udp(self._dest, WORKLOAD_PORT, payload)
         self.sent += 1
@@ -156,6 +182,9 @@ class AllPairsWorkload:
         self.flood: Optional[FloodPing] = None
         self._echo: Optional[EchoResponder] = None
 
+        filler = _FillerCache(
+            self._alphabet, max(0, self.config.payload_size - _HEADER_LEN)
+        )
         names = sorted(network.hosts)
         for name in names:
             stack = HostStack(
@@ -165,7 +194,7 @@ class AllPairsWorkload:
                 **self.config.stack_kwargs,
             )
             self.stacks[name] = stack
-            self.sinks[name] = _ValidatingSink(stack, self._alphabet)
+            self.sinks[name] = _ValidatingSink(stack, filler)
         seq = 0
         for src in names:
             for dst in names:
@@ -176,8 +205,7 @@ class AllPairsWorkload:
                     _PairSender(
                         self.stacks[src],
                         network.hosts[dst].interface.mac,
-                        self.config,
-                        self._alphabet,
+                        filler,
                         start_seq=seq * 1_000_000,
                     )
                 )

@@ -173,14 +173,14 @@ class TestWorkload:
     def test_sink_flags_checksum_evading_corruption(self):
         """If a corruption evades every checksum (the §4.3.4 swap), the
         validating sink still detects it as an active fault."""
-        from repro.nftape.workload import _ValidatingSink
+        from repro.nftape.workload import _FillerCache, _ValidatingSink
         testbed = Testbed(TestbedOptions(seed=2))
         testbed.settle()
         from repro.hostsim.sockets import HostStack
         stack = HostStack(testbed.sim,
                           testbed.network.host("pc").interface)
         alphabet = list(range(0x20, 0x7F))
-        sink = _ValidatingSink(stack, alphabet)
+        sink = _ValidatingSink(stack, _FillerCache(alphabet, 16))
         mac = stack.interface.mac
         # A well-formed payload for this sink...
         good = mac.to_bytes() + (1).to_bytes(4, "big") + bytes(
@@ -312,3 +312,31 @@ class TestExperimentAndCampaign:
         assert len(campaign.results) == 2
         rendered = table.render()
         assert "one" in rendered and "two" in rendered
+
+
+class TestFillerCache:
+    """Cached filler bytes equal the per-byte rule they replace."""
+
+    def test_cache_matches_per_byte_rule(self):
+        from repro.nftape.workload import _FillerCache, _filler_byte
+
+        alphabet = [b for b in range(0x20, 0x7F) if b not in (0x41, 0x5A)]
+        cache = _FillerCache(alphabet, 54)
+        for seq in list(range(300)) + [10**6 + 7, 2**31 - 1]:
+            assert cache(seq) == bytes(
+                _filler_byte(seq, i, alphabet) for i in range(54))
+
+    def test_matches_short_exact_and_over_length_fillers(self):
+        from repro.nftape.workload import _FillerCache, _filler_byte
+
+        alphabet = list(range(0x20, 0x7F))
+        cache = _FillerCache(alphabet, 8)
+        seq = 12345
+        good = bytes(_filler_byte(seq, i, alphabet) for i in range(12))
+        # Over-length fillers (12 > 8) take the per-byte fallback.
+        for length in (0, 3, 8, 12):
+            assert cache.matches(seq, good[:length])
+            if length:
+                bad = bytearray(good[:length])
+                bad[-1] ^= 0x01
+                assert not cache.matches(seq, bytes(bad))

@@ -1,6 +1,8 @@
 """Unit tests for slack buffers (Figure 9) and frame assembly."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.myrinet.frames import FrameAssembler
@@ -165,3 +167,32 @@ class TestFrameAssembler:
         assert f1 == f2
         assert c1 == c2
         assert a1.undecodable_controls == a2.undecodable_controls
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        stream=st.lists(
+            st.one_of(
+                st.integers(0, 255).map(data_symbol),
+                st.sampled_from([GAP, STOP, GO, IDLE, control_symbol(0x08),
+                                 control_symbol(0x55)]),
+            ),
+            max_size=80,
+        ),
+        cuts=st.lists(st.integers(0, 80), max_size=5),
+        max_frame=st.integers(1, 12),
+    )
+    def test_run_batched_burst_equals_per_symbol(self, stream, cuts,
+                                                 max_frame):
+        """Data runs straddling the ``max_frame`` limit and the burst
+        boundaries overflow exactly where per-symbol pushes do."""
+        a1, f1, c1 = self._assembler(max_frame)
+        a2, f2, c2 = self._assembler(max_frame)
+        bounds = [0] + sorted(min(cut, len(stream)) for cut in cuts)
+        for start, end in zip(bounds, bounds[1:] + [len(stream)]):
+            a1.push_burst(stream[start:end])
+        for symbol in stream:
+            a2.push(symbol)
+        assert (f1, c1) == (f2, c2)
+        for name in ("frames_emitted", "oversize_frames",
+                     "undecodable_controls", "partial_length"):
+            assert getattr(a1, name) == getattr(a2, name), name

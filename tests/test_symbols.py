@@ -135,3 +135,14 @@ class TestDecodeControl:
     def test_decode_never_raises(self, value):
         result = decode_control(value)
         assert result is None or is_control(result)
+
+
+def test_decode_control_table_matches_rule_exhaustively():
+    """The 256-entry lookup equals the single-1->0-fault rule it is
+    built from, and out-of-range values stay undecodable."""
+    from repro.myrinet.symbols import _decode_control_rule
+
+    for value in range(256):
+        assert decode_control(value) is _decode_control_rule(value), value
+    for value in (-1, -256, 256, 0x1FF, 10**6):
+        assert decode_control(value) is None
