@@ -1,38 +1,35 @@
-"""Sharded campaign engine — serial vs pooled vs fabric, same bytes.
+"""Sharded campaign engine — serial vs pooled, equal workloads, same bytes.
 
 The engine's contract (docs/runtime.md) is *determinism first*: a
-campaign spec run through :class:`~repro.runtime.SerialExecutor`,
-:class:`~repro.runtime.PooledExecutor`, or the distributed
-:class:`~repro.runtime.FabricExecutor` at any worker count must produce
-byte-identical tables.  This benchmark asserts that contract on a
-nine-experiment Table 4 campaign and records the wall-clock of the
-serial, pooled (2/4 workers), and fabric (2/4 workers) runs in
-``BENCH_parallel.json`` at the repo root — plus the fabric's
-**execution/merge overlap**: the coordinator folds completed artifact
-shards while later experiments are still running, and
-``merge_overlap_s`` records how much merge work was hidden behind
-execution instead of serialized after it.
+campaign spec run through :class:`~repro.runtime.SerialExecutor` or the
+lease-queue :class:`~repro.runtime.PooledExecutor` at any worker count
+must produce byte-identical tables.  This benchmark asserts that
+contract on a nine-experiment Table 4 campaign and records in
+``BENCH_parallel.json`` at the repo root the wall-clock of six runs on
+**equal workloads**: serial, 2 workers and 4 workers, each once without
+and once with an ``artifacts_dir`` (per-experiment telemetry + capture
+shards, the result store, and the merge).  The merge has its own row:
+``merge_artifacts`` re-timed alone over the finished shards of the
+serial artifacts run, so the artifact cost is not confused with
+scheduling cost.
 
 Honesty note on speedups: the simulation is CPU-bound pure Python, so
 sharding only pays when the host grants more than one core.  The
 snapshot therefore records ``cpu_count`` (the *effective* affinity, not
 the nominal core count) and a ``cpu_limited`` flag; the >=2-worker
-speedup assertions (pooled and fabric) are gated on having at least two
-schedulable CPUs.  On a single-core container the committed numbers
-legitimately show the parallel runs paying process-spawn overhead for
-no parallelism — the determinism assertions and the overlap accounting
-still hold, which is the part the paper's methodology depends on.
+speedup assertion is gated on having at least two schedulable CPUs.
 """
 
 import json
 import os
 import pathlib
 import tempfile
+import time
 
 from benchmarks.conftest import bench_scale, record_result
 from repro.nftape.campaign import Campaign
 from repro.nftape.paper import _table4_row, table4_spec
-from repro.runtime import FabricExecutor, PooledExecutor, SerialExecutor
+from repro.runtime import PooledExecutor, SerialExecutor, merge_artifacts
 from repro.sim.timebase import MS
 
 #: Repo-root scaling artifact: variant -> wall_s, plus speedups + cpu info.
@@ -57,37 +54,35 @@ def _spec():
     )
 
 
-def _run_variant(spec, workers: int, fabric: bool = False) -> dict:
+def _run_variant(spec, workers: int, artifacts_dir=None) -> dict:
     """Run the spec through one executor variant; time it."""
-    import time
-
-    scratch = None
-    if fabric:
-        # The fabric needs an artifacts home to exercise (and measure)
-        # the incremental shard merge.
-        scratch = tempfile.TemporaryDirectory(prefix="repro-bench-fabric-")
-        executor = FabricExecutor(workers=workers, poll_s=0.01,
-                                  artifacts_dir=scratch.name)
-    elif workers == 1:
-        executor = SerialExecutor()
+    if workers == 1:
+        executor = SerialExecutor(artifacts_dir=artifacts_dir)
     else:
-        executor = PooledExecutor(workers=workers)
+        executor = PooledExecutor(workers=workers,
+                                  artifacts_dir=artifacts_dir)
     campaign = Campaign.from_spec(spec, row_builder=_table4_row)
     start = time.perf_counter()
     table = campaign.run(executor=executor)
-    wall_s = time.perf_counter() - start
-    variant = {
+    return {
         "workers": workers,
-        "wall_s": round(wall_s, 6),
+        "artifacts": artifacts_dir is not None,
+        "wall_s": round(time.perf_counter() - start, 6),
         "render": table.render(),
     }
-    if fabric:
-        variant["merge_busy_s"] = round(
-            executor.timings["merge_busy_s"], 6)
-        variant["merge_overlap_s"] = round(
-            executor.timings["merge_overlap_s"], 6)
-        scratch.cleanup()
-    return variant
+
+
+def _time_merge(spec, root) -> dict:
+    """Re-time ``merge_artifacts`` alone over a finished run's shards."""
+    entries = [(index, experiment.name)
+               for index, experiment in enumerate(spec.experiments)]
+    start = time.perf_counter()
+    summary = merge_artifacts(root, entries, label=spec.name)
+    return {
+        "wall_s": round(time.perf_counter() - start, 6),
+        "telemetry_shards": summary["telemetry_shards"],
+        "capture_shards": summary["capture_shards"],
+    }
 
 
 def test_parallel_campaign_scaling(benchmark):
@@ -95,74 +90,60 @@ def test_parallel_campaign_scaling(benchmark):
     cpu_count = len(os.sched_getaffinity(0))
 
     def run_all():
-        return (
-            _run_variant(spec, workers=1),
-            _run_variant(spec, workers=2),
-            _run_variant(spec, workers=4),
-            _run_variant(spec, workers=2, fabric=True),
-            _run_variant(spec, workers=4, fabric=True),
-        )
+        with tempfile.TemporaryDirectory(prefix="repro-bench-par-") as tmp:
+            home = pathlib.Path(tmp)
+            runs = {}
+            for workers in (1, 2, 4):
+                runs[(workers, False)] = _run_variant(spec, workers)
+                runs[(workers, True)] = _run_variant(
+                    spec, workers, artifacts_dir=home / f"w{workers}")
+            merge = _time_merge(spec, home / "w1")
+        return runs, merge
 
-    serial, pooled2, pooled4, fabric2, fabric4 = benchmark.pedantic(
-        run_all, rounds=1, iterations=1
-    )
+    runs, merge = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     # The engine's core guarantee: identical bytes at any worker count,
-    # through the pool and through the fabric alike.
-    assert serial["render"] == pooled2["render"] == pooled4["render"]
-    assert serial["render"] == fabric2["render"] == fabric4["render"]
+    # with or without artifacts.
+    renders = {run["render"] for run in runs.values()}
+    assert len(renders) == 1
+    assert merge["telemetry_shards"] == merge["capture_shards"] == len(spec)
+    # The merge is part of every artifacts run, so it fits inside each.
+    for (workers, artifacts), run in runs.items():
+        if artifacts:
+            assert merge["wall_s"] <= run["wall_s"], (workers, run)
 
-    # Overlap accounting is well-formed: overlapped merge time is a
-    # subset of total merge time, which is a subset of the run.
-    for variant in (fabric2, fabric4):
-        assert 0 <= variant["merge_overlap_s"] <= variant["merge_busy_s"]
-        assert variant["merge_busy_s"] <= variant["wall_s"]
+    def speedup(workers, artifacts):
+        base = runs[(1, artifacts)]["wall_s"]
+        wall = runs[(workers, artifacts)]["wall_s"]
+        return round(base / wall, 3) if wall else 0.0
 
-    def speedup(variant):
-        return (
-            round(serial["wall_s"] / variant["wall_s"], 3)
-            if variant["wall_s"] else 0.0
-        )
-
-    speedup_2w, speedup_4w = speedup(pooled2), speedup(pooled4)
-    fabric_speedup_2w = speedup(fabric2)
-    fabric_speedup_4w = speedup(fabric4)
     cpu_limited = cpu_count < 2
     if not cpu_limited:
-        # With real cores available the sharded runs must beat serial.
-        assert speedup_2w > 1.0, (serial, pooled2)
-        assert fabric_speedup_2w > 1.0, (serial, fabric2)
+        # With real cores available the sharded run must beat serial.
+        assert speedup(2, False) > 1.0, runs
 
-    def snapshot(variant, **extra):
-        doc = {"workers": variant["workers"],
-               "wall_s": variant["wall_s"]}
-        doc.update(extra)
-        return doc
+    def name(workers, artifacts):
+        base = "serial" if workers == 1 else f"workers_{workers}"
+        return base + ("_artifacts" if artifacts else "")
 
     document = {
         "generated_by": "benchmarks/bench_parallel_campaign.py",
-        "schema": ("variant -> {workers, wall_s"
-                   "[, merge_busy_s, merge_overlap_s]}; "
-                   "speedups vs serial"),
+        "schema": ("variant -> {workers, artifacts, wall_s}; merge -> "
+                   "merge_artifacts alone over the serial run's shards; "
+                   "speedups vs serial on the same workload"),
         "bench_scale": bench_scale(),
         "experiments": len(spec),
         "cpu_count": cpu_count,
         "cpu_limited": cpu_limited,
-        "serial": snapshot(serial),
-        "workers_2": snapshot(pooled2),
-        "workers_4": snapshot(pooled4),
-        "fabric_2": snapshot(
-            fabric2, merge_busy_s=fabric2["merge_busy_s"],
-            merge_overlap_s=fabric2["merge_overlap_s"]),
-        "fabric_4": snapshot(
-            fabric4, merge_busy_s=fabric4["merge_busy_s"],
-            merge_overlap_s=fabric4["merge_overlap_s"]),
-        "speedup_2w": speedup_2w,
-        "speedup_4w": speedup_4w,
-        "fabric_speedup_2w": fabric_speedup_2w,
-        "fabric_speedup_4w": fabric_speedup_4w,
+        "merge": merge,
         "tables_identical": True,
     }
+    for (workers, artifacts), run in runs.items():
+        document[name(workers, artifacts)] = {
+            key: run[key] for key in ("workers", "artifacts", "wall_s")}
+        if workers > 1:
+            key = f"speedup_{workers}w" + ("_artifacts" if artifacts else "")
+            document[key] = speedup(workers, artifacts)
     BENCH_PARALLEL_PATH.write_text(
         json.dumps(document, indent=2, sort_keys=True) + "\n"
     )
@@ -170,22 +151,26 @@ def test_parallel_campaign_scaling(benchmark):
     lines = [
         f"sharded campaign scaling ({len(spec)} experiments, "
         f"{cpu_count} schedulable cpu(s))",
-        f"  serial:    {serial['wall_s']:.3f}s",
-        f"  2 workers: {pooled2['wall_s']:.3f}s  (speedup {speedup_2w}x)",
-        f"  4 workers: {pooled4['wall_s']:.3f}s  (speedup {speedup_4w}x)",
-        f"  fabric 2w: {fabric2['wall_s']:.3f}s  "
-        f"(speedup {fabric_speedup_2w}x, "
-        f"merge overlap {fabric2['merge_overlap_s']:.3f}s "
-        f"of {fabric2['merge_busy_s']:.3f}s)",
-        f"  fabric 4w: {fabric4['wall_s']:.3f}s  "
-        f"(speedup {fabric_speedup_4w}x, "
-        f"merge overlap {fabric4['merge_overlap_s']:.3f}s "
-        f"of {fabric4['merge_busy_s']:.3f}s)",
-        "  tables byte-identical across all worker counts: yes",
+        "                      no artifacts      with artifacts",
+    ]
+    for workers in (1, 2, 4):
+        cells = []
+        for artifacts in (False, True):
+            wall = runs[(workers, artifacts)]["wall_s"]
+            cell = f"{wall:8.3f}s"
+            if workers > 1:
+                cell += f" ({speedup(workers, artifacts)}x)"
+            cells.append(f"{cell:<18}")
+        label = "serial" if workers == 1 else f"{workers} workers"
+        lines.append(f"  {label:<18}  {cells[0]}{cells[1]}")
+    lines += [
+        f"  merge_artifacts alone: {merge['wall_s']:.3f}s "
+        f"({merge['telemetry_shards']} shards)",
+        "  tables byte-identical across all variants: yes",
     ]
     if cpu_limited:
         lines.append(
             "  note: single-cpu host; parallel runs pay spawn overhead "
-            "without parallelism (speedup gates skipped)"
+            "without parallelism (speedup gate skipped)"
         )
     record_result("parallel_campaign", "\n".join(lines))

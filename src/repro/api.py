@@ -21,11 +21,10 @@ import serves the ways of using the repository:
   :class:`ExperimentSpec` / :class:`PlanSpec`, collect them in a
   :class:`CampaignSpec`, and execute through
   :meth:`Campaign.run <repro.nftape.campaign.Campaign.run>` with a
-  :class:`SerialExecutor`, a sharded :class:`PooledExecutor`, or the
-  distributed :class:`FabricExecutor` — pull-queue workers pushing
-  into a queryable sqlite :class:`ResultStore`, with crashed/hung
-  workers re-issued by lease (bit-identical results at any worker
-  count — see docs/runtime.md);
+  :class:`SerialExecutor` or a sharded :class:`PooledExecutor` —
+  pull-queue workers pushing into a queryable sqlite
+  :class:`ResultStore`, with crashed/hung workers re-issued by lease
+  (bit-identical results at any worker count — see docs/runtime.md);
 * **regenerate the paper** — the ``table*``/``sec*`` entry points, one
   per table/figure of the evaluation, each taking the same
   ``seed: int = 0`` base seed (per-experiment seeds derive from it via
@@ -57,7 +56,7 @@ from __future__ import annotations
 from typing import Any
 
 #: The public-surface contract version ("v<major>"); see docs/api.md.
-API_VERSION = "v2"
+API_VERSION = "v3"
 
 from repro.capture import CaptureSession
 from repro.core import FaultInjectorDevice, InjectorSession
@@ -86,7 +85,6 @@ from repro.runtime import (
     EventBus,
     EventBusSession,
     ExperimentSpec,
-    FabricExecutor,
     PlanSpec,
     PooledExecutor,
     ResultStore,
@@ -157,7 +155,6 @@ __all__ = [
     "PlanSpec",
     "SerialExecutor",
     "PooledExecutor",
-    "FabricExecutor",
     "ResultStore",
     "derive_seed",
     "spec_digest",

@@ -7,7 +7,6 @@
     python -m repro run all --scale 0.5 --out report.md
     python -m repro run sec434 --artifacts-dir out/
     python -m repro campaign --experiments 8 --workers 4 --artifacts-dir out/
-    python -m repro campaign --experiments 8 --fabric 4 --artifacts-dir out/
     python -m repro campaign --resume --artifacts-dir out/
     python -m repro store query --artifacts-dir out/
     python -m repro store export --artifacts-dir out/ 'cli control-symbol campaign'
@@ -33,8 +32,8 @@ collects everything into a text or markdown report via
 
 Artifacts land under one umbrella: ``--artifacts-dir DIR`` writes
 ``DIR/telemetry/`` (metrics.json, spans.jsonl, trace.json) and
-``DIR/capture/`` (capture.rcap); sharded campaigns additionally keep
-``DIR/journal.jsonl`` and per-experiment shards under
+``DIR/capture/`` (capture.rcap); engine campaigns additionally keep
+the result store ``DIR/results.sqlite`` and per-experiment shards under
 ``DIR/experiments/``.  The PR-4-era ``--telemetry-dir``/``--capture-dir``
 aliases are retired: passing either now fails with a ``DeprecationWarning``
 naming the replacement (see docs/runtime.md).
@@ -160,26 +159,19 @@ def build_parser() -> argparse.ArgumentParser:
                                "experiment seeds are derived from it")
     campaign.add_argument("--workers", type=int, default=1,
                           help="worker processes; >1 shards experiments "
-                               "across a pool with bit-identical results "
-                               "(default 1 = in-process serial)")
-    campaign.add_argument("--fabric", type=int, default=0, metavar="N",
-                          help="run on the distributed campaign fabric "
-                               "with N pull-queue workers: results land "
-                               "in ARTIFACTS_DIR/results.sqlite (query "
-                               "with 'store query') and crashed or hung "
-                               "workers forfeit their leases and are "
-                               "re-issued; results stay bit-identical "
-                               "at any N (default 0 = off)")
+                               "across pull-queue workers (crashed or "
+                               "hung workers forfeit their leases and "
+                               "are re-issued) with bit-identical "
+                               "results (default 1 = in-process serial)")
     campaign.add_argument("--resume", action="store_true",
                           help="resume an interrupted campaign from "
-                               "ARTIFACTS_DIR/journal.jsonl — or, with "
-                               "--fabric, from ARTIFACTS_DIR/"
-                               "results.sqlite (requires "
+                               "ARTIFACTS_DIR/results.sqlite (requires "
                                "--artifacts-dir)")
     campaign.add_argument("--artifacts-dir", default=None,
                           help="write all artifacts under this directory: "
                                "DIR/telemetry/, DIR/capture/, "
-                               "DIR/journal.jsonl, DIR/experiments/")
+                               "DIR/results.sqlite (query with 'store "
+                               "query'), DIR/experiments/")
     campaign.add_argument("--telemetry-dir", default=None,
                           help=argparse.SUPPRESS)
     campaign.add_argument("--capture-dir", default=None,
@@ -233,17 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
              "at any worker count)",
     )
     scenario_run.add_argument(
-        "--fabric", type=int, default=0, metavar="N",
-        help="run on the distributed campaign fabric with N pull-queue "
-             "workers (see 'campaign --fabric')",
-    )
-    scenario_run.add_argument(
         "--artifacts-dir", default=None,
-        help="write journal + merged artifacts under this directory",
+        help="write the result store + merged artifacts under this "
+             "directory",
     )
     scenario_run.add_argument(
         "--resume", action="store_true",
-        help="resume from ARTIFACTS_DIR/journal.jsonl",
+        help="resume from ARTIFACTS_DIR/results.sqlite",
     )
     scenario_run.add_argument(
         "--no-progress", action="store_true",
@@ -269,17 +257,18 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--runners", type=int, default=1,
                        help="concurrent campaign runners; >1 drains the "
                             "queue N campaigns at a time through the "
-                            "fabric executor (default: 1 = serial queue)")
+                            "pooled executor (default: 1 = serial queue)")
     serve.add_argument("--queue-limit", type=int, default=8,
                        help="pending campaigns before POST /campaigns "
                             "answers 429 (default: 8)")
     serve.add_argument("--timeout-s", type=float, default=None,
                        help="per-experiment wall-clock timeout for "
-                            "pooled campaigns (default: none)")
+                            "pooled campaigns, --runners > 1 included "
+                            "(default: none)")
 
     store = sub.add_parser(
         "store",
-        help="query or export the fabric result store "
+        help="query or export the campaign result store "
              "(ARTIFACTS_DIR/results.sqlite)",
     )
     store_sub = store.add_subparsers(dest="store_command")
@@ -368,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also persist the report into this sqlite "
                               "incident store")
     analyze.add_argument("--result-store", default=None, metavar="PATH",
-                         help="cross-check the report against a fabric "
+                         help="cross-check the report against a campaign "
                               "result store (ARTIFACTS_DIR/results.sqlite): "
                               "indices, names, seeds, and aggregate "
                               "consistency; exit 1 on mismatch")
@@ -691,19 +680,19 @@ def _load_scenario_doc(ref: str):
 
 def _execute_spec(spec, *, workers: int, resume: bool,
                   engine_root: Optional[str], follow_events: bool,
-                  no_progress: bool, fabric: int = 0) -> int:
+                  no_progress: bool) -> int:
     """Run ``spec`` through the campaign engine and print the results.
 
     The shared back half of ``campaign`` and ``scenario run``: executor
-    selection (serial vs pooled vs fabric), journalling or the result
-    store, deterministic artifact merging, and the human summary.
+    selection (serial vs pooled), the result store, deterministic
+    artifact merging, and the human summary.
     """
     from contextlib import nullcontext
     from pathlib import Path
 
     from repro.nftape.campaign import Campaign
     from repro.runtime.executors import PooledExecutor, SerialExecutor
-    from repro.runtime.fabric import FabricExecutor
+    from repro.runtime.store import STORE_FILE_NAME
 
     progress = None
     if not no_progress:
@@ -714,53 +703,31 @@ def _execute_spec(spec, *, workers: int, resume: bool,
     table_out = sys.stderr if follow_events else sys.stdout
     follow = _FollowEvents() if follow_events else nullcontext()
 
-    journal_path = (
-        None if engine_root is None
-        else Path(engine_root) / "journal.jsonl"
-    )
-    if fabric > 0:
-        executor = FabricExecutor(
-            workers=fabric, resume=resume,
-            artifacts_dir=engine_root, label=spec.name,
-        )
-    elif workers > 1:
+    if workers > 1:
         executor = PooledExecutor(
-            workers=workers, journal_path=journal_path,
-            resume=resume, artifacts_dir=engine_root,
+            workers=workers, resume=resume, artifacts_dir=engine_root,
             label=spec.name,
         )
     else:
         executor = SerialExecutor(
-            journal_path=journal_path, resume=resume,
-            artifacts_dir=engine_root, label=spec.name,
+            resume=resume, artifacts_dir=engine_root, label=spec.name,
         )
     with follow:
         table = campaign.run(executor=executor)
     if progress is not None:
         print(file=sys.stderr)
     print(table.render(), file=table_out)
-    if fabric > 0:
-        line = (
-            f"campaign: {len(executor.executed)} experiment(s) executed "
-            f"on the fabric with {fabric} worker(s)"
-        )
-        if executor.skipped:
-            line += f", {len(executor.skipped)} restored from store"
-        reissued = sum(executor.reissues.values())
-        if reissued:
-            line += f", {reissued} lease(s) re-issued"
-        if engine_root is not None:
-            line += f"; store: {Path(engine_root) / 'results.sqlite'}"
-    else:
-        line = (
-            f"campaign: {len(executor.executed)} experiment(s) executed "
-            f"with {workers} worker(s)"
-        )
-        if executor.skipped:
-            line += f", {len(executor.skipped)} restored from journal"
-        retries = sum(executor.retries.values())
-        if retries:
-            line += f", {retries} retried"
+    line = (
+        f"campaign: {len(executor.executed)} experiment(s) executed "
+        f"with {workers} worker(s)"
+    )
+    if executor.skipped:
+        line += f", {len(executor.skipped)} restored from store"
+    retries = sum(executor.retries.values())
+    if retries:
+        line += f", {retries} retried"
+    if engine_root is not None:
+        line += f"; store: {Path(engine_root) / STORE_FILE_NAME}"
     print(line, file=table_out)
     summary = executor.merge_summary
     if summary is not None:
@@ -820,8 +787,9 @@ def _run_campaign(args) -> int:
     """``campaign``: a Table 4 style control-symbol swap campaign.
 
     The campaign cycles through control-symbol corruption pairs with a
-    duty-cycled trigger.  With ``--artifacts-dir`` the run is journalled
-    (``--resume`` restores completed experiments) and drops merged
+    duty-cycled trigger.  With ``--artifacts-dir`` the run is recorded
+    in the result store (``--resume`` restores completed experiments)
+    and drops merged
     telemetry (``metrics.json``, ``spans.jsonl``, a Perfetto-loadable
     ``trace.json``) plus a binary ``capture.rcap`` that ``python -m
     repro capture decode`` analyzes; ``--workers N`` shards the
@@ -843,8 +811,8 @@ def _run_campaign(args) -> int:
 
     if args.resume and engine_root is None:
         print(
-            "--resume reads the campaign journal; pass --artifacts-dir DIR "
-            "(the journal lives at DIR/journal.jsonl)",
+            "--resume reads the result store; pass --artifacts-dir DIR "
+            "(the store lives at DIR/results.sqlite)",
             file=sys.stderr,
         )
         return 2
@@ -861,15 +829,14 @@ def _run_campaign(args) -> int:
     else:
         spec = _campaign_spec(args, capture_enabled)
 
-    fabric = max(0, getattr(args, "fabric", 0))
-    if engine_root is not None or workers > 1 or fabric > 0:
-        # Engine path: journal (or result store) + per-experiment
-        # artifact shards, merged deterministically on completion
-        # (same layout at any -w / --fabric N).
+    if engine_root is not None or workers > 1:
+        # Engine path: result store + per-experiment artifact shards,
+        # merged deterministically on completion (same layout at any
+        # worker count).
         return _execute_spec(
             spec, workers=workers, resume=args.resume,
             engine_root=engine_root, follow_events=args.follow,
-            no_progress=args.no_progress, fabric=fabric,
+            no_progress=args.no_progress,
         )
 
     progress = None
@@ -963,7 +930,7 @@ def _run_serve(args) -> int:
 
 
 def _run_store(args) -> int:
-    """``store query|export``: inspect the fabric result store.
+    """``store query|export``: inspect the campaign result store.
 
     ``query`` with no reference prints the campaign progress view (one
     line per stored campaign); with a reference it adds the aggregate
@@ -975,8 +942,7 @@ def _run_store(args) -> int:
     from pathlib import Path
 
     from repro.errors import CampaignError
-    from repro.runtime.fabric import STORE_FILE_NAME
-    from repro.runtime.store import ResultStore
+    from repro.runtime.store import STORE_FILE_NAME, ResultStore
 
     if args.store:
         store_path = Path(args.store)
@@ -987,7 +953,7 @@ def _run_store(args) -> int:
         return 2
     if not store_path.exists():
         print(f"no result store at {store_path} (run a campaign with "
-              "--fabric N --artifacts-dir DIR first)", file=sys.stderr)
+              "--artifacts-dir DIR first)", file=sys.stderr)
         return 2
 
     with ResultStore(store_path) as store:
@@ -1329,8 +1295,8 @@ def _run_scenario(args) -> int:
     # scenario run
     if args.resume and args.artifacts_dir is None:
         print(
-            "--resume reads the campaign journal; pass --artifacts-dir DIR "
-            "(the journal lives at DIR/journal.jsonl)",
+            "--resume reads the result store; pass --artifacts-dir DIR "
+            "(the store lives at DIR/results.sqlite)",
             file=sys.stderr,
         )
         return 2
@@ -1338,7 +1304,6 @@ def _run_scenario(args) -> int:
         spec, workers=max(1, args.workers), resume=args.resume,
         engine_root=args.artifacts_dir, follow_events=False,
         no_progress=args.no_progress,
-        fabric=max(0, getattr(args, "fabric", 0)),
     )
 
 

@@ -4,20 +4,15 @@ This is the engine behind ``repro.cli insight analyze``: it loads one
 campaign's artifact directory, joins the three observation planes, and
 emits the byte-stable :class:`~repro.insight.model.IncidentReport`.
 
-**Layouts.**  Both artifact layouts are accepted:
-
-* *engine* — ``root/telemetry/metrics.json`` + ``spans.jsonl``,
-  ``root/capture/capture.rcap``, ``root/spec.json`` (written by the
-  campaign executors);
-* *flat* (legacy serial sessions) — ``metrics.json``, ``spans.jsonl``,
-  ``capture.rcap`` side by side in one directory.
+**Layout.**  One artifact layout is read, the *engine* layout the
+campaign executors write: ``root/telemetry/metrics.json`` +
+``spans.jsonl``, ``root/capture/capture.rcap``, and ``root/spec.json``.
 
 **The join.**  Each experiment marker in the capture file carries the
-``span_id`` of the telemetry ``experiment`` span it ran under.  In a
-merged (engine) campaign, span ids restart per shard, so the join key
-is ``(shard, span_id)`` where ``shard`` is the campaign-global
-experiment index stamped by the artifact merge; a flat layout joins on
-``span_id`` alone.  Phase intervals (settle/injection/workload/drain)
+``span_id`` of the telemetry ``experiment`` span it ran under.  Span ids
+restart per shard, so the join key is ``(shard, span_id)`` where
+``shard`` is the campaign-global experiment index stamped by the
+artifact merge.  Phase intervals (settle/injection/workload/drain)
 come from the span's children — *sim time only*; wall-clock fields
 never enter the report, which is what keeps it byte-stable across
 worker counts and machines.
@@ -68,24 +63,13 @@ _EVENT_KINDS = {
 class CampaignArtifacts:
     """One campaign's loaded artifacts plus every load-time degradation."""
 
-    def __init__(self, root: Path, layout: str) -> None:
+    def __init__(self, root: Path) -> None:
         self.root = root
-        #: ``engine`` or ``flat`` (see module docstring).
-        self.layout = layout
         self.capture: Optional[CaptureFileData] = None
         self.spans_rows: List[Dict[str, Any]] = []
         self.metrics_doc: Optional[Dict[str, Any]] = None
         self.spec: Optional[Dict[str, Any]] = None
         self.degradations: List[str] = []
-
-
-def _detect_layout(root: Path) -> str:
-    engine_markers = (
-        root / "telemetry" / "metrics.json",
-        root / "capture" / CAPTURE_FILE_NAME,
-        root / "spec.json",
-    )
-    return "engine" if any(p.exists() for p in engine_markers) else "flat"
 
 
 def _load_spans(artifacts: CampaignArtifacts, path: Path) -> None:
@@ -121,18 +105,13 @@ def _load_spans(artifacts: CampaignArtifacts, path: Path) -> None:
 
 
 def load_artifacts(root: Union[str, Path]) -> CampaignArtifacts:
-    """Load a campaign artifact directory (either layout), tolerantly."""
+    """Load a campaign artifact directory, tolerantly."""
     root = Path(root)
     if not root.is_dir():
         raise ConfigurationError(f"{root} is not an artifact directory")
-    layout = _detect_layout(root)
-    artifacts = CampaignArtifacts(root, layout)
-    if layout == "engine":
-        telemetry = root / "telemetry"
-        capture_path = root / "capture" / CAPTURE_FILE_NAME
-    else:
-        telemetry = root
-        capture_path = root / CAPTURE_FILE_NAME
+    artifacts = CampaignArtifacts(root)
+    telemetry = root / "telemetry"
+    capture_path = root / "capture" / CAPTURE_FILE_NAME
 
     metrics_path = telemetry / "metrics.json"
     if metrics_path.exists():
@@ -428,7 +407,7 @@ def analyze_artifacts(
 ) -> IncidentReport:
     """Correlate one campaign's artifacts into an :class:`IncidentReport`.
 
-    ``source`` is an artifact directory (either layout) or a pre-loaded
+    ``source`` is an artifact directory (engine layout) or a pre-loaded
     :class:`CampaignArtifacts`.  The function never raises on missing or
     damaged inputs — it degrades, listing every gap in the report and
     bumping the ``insight.degraded`` counter when telemetry is active —
@@ -463,7 +442,7 @@ def analyze_artifacts(
         campaign={
             "name": str(spec.get("name") or campaign_label),
             "base_seed": spec.get("base_seed"),
-            "source": artifacts.layout,
+            "source": "engine",
             "spec_present": artifacts.spec is not None,
             "capture_present": artifacts.capture is not None,
             "telemetry_present": bool(artifacts.spans_rows)

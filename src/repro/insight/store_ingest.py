@@ -1,11 +1,11 @@
-"""Cross-check an insight report against the fabric's result store.
+"""Cross-check an insight report against the campaign result store.
 
-Two independent records of the same campaign exist once it ran on the
-fabric: the **artifact-derived** :class:`~repro.insight.model.
+Two independent records of the same campaign exist once it ran with an
+artifacts directory: the **artifact-derived** :class:`~repro.insight.model.
 IncidentReport` (decoded captures + telemetry, built by
 :func:`~repro.insight.correlate.analyze_artifacts`) and the **runtime**
-:class:`~repro.runtime.store.ResultStore` rows the workers pushed while
-executing.  They were produced by different code paths from different
+:class:`~repro.runtime.store.ResultStore` rows the executor recorded
+while executing.  They were produced by different code paths from different
 inputs, so agreement between them is strong evidence that neither the
 merge nor the store lost or duplicated an experiment — and disagreement
 pinpoints which experiment diverged.

@@ -18,21 +18,19 @@ The pieces:
   derivation rule;
 * :mod:`~repro.runtime.executors` — :class:`SerialExecutor` and
   :class:`PooledExecutor` behind one ``Campaign.run(executor=…)`` code
-  path, with per-experiment wall-clock timeouts and bounded
-  crash-retry;
-* :mod:`~repro.runtime.journal` — the JSONL checkpoint enabling
-  ``--resume``;
+  path; the pooled executor's per-experiment wall-clock timeout and
+  bounded crash-retry come from its lease queue;
+* :mod:`~repro.runtime.fabric` — the lease-queue protocol: the work
+  queue file, filesystem leases, and the pull-worker loop, with crash /
+  hang / duplicate-delivery recovery (chaos-tested);
+* :mod:`~repro.runtime.store` — the queryable sqlite
+  :class:`ResultStore` (schema-versioned, WAL, one winner per
+  experiment, incremental aggregates) both executors record into and
+  ``--resume`` restores from;
 * :mod:`~repro.runtime.artifacts` — per-experiment telemetry/capture
   shards and their deterministic merge;
 * :mod:`~repro.runtime.worker` — the single per-experiment code path
-  shared by the serial executor and the pooled workers, plus the
-  fabric's filesystem lease protocol;
-* :mod:`~repro.runtime.fabric` — :class:`FabricExecutor`: pull-queue
-  workers leasing experiments from a shared work queue, with crash /
-  hang / duplicate-delivery recovery (chaos-tested);
-* :mod:`~repro.runtime.store` — the fabric's queryable sqlite
-  :class:`ResultStore` (schema-versioned, WAL, one winner per
-  experiment, incremental aggregates) backing ``--resume``.
+  shared by the serial executor and the pooled workers.
 
 See docs/runtime.md for the full contract.
 """
@@ -49,18 +47,16 @@ from repro.runtime.executors import (
     DEFAULT_TIMEOUT_S,
     PooledExecutor,
     SerialExecutor,
-    default_start_method,
-)
-from repro.runtime.fabric import FabricExecutor
-from repro.runtime.journal import (
-    CampaignJournal,
-    result_from_dict,
-    result_to_dict,
 )
 from repro.runtime.seeding import derive_seed
 from repro.runtime.spec import CampaignSpec, ExperimentSpec, PlanSpec
 from repro.runtime.spec_codec import spec_from_json, spec_to_json
-from repro.runtime.store import ResultStore, spec_digest
+from repro.runtime.store import (
+    ResultStore,
+    result_from_dict,
+    result_to_dict,
+    spec_digest,
+)
 from repro.runtime.worker import ExperimentJob, execute_job, job_for
 
 __all__ = [
@@ -76,10 +72,8 @@ __all__ = [
     "spec_to_json",
     "SerialExecutor",
     "PooledExecutor",
-    "FabricExecutor",
     "ResultStore",
     "spec_digest",
-    "CampaignJournal",
     "ExperimentJob",
     "derive_seed",
     "execute_job",
@@ -88,6 +82,5 @@ __all__ = [
     "shard_dir",
     "result_to_dict",
     "result_from_dict",
-    "default_start_method",
     "DEFAULT_TIMEOUT_S",
 ]

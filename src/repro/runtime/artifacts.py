@@ -3,7 +3,9 @@
 A sharded campaign run with ``--artifacts-dir out/`` produces::
 
     out/
-      journal.jsonl                       # checkpoint journal
+      spec.json                           # campaign shape (insight)
+      results.sqlite                      # result store (resume)
+      fabric/                             # pooled lease queue
       experiments/
         exp-000-STOP-IDLE/
           telemetry/metrics.json|spans.jsonl|trace.json
@@ -58,7 +60,6 @@ __all__ = [
     "slugify",
     "shard_dir",
     "merge_artifacts",
-    "ShardMerger",
 ]
 
 #: Directory (under the artifacts root) holding one shard per experiment.
@@ -143,77 +144,6 @@ def _merge_metrics_docs(documents: Sequence[Dict[str, Any]],
 # ---------------------------------------------------------------------------
 
 
-class ShardMerger:
-    """Incremental, index-ordered shard fold (one :meth:`add` each).
-
-    The fabric executor folds shards *while experiments are still
-    running* — each completed prefix experiment is :meth:`add`-ed as
-    soon as its shard lands, and :meth:`finalize` writes the merged
-    artifacts.  Because shards must be added in ascending experiment
-    index (callers enforce the prefix discipline), the fold visits
-    exactly the order :func:`merge_artifacts` uses, so the final bytes
-    are identical whether the merge overlapped execution or not.
-    """
-
-    def __init__(self, root: Union[str, Path],
-                 label: str = "campaign") -> None:
-        self.root = Path(root)
-        self.label = label
-        self.summary: Dict[str, Any] = {
-            "telemetry_shards": 0, "capture_shards": 0, "missing_shards": []
-        }
-        self._metrics_docs: List[Dict[str, Any]] = []
-        self._span_records: List[Any] = []
-        self._capture_sources: List[Tuple[int, str, Path]] = []
-
-    def add(self, index: int, name: str) -> None:
-        """Fold experiment ``index``'s shard (call in ascending index)."""
-        shard = shard_dir(self.root, index, name)
-        telemetry = shard / TELEMETRY_SUBDIR
-        metrics_path = telemetry / "metrics.json"
-        if metrics_path.exists():
-            self.summary["telemetry_shards"] += 1
-            self._metrics_docs.append(json.loads(metrics_path.read_text()))
-            spans_path = telemetry / "spans.jsonl"
-            if spans_path.exists():
-                for record in parse_spans_jsonl(spans_path.read_text()):
-                    record.shard = index
-                    self._span_records.append(record)
-        else:
-            self.summary["missing_shards"].append(index)
-        capture_path = shard / CAPTURE_SUBDIR / CAPTURE_FILE_NAME
-        if capture_path.exists():
-            self.summary["capture_shards"] += 1
-            self._capture_sources.append((index, name, capture_path))
-
-    def finalize(self) -> Dict[str, Any]:
-        """Write the merged campaign artifacts; returns the summary."""
-        if self._metrics_docs:
-            out = self.root / TELEMETRY_SUBDIR
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "metrics.json").write_text(
-                json.dumps(
-                    _merge_metrics_docs(self._metrics_docs, self.label),
-                    indent=2, sort_keys=True) + "\n"
-            )
-            (out / "spans.jsonl").write_text(
-                spans_to_jsonl(self._span_records))
-            (out / "trace.json").write_text(
-                json.dumps(to_chrome_trace(self._span_records,
-                                           label=self.label)) + "\n"
-            )
-            self.summary["telemetry_dir"] = str(out)
-
-        if self._capture_sources:
-            out = self.root / CAPTURE_SUBDIR
-            out.mkdir(parents=True, exist_ok=True)
-            path = _merge_captures(out / CAPTURE_FILE_NAME,
-                                   self._capture_sources, self.label)
-            self.summary["capture_path"] = str(path)
-
-        return self.summary
-
-
 def merge_artifacts(
     root: Union[str, Path],
     entries: Sequence[Tuple[int, str]],
@@ -221,15 +151,59 @@ def merge_artifacts(
 ) -> Dict[str, Any]:
     """Fold every shard under ``root`` into campaign-level artifacts.
 
-    ``entries`` is the ordered ``(index, name)`` list of the campaign's
-    experiments; shards that never produced an artifact (e.g. an
-    experiment restored from the resume journal on a later run) are
-    skipped, and the skip is reported in the returned summary.
+    ``entries`` is the ``(index, name)`` list of the campaign's
+    experiments; shards are visited in index order whatever the list
+    order.  Shards that never produced an artifact (e.g. an experiment
+    restored from the result store on a later run) are skipped, and the
+    skip is reported in the returned summary.
     """
-    merger = ShardMerger(root, label)
+    root = Path(root)
+    summary: Dict[str, Any] = {
+        "telemetry_shards": 0, "capture_shards": 0, "missing_shards": []
+    }
+    metrics_docs: List[Dict[str, Any]] = []
+    span_records: List[Any] = []
+    capture_sources: List[Tuple[int, str, Path]] = []
     for index, name in sorted(entries):
-        merger.add(index, name)
-    return merger.finalize()
+        shard = shard_dir(root, index, name)
+        telemetry = shard / TELEMETRY_SUBDIR
+        metrics_path = telemetry / "metrics.json"
+        if metrics_path.exists():
+            summary["telemetry_shards"] += 1
+            metrics_docs.append(json.loads(metrics_path.read_text()))
+            spans_path = telemetry / "spans.jsonl"
+            if spans_path.exists():
+                for record in parse_spans_jsonl(spans_path.read_text()):
+                    record.shard = index
+                    span_records.append(record)
+        else:
+            summary["missing_shards"].append(index)
+        capture_path = shard / CAPTURE_SUBDIR / CAPTURE_FILE_NAME
+        if capture_path.exists():
+            summary["capture_shards"] += 1
+            capture_sources.append((index, name, capture_path))
+
+    if metrics_docs:
+        out = root / TELEMETRY_SUBDIR
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "metrics.json").write_text(
+            json.dumps(_merge_metrics_docs(metrics_docs, label),
+                       indent=2, sort_keys=True) + "\n"
+        )
+        (out / "spans.jsonl").write_text(spans_to_jsonl(span_records))
+        (out / "trace.json").write_text(
+            json.dumps(to_chrome_trace(span_records, label=label)) + "\n"
+        )
+        summary["telemetry_dir"] = str(out)
+
+    if capture_sources:
+        out = root / CAPTURE_SUBDIR
+        out.mkdir(parents=True, exist_ok=True)
+        path = _merge_captures(out / CAPTURE_FILE_NAME, capture_sources,
+                               label)
+        summary["capture_path"] = str(path)
+
+    return summary
 
 
 def _merge_captures(

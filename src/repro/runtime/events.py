@@ -2,9 +2,9 @@
 
 The paper's premise is *live* monitoring — the adaptive monitor watches
 the link in real time, not after the fact.  This module is the software
-analogue for the campaign engine itself: executors (and the journal)
-publish typed lifecycle events onto a process-wide :class:`EventBus`
-that subscribers — the ``repro.cli campaign --follow`` printer, the
+analogue for the campaign engine itself: executors publish typed
+lifecycle events onto a process-wide :class:`EventBus` that
+subscribers — the ``repro.cli campaign --follow`` printer, the
 :mod:`repro.server` streaming endpoints — consume concurrently while
 the campaign runs.
 
@@ -30,14 +30,12 @@ gaps, and the server's replay endpoint orders on it.
 
 Lifecycle kinds (see :data:`EVENT_KINDS`): ``campaign_started``,
 ``experiment_started`` / ``experiment_finished`` /
-``experiment_restored`` / ``experiment_retried`` /
-``experiment_timeout`` / ``experiment_failed``,
-``fabric_lease_reissued`` (a fabric lease expired and the experiment
-was re-queued with the same derived seed — *not* a second
-``experiment_started``), ``snapshot`` (periodic
-counter *deltas* since the previous snapshot), ``journal_record``,
-``shard_merged``, ``campaign_finished``, ``campaign_failed``, and
-``heartbeat``.
+``experiment_restored`` / ``experiment_retried`` (a worker crashed
+or timed out and the experiment was re-issued with the same derived
+seed; ``reason`` says which — *not* a second ``experiment_started``) /
+``experiment_failed``, ``snapshot`` (periodic counter *deltas* since
+the previous snapshot), ``shard_merged``, ``campaign_finished``,
+``campaign_failed``, and ``heartbeat``.
 
 Wall-clock note: this module carries the :mod:`repro.runtime` SIM001
 allowance — events timestamp *host* observation time for subscribers
@@ -71,11 +69,8 @@ EVENT_KINDS = (
     "experiment_finished",
     "experiment_restored",
     "experiment_retried",
-    "experiment_timeout",
     "experiment_failed",
-    "fabric_lease_reissued",
     "snapshot",
-    "journal_record",
     "shard_merged",
     "insight_ready",
     "campaign_finished",

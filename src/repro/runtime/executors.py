@@ -7,17 +7,25 @@ experiment order** — the executor decides *how* the experiments run:
 * :class:`SerialExecutor` — in-process, one at a time.  Runs live
   ``Experiment`` objects for legacy campaigns, or spec jobs through the
   same :func:`~repro.runtime.worker.execute_job` path the workers use.
-* :class:`PooledExecutor` — a ``multiprocessing`` worker pool running
-  spec jobs N-at-a-time, each in a fresh process on a fresh test bed
-  with its deterministically derived seed.  Results are **order-merged**:
-  however the shards race, the pairs come out sorted by experiment
-  index, so the resulting table is bit-identical to a serial run.
+* :class:`PooledExecutor` — long-lived worker processes pulling leases
+  from a file-backed work queue (:mod:`repro.runtime.fabric`), each
+  experiment on a fresh test bed with its deterministically derived
+  seed.  Results are **order-merged**: however the shards race, the
+  pairs come out sorted by experiment index, so the resulting table is
+  bit-identical to a serial run.
 
-Robustness (pooled): every experiment gets a wall-clock timeout; a
-worker that crashes or times out is replaced by a fresh worker re-running
-the same seed, up to ``max_retries`` times; completions stream into a
-JSONL :class:`~repro.runtime.journal.CampaignJournal` so an interrupted
-campaign resumes without re-running finished experiments.
+Both executors record every completed experiment in the sqlite
+:class:`~repro.runtime.store.ResultStore` at
+``<artifacts_dir>/results.sqlite`` and, with ``resume=True``, restore
+the winners recorded there instead of re-running them.  Without
+``artifacts_dir`` the serial executor writes nothing; the pooled
+executor keeps its queue and store in a private temp directory.
+
+Robustness (pooled): ``timeout_s`` is the lease deadline, so it bounds
+each experiment's wall-clock time; a worker that crashes or outlives its
+lease is replaced and the experiment re-issued with the same seed, up to
+:data:`MAX_RETRIES` times, before the campaign fails.  A deterministic
+experiment error is never retried.
 
 Wall-clock note: this module (and :mod:`repro.runtime.worker`) carries
 the scoped SIM001 allowance alongside :mod:`repro.telemetry` — the
@@ -29,8 +37,10 @@ derived seed alone).
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
-import multiprocessing.connection
+import shutil
+import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
@@ -39,21 +49,27 @@ from repro.errors import CampaignError
 from repro.nftape.results import ExperimentResult
 from repro.runtime.artifacts import merge_artifacts
 from repro.runtime.events import EVENTS, emit
-from repro.runtime.journal import CampaignJournal, result_from_dict
-from repro.runtime.spec import CampaignSpec, spec_summary
-from repro.runtime.worker import (
-    ExperimentJob,
-    execute_job,
-    job_for,
-    run_job_in_child,
+from repro.runtime.fabric import (
+    FABRIC_SUBDIR,
+    POLL_S,
+    forfeit_count,
+    forfeit_lease,
+    read_lease,
+    read_queue,
+    release_lease,
+    run_fabric_worker,
+    write_queue,
 )
+from repro.runtime.spec import CampaignSpec, spec_summary
+from repro.runtime.store import STORE_FILE_NAME, ResultStore
+from repro.runtime.worker import execute_job, job_for
 
 __all__ = [
     "SerialExecutor",
     "PooledExecutor",
     "DEFAULT_TIMEOUT_S",
+    "MAX_RETRIES",
     "SPEC_FILE_NAME",
-    "default_start_method",
 ]
 
 #: File name of the campaign-shape summary written into the artifacts
@@ -63,6 +79,16 @@ SPEC_FILE_NAME = "spec.json"
 #: Default per-experiment wall-clock timeout (generous: scaled paper
 #: experiments run in seconds; a stuck shard should not stall a shift).
 DEFAULT_TIMEOUT_S = 900.0
+
+#: Re-issues (same derived seed) a crashed or timed-out experiment gets
+#: before the pooled campaign fails.
+MAX_RETRIES = 2
+
+#: ``multiprocessing`` start method of the pooled workers: ``fork``
+#: where the platform offers it (fast), else ``spawn``.
+START_METHOD = (
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
 
 #: Minimum wall seconds between the pooled executor's heartbeat events
 #: (only emitted while an event bus is installed — see
@@ -80,24 +106,16 @@ SNAPSHOT_FIELDS = (
 )
 
 
-def default_start_method() -> str:
-    """``fork`` where the platform offers it (fast), else ``spawn``."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
-
-
 class _ExecutorBase:
-    """Journal/resume/artifact plumbing shared by both executors."""
+    """Store/resume/artifact plumbing shared by both executors."""
 
     def __init__(
         self,
-        journal_path: Optional[Union[str, Path]] = None,
         resume: bool = False,
         artifacts_dir: Optional[Union[str, Path]] = None,
         label: Optional[str] = None,
         events_label: Optional[str] = None,
     ) -> None:
-        self.journal_path = None if journal_path is None else Path(journal_path)
         self.resume = resume
         self.artifacts_dir = (
             None if artifacts_dir is None else Path(artifacts_dir)
@@ -110,9 +128,9 @@ class _ExecutorBase:
         self.events_label = events_label
         #: Experiment indices actually executed this run (for tests/UX).
         self.executed: List[int] = []
-        #: Indices restored from the journal instead of re-run.
+        #: Indices restored from the result store instead of re-run.
         self.skipped: List[int] = []
-        #: Retries performed, keyed by experiment index.
+        #: Retries (re-issues) performed, keyed by experiment index.
         self.retries: Dict[int, int] = {}
         #: Summary dict of the artifact merge (once performed).
         self.merge_summary: Optional[Dict[str, Any]] = None
@@ -169,29 +187,24 @@ class _ExecutorBase:
 
     # ------------------------------------------------------------------
 
-    def _open_journal(
-        self, spec: Optional[CampaignSpec]
-    ) -> Tuple[Optional[CampaignJournal], Dict[int, ExperimentResult]]:
-        """Create/validate the journal; load completed results on resume."""
-        if self.journal_path is None:
-            if self.resume:
-                raise CampaignError(
-                    "resume requested but no journal path configured"
-                )
-            return None, {}
-        if spec is None:
-            raise CampaignError(
-                "journalling requires a spec-based campaign "
-                "(build it with Campaign.from_spec)"
-            )
-        journal = CampaignJournal(self.journal_path,
-                                  events_label=self._events_campaign)
-        completed: Dict[int, ExperimentResult] = {}
-        if self.resume:
-            completed = journal.completed(spec) if journal.path.exists() \
-                else {}
-        journal.begin(spec, resume=self.resume)
-        return journal, completed
+    def _open_store(
+        self, home: Path, spec: CampaignSpec
+    ) -> Tuple[ResultStore, str, Dict[int, ExperimentResult]]:
+        """Open ``home``'s result store and register ``spec``.
+
+        Returns the store, the spec digest, and (on resume) the winners
+        already recorded for that digest — a different spec has a
+        different digest, so it restores nothing.
+        """
+        home.mkdir(parents=True, exist_ok=True)
+        store = ResultStore(home / STORE_FILE_NAME)
+        try:
+            digest = store.begin(spec, resume=self.resume)
+            restored = store.completed(digest) if self.resume else {}
+        except BaseException:
+            store.close()
+            raise
+        return store, digest, restored
 
     def _write_spec(self, spec: Optional[CampaignSpec]) -> None:
         """Drop ``spec.json`` into the artifacts root (offline analyzers
@@ -226,9 +239,9 @@ class SerialExecutor(_ExecutorBase):
 
     ``Campaign.run()`` with no executor argument uses this with default
     options — behaviourally identical to the pre-engine serial loop.
-    Spec-based campaigns additionally get journalling, resume, and
-    per-experiment artifact shards (merged on completion) through the
-    exact same code path the pooled workers run.
+    Spec-based campaigns with an ``artifacts_dir`` additionally get the
+    result store, resume, and per-experiment artifact shards (merged on
+    completion) through the exact same code path the pooled workers run.
     """
 
     def execute(self, campaign: Any,
@@ -236,8 +249,30 @@ class SerialExecutor(_ExecutorBase):
                 ) -> Iterator[Tuple[int, ExperimentResult]]:
         """Yield ``(index, result)`` pairs in experiment order."""
         spec: Optional[CampaignSpec] = getattr(campaign, "spec", None)
+        if self.resume and (spec is None or self.artifacts_dir is None):
+            raise CampaignError(
+                "resume restores from the result store: run a spec-based "
+                "campaign (Campaign.from_spec) with an artifacts_dir"
+            )
         self._events_campaign = self._events_key(campaign, spec)
-        journal, completed = self._open_journal(spec)
+        store: Optional[ResultStore] = None
+        digest = ""
+        completed: Dict[int, ExperimentResult] = {}
+        if spec is not None and self.artifacts_dir is not None:
+            store, digest, completed = self._open_store(
+                self.artifacts_dir, spec)
+        try:
+            yield from self._run(campaign, spec, store, digest, completed,
+                                 progress)
+        finally:
+            if store is not None:
+                store.close()
+
+    def _run(self, campaign: Any, spec: Optional[CampaignSpec],
+             store: Optional[ResultStore], digest: str,
+             completed: Dict[int, ExperimentResult],
+             progress: Optional[Any]
+             ) -> Iterator[Tuple[int, ExperimentResult]]:
         self._write_spec(spec)
         total = len(campaign.experiments) if spec is None else len(spec)
         self._emit("campaign_started", executor="serial", experiments=total,
@@ -247,7 +282,7 @@ class SerialExecutor(_ExecutorBase):
                 self.skipped.append(index)
                 if progress is not None:
                     progress(f"[{index + 1}/{total}] restored "
-                             f"{completed[index].name} from journal")
+                             f"{completed[index].name} from store")
                 self._emit("experiment_restored", index=index,
                            name=completed[index].name)
                 yield index, completed[index]
@@ -266,8 +301,8 @@ class SerialExecutor(_ExecutorBase):
                 self._emit("experiment_started", index=index, name=job.name,
                            seed=job.seed, attempt=0)
                 result = execute_job(job, in_process=True)
-                if journal is not None:
-                    journal.record(index, job.name, job.seed, result)
+                if store is not None:
+                    store.record(digest, index, job.name, job.seed, result)
             else:
                 experiment = campaign.experiments[index]
                 if progress is not None:
@@ -286,57 +321,51 @@ class SerialExecutor(_ExecutorBase):
                    executed=len(self.executed), restored=len(self.skipped))
 
 
-class _Slot:
-    """One live worker process and its result pipe."""
-
-    __slots__ = ("job", "process", "conn", "deadline")
-
-    def __init__(self, job: ExperimentJob, process: Any, conn: Any,
-                 deadline: Optional[float]) -> None:
-        self.job = job
-        self.process = process
-        self.conn = conn
-        self.deadline = deadline
-
-
 class PooledExecutor(_ExecutorBase):
-    """Shard a spec-based campaign across a worker-process pool.
+    """Shard a spec-based campaign across lease-queue worker processes.
+
+    ``Campaign.run(executor=PooledExecutor(workers=4, ...))`` yields
+    ``(index, result)`` pairs in experiment order, byte-identical to a
+    serial run.  The coordinator publishes the campaign as a work queue
+    under ``<artifacts_dir>/fabric/``, starts ``workers`` processes
+    that pull leases from it (:func:`~repro.runtime.fabric.
+    run_fabric_worker`), and reads their results back from the shared
+    result store — queryable while running, and the source of
+    ``resume=True``.  With no ``artifacts_dir``, queue and store live in
+    a private temp directory (and ``resume`` is unavailable).
 
     Parameters
     ----------
     workers:
-        Maximum experiments in flight at once.
+        Worker processes, i.e. maximum experiments in flight at once.
     timeout_s:
-        Per-experiment wall-clock budget; ``None`` disables the timeout.
-    max_retries:
-        How many fresh-worker re-runs (same derived seed) a crashed or
-        timed-out experiment gets before the campaign fails.
-    start_method:
-        ``multiprocessing`` start method; default ``fork`` when
-        available, else ``spawn``.
+        Per-experiment wall-clock budget (the lease deadline); an
+        experiment still running when it passes is killed and
+        re-issued.  ``None`` disables the timeout.
+    chaos_duplicate_delivery:
+        Test-only: an extra rogue worker runs this experiment index
+        without claiming its lease (duplicate lease delivery).
     """
 
     def __init__(
         self,
         workers: int = 2,
         timeout_s: Optional[float] = DEFAULT_TIMEOUT_S,
-        max_retries: int = 1,
-        start_method: Optional[str] = None,
-        journal_path: Optional[Union[str, Path]] = None,
         resume: bool = False,
         artifacts_dir: Optional[Union[str, Path]] = None,
         label: Optional[str] = None,
         events_label: Optional[str] = None,
+        chaos_duplicate_delivery: Optional[int] = None,
     ) -> None:
-        super().__init__(journal_path=journal_path, resume=resume,
-                         artifacts_dir=artifacts_dir, label=label,
-                         events_label=events_label)
+        super().__init__(resume=resume, artifacts_dir=artifacts_dir,
+                         label=label, events_label=events_label)
         if workers < 1:
             raise CampaignError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.timeout_s = timeout_s
-        self.max_retries = max_retries
-        self.start_method = start_method or default_start_method()
+        self.chaos_duplicate_delivery = chaos_duplicate_delivery
+        #: Queue-file repairs performed (truncation recovery).
+        self.queue_repairs = 0
 
     # ------------------------------------------------------------------
 
@@ -348,199 +377,224 @@ class PooledExecutor(_ExecutorBase):
         if spec is None:
             raise CampaignError(
                 "PooledExecutor needs a declarative campaign: build it "
-                "with Campaign.from_spec(CampaignSpec(...)) so experiments "
-                "can be shipped to worker processes"
+                "with Campaign.from_spec(CampaignSpec(...)) so work items "
+                "can be published to worker processes"
             )
+        scratch: Optional[str] = None
+        if self.artifacts_dir is not None:
+            home = self.artifacts_dir
+        elif self.resume:
+            raise CampaignError(
+                "resume restores from the result store: pass artifacts_dir"
+            )
+        else:
+            scratch = tempfile.mkdtemp(prefix="repro-pool-")
+            home = Path(scratch)
         self._events_campaign = self._events_key(campaign, spec)
-        journal, ready = self._open_journal(spec)
-        self._write_spec(spec)
-        self.skipped = sorted(ready)
+        processes: List[Any] = []
+        store: Optional[ResultStore] = None
+        try:
+            store, digest, ready = self._open_store(home, spec)
+            yield from self._run(spec, home, store, digest, ready,
+                                 processes, progress)
+        finally:
+            for process in processes:
+                if process.is_alive():
+                    process.terminate()
+                process.join(timeout=5)
+            if store is not None:
+                store.close()
+            if scratch is not None:
+                shutil.rmtree(scratch, ignore_errors=True)
+
+    def _run(self, spec: CampaignSpec, home: Path, store: ResultStore,
+             digest: str, ready: Dict[int, ExperimentResult],
+             processes: List[Any], progress: Optional[Any]
+             ) -> Iterator[Tuple[int, ExperimentResult]]:
         total = len(spec)
+        self.skipped = sorted(ready)
+        self._write_spec(spec)
+        fabric_dir = home / FABRIC_SUBDIR
+        leases_dir = fabric_dir / "leases"
+        if leases_dir.exists():
+            shutil.rmtree(leases_dir)  # no workers are live yet
+        leases_dir.mkdir(parents=True, exist_ok=True)
+        write_queue(fabric_dir, digest, spec)
+
         self._emit("campaign_started", executor="pooled",
                    experiments=total, workers=self.workers,
-                   restored=len(ready))
+                   restored=len(ready), digest=digest)
         for index in self.skipped:
             self._emit("experiment_restored", index=index,
                        name=ready[index].name)
-        context = multiprocessing.get_context(self.start_method)
-        pending: List[int] = [i for i in range(total) if i not in ready]
-        attempts: Dict[int, int] = {index: 0 for index in pending}
-        running: Dict[int, _Slot] = {}
-        next_yield = 0
 
-        def _spawn(index: int) -> None:
-            job = job_for(
-                spec, index,
-                attempt=attempts[index],
-                artifacts_root=(
-                    None if self.artifacts_dir is None
-                    else str(self.artifacts_dir)
-                ),
-                label=self.label,
-            )
-            parent_conn, child_conn = context.Pipe(duplex=False)
+        context = multiprocessing.get_context(START_METHOD)
+        lease_s = math.inf if self.timeout_s is None else self.timeout_s
+
+        def _spawn(worker_index: int,
+                   rogue_index: Optional[int] = None) -> Any:
             process = context.Process(
-                target=run_job_in_child, args=(child_conn, job),
+                target=run_fabric_worker,
+                args=(
+                    f"w{worker_index}", spec, str(fabric_dir),
+                    str(home / STORE_FILE_NAME),
+                    None if self.artifacts_dir is None
+                    else str(self.artifacts_dir),
+                    self.label or spec.name,
+                    lease_s,
+                ),
+                kwargs={"rogue_index": rogue_index},
                 daemon=True,
-                name=f"repro-exp-{index:03d}-a{attempts[index]}",
+                name=(f"repro-pool-w{worker_index}"
+                      if rogue_index is None
+                      else f"repro-pool-rogue{worker_index}"),
             )
             process.start()
-            child_conn.close()
-            deadline = (
-                None if self.timeout_s is None
-                else time.monotonic() + self.timeout_s
+            return process
+
+        processes.extend(_spawn(i) for i in range(self.workers))
+        if self.chaos_duplicate_delivery is not None:
+            processes.append(_spawn(
+                self.workers, rogue_index=self.chaos_duplicate_delivery))
+        live = {process.pid: process for process in processes}
+
+        def _fail(index: int, name: str, reason: str, attempts: int,
+                  detail: str = "") -> None:
+            self._emit("experiment_failed", index=index, name=name,
+                       reason=reason, attempts=attempts)
+            self._emit("campaign_failed", experiments=total,
+                       failed_index=index, reason=reason)
+            raise CampaignError(
+                f"experiment {index} ({name!r}) failed after {attempts} "
+                f"attempt(s): {reason}{detail}"
             )
-            running[index] = _Slot(job, process, parent_conn, deadline)
-            self._emit("experiment_started", index=index, name=job.name,
-                       seed=job.seed, attempt=attempts[index])
 
-        def _reap(index: int, reason: str, timed_out: bool = False) -> None:
-            """Kill a slot and either re-queue its job or fail."""
-            slot = running.pop(index)
-            if slot.process.is_alive():
-                slot.process.terminate()
-            slot.process.join(timeout=5)
-            slot.conn.close()
-            attempts[index] += 1
-            if timed_out:
-                self._emit("experiment_timeout", index=index,
-                           name=slot.job.name, timeout_s=self.timeout_s,
-                           attempt=attempts[index] - 1)
-            if attempts[index] > self.max_retries:
-                self._shutdown(running)
-                self._emit("experiment_failed", index=index,
-                           name=slot.job.name, reason=reason,
-                           attempts=attempts[index])
-                self._emit("campaign_failed", experiments=total,
-                           failed_index=index, reason=reason)
-                raise CampaignError(
-                    f"experiment {index} ({slot.job.name!r}) failed after "
-                    f"{attempts[index]} attempt(s): {reason}"
-                )
-            self.retries[index] = self.retries.get(index, 0) + 1
-            self._emit("experiment_retried", index=index,
-                       name=slot.job.name, reason=reason,
-                       attempt=attempts[index])
-            if progress is not None:
-                progress(
-                    f"retrying {slot.job.name} ({reason}, attempt "
-                    f"{attempts[index] + 1}/{self.max_retries + 1})"
-                )
-            pending.insert(0, index)
-
+        started: set = set(self.skipped)
+        next_yield = 0
+        respawns = 0
+        # Every crash or kill under a lease uses up one of that
+        # experiment's retries, so the budget covers all retries plus
+        # one exit per worker; only workers dying outside a lease can
+        # spend it.
+        respawn_budget = self.workers + total * MAX_RETRIES
         next_heartbeat = time.monotonic() + HEARTBEAT_INTERVAL_S
-        try:
-            while pending or running:
-                while pending and len(running) < self.workers:
-                    _spawn(pending.pop(0))
-                wait_timeout: Optional[float] = None
-                if self.timeout_s is not None and running:
-                    now = time.monotonic()
-                    wait_timeout = max(
-                        0.05,
-                        min(slot.deadline for slot in running.values())
-                        - now,
-                    )
-                if EVENTS.active and wait_timeout is None:
-                    # Bound the wait so heartbeats keep flowing even
-                    # with no per-experiment deadline configured.
-                    wait_timeout = HEARTBEAT_INTERVAL_S
-                ready_conns = multiprocessing.connection.wait(
-                    [slot.conn for slot in running.values()],
-                    timeout=wait_timeout,
+        while len(ready) < total:
+            # 1. collect newly completed experiments from the store
+            if len(store.completed_indices(digest)) > len(ready):
+                winners = store.completed(digest)
+                for index in sorted(set(winners) - set(ready)):
+                    result = winners[index]
+                    if index not in started:
+                        started.add(index)
+                        attempt = next(
+                            (a["attempt"]
+                             for a in store.attempts(digest, index)
+                             if a["winner"]), 0)
+                        self._emit("experiment_started", index=index,
+                                   name=result.name,
+                                   seed=spec.seed_for(index),
+                                   attempt=attempt)
+                    ready[index] = result
+                    self.executed.append(index)
+                    self._emit_finished(index, result.name, result)
+                    if progress is not None:
+                        progress(f"[{len(ready)}/{total}] finished "
+                                 f"{result.name}")
+
+            # 2. lease scan: first-observation events, death and expiry
+            running = []
+            for lease_file in sorted(leases_dir.glob("*.lease")):
+                lease = read_lease(lease_file)
+                if lease is None:
+                    continue  # torn mid-write; next poll sees it
+                if lease.index in ready:
+                    release_lease(leases_dir, lease.index)
+                    continue
+                running.append(lease.index)
+                name = spec.experiments[lease.index].name
+                if lease.index not in started:
+                    started.add(lease.index)
+                    self._emit("experiment_started",
+                               index=lease.index, name=name,
+                               seed=spec.seed_for(lease.index),
+                               attempt=lease.attempt)
+                holder = live.get(lease.pid)
+                holder_dead = holder is not None and not holder.is_alive()
+                if not holder_dead and time.time() < lease.deadline_unix:
+                    continue
+                if holder_dead:
+                    reason = "worker crashed (died holding the lease)"
+                else:
+                    reason = f"timed out after {self.timeout_s:g}s wall"
+                    if holder is not None:
+                        holder.terminate()  # replaced in step 5
+                        holder.join(timeout=5)
+                next_attempt = forfeit_lease(leases_dir, lease.index)
+                if next_attempt > MAX_RETRIES:
+                    _fail(lease.index, name, reason, next_attempt)
+                self.retries[lease.index] = (
+                    self.retries.get(lease.index, 0) + 1
                 )
-                now = time.monotonic()
-                if EVENTS.active and now >= next_heartbeat:
-                    next_heartbeat = now + HEARTBEAT_INTERVAL_S
-                    self._emit(
-                        "heartbeat",
-                        running=sorted(running),
-                        pending=len(pending),
-                        completed=len(self.executed) + len(self.skipped),
-                        experiments=total,
-                    )
-                for index in list(running):
-                    slot = running[index]
-                    # A slot counts as ready if wait() flagged it OR a
-                    # message is already buffered: a worker may finish
-                    # and exit between wait() returning (woken by some
-                    # *other* slot) and this liveness sweep — its result
-                    # must be read, not mistaken for a crash.
-                    if slot.conn in ready_conns or slot.conn.poll():
-                        try:
-                            status, payload = slot.conn.recv()
-                        except EOFError:
-                            _reap(index, "worker crashed "
-                                         f"(exit {slot.process.exitcode})")
-                            continue
-                        slot.process.join()
-                        slot.conn.close()
-                        running.pop(index)
-                        if status != "ok":
-                            self._shutdown(running)
-                            self._emit(
-                                "experiment_failed", index=index,
-                                name=payload.get("name"),
-                                reason=f"{payload.get('type')}: "
-                                       f"{payload.get('message')}",
-                                attempts=attempts[index] + 1,
-                            )
-                            self._emit(
-                                "campaign_failed", experiments=total,
-                                failed_index=index,
-                                reason=payload.get("type"),
-                            )
-                            raise CampaignError(
-                                f"experiment {index} "
-                                f"({payload.get('name')!r}) raised "
-                                f"{payload.get('type')}: "
-                                f"{payload.get('message')}\n"
-                                f"{payload.get('traceback', '')}"
-                            )
-                        ready[index] = result_from_dict(payload["result"])
-                        self.executed.append(index)
-                        self._emit_finished(
-                            index, payload["name"], ready[index]
-                        )
-                        if journal is not None:
-                            journal.record(
-                                index, payload["name"], payload["seed"],
-                                ready[index], attempt=payload["attempt"],
-                            )
-                        if progress is not None:
-                            progress(
-                                f"[{len(ready)}/{total}] finished "
-                                f"{payload['name']}"
-                            )
-                    elif slot.deadline is not None and now >= slot.deadline:
-                        _reap(
-                            index,
-                            f"timed out after {self.timeout_s:.0f}s wall",
-                            timed_out=True,
-                        )
-                    elif not slot.process.is_alive():
-                        _reap(index, "worker crashed "
-                                     f"(exit {slot.process.exitcode})")
-                while next_yield in ready:
-                    yield next_yield, ready.pop(next_yield)
-                    next_yield += 1
+                self._emit("experiment_retried", index=lease.index,
+                           name=name, reason=reason,
+                           attempt=next_attempt)
+                if progress is not None:
+                    progress(f"retrying {name} ({reason}, attempt "
+                             f"{next_attempt + 1}/{MAX_RETRIES + 1})")
+
+            # 3. deterministic failures reported by workers: no retry
+            for marker in sorted(leases_dir.glob("*.failed")):
+                try:
+                    info = json.loads(marker.read_text(encoding="utf-8"))
+                except (OSError, json.JSONDecodeError):
+                    continue  # torn mid-write; next poll
+                index = int(info.get("index", -1))
+                _fail(index, str(info.get("name")),
+                      f"{info.get('type')}: {info.get('message')}",
+                      forfeit_count(leases_dir, index) + 1,
+                      detail=f"\n{info.get('traceback', '')}")
+
+            # 4. queue integrity (truncation / corruption repair)
+            if read_queue(fabric_dir, digest) is None:
+                write_queue(fabric_dir, digest, spec)
+                self.queue_repairs += 1
+
+            # 5. worker liveness: replace the fallen
+            for slot, process in enumerate(processes):
+                if process.is_alive() or len(ready) >= total \
+                        or respawns >= respawn_budget:
+                    continue
+                process.join(timeout=0)
+                replacement = _spawn(self.workers + respawns)
+                processes[slot] = replacement
+                live[replacement.pid] = replacement
+                respawns += 1
+            if not any(p.is_alive() for p in processes) \
+                    and len(store.completed_indices(digest)) < total:
+                reason = "every worker died; respawn budget spent"
+                self._emit("campaign_failed", experiments=total,
+                           reason=reason)
+                raise CampaignError(f"pooled campaign failed: {reason}")
+
+            # 6. stream the ordered prefix to the campaign
             while next_yield in ready:
-                yield next_yield, ready.pop(next_yield)
+                yield next_yield, ready[next_yield]
                 next_yield += 1
-        finally:
-            self._shutdown(running)
+
+            now = time.monotonic()
+            if EVENTS.active and now >= next_heartbeat:
+                next_heartbeat = now + HEARTBEAT_INTERVAL_S
+                self._emit("heartbeat", running=sorted(running),
+                           pending=total - len(ready) - len(running),
+                           completed=len(ready), experiments=total)
+            if len(ready) < total:
+                time.sleep(POLL_S)
+
+        while next_yield in ready:
+            yield next_yield, ready[next_yield]
+            next_yield += 1
         self.executed.sort()
         self._merge(spec)
         self._emit("campaign_finished", experiments=total,
                    executed=len(self.executed), restored=len(self.skipped),
                    retried=sum(self.retries.values()))
-
-    @staticmethod
-    def _shutdown(running: Dict[int, _Slot]) -> None:
-        """Terminate any still-live workers (error/interrupt path)."""
-        for slot in running.values():
-            if slot.process.is_alive():
-                slot.process.terminate()
-            slot.process.join(timeout=5)
-            slot.conn.close()
-        running.clear()

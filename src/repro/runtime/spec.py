@@ -263,7 +263,7 @@ def _json_safe(value: Any) -> Any:
 def spec_summary(spec: CampaignSpec) -> Dict[str, Any]:
     """A JSON-safe description of a campaign, for ``spec.json``.
 
-    The artifact engine drops this next to ``journal.jsonl`` so offline
+    The artifact engine drops this next to ``results.sqlite`` so offline
     consumers — ``repro.insight`` foremost — can recover the campaign's
     shape (experiment names, derived seeds, plan direction, topology
     options) without unpickling live spec objects.  It is a *summary*:

@@ -1,12 +1,13 @@
-"""The fabric's queryable result store: sqlite, WAL, winner-dedup.
+"""The campaign result store: sqlite, WAL, winner-dedup.
 
-Where the JSONL journal is a *private checkpoint* of one executor
-process, the :class:`ResultStore` is the campaign fabric's *shared,
-queryable* record: every worker process pushes completed experiments
-into one sqlite database (WAL mode, so concurrent writers on one host
-serialize safely and readers never block), and partially complete
-sweeps stay queryable — ``python -m repro store query`` — while the
-campaign is still running.
+The :class:`ResultStore` is every executor's *shared, queryable* record
+of completed experiments and the one source ``resume`` restores from:
+the serial executor records in-process, and every pooled worker process
+pushes into the same sqlite database (WAL mode, so concurrent writers
+on one host serialize safely and readers never block).  Partially
+complete sweeps stay queryable — ``python -m repro store query`` —
+while the campaign is still running.  It lives at
+``<artifacts_dir>/results.sqlite`` (:data:`STORE_FILE_NAME`).
 
 Schema (``SCHEMA_VERSION`` in ``meta``; same idiom as
 :class:`repro.insight.store.InsightStore`):
@@ -34,8 +35,9 @@ resumed campaign simply re-runs what the quarantined rows had covered —
 re-derived seeds make the re-run byte-identical.
 
 Determinism: no wall-clock timestamps are stored, every query carries
-an explicit ``ORDER BY``, and result payloads reuse the journal's
-JSON projection (:func:`~repro.runtime.journal.result_to_dict`).
+an explicit ``ORDER BY``, and result payloads are the JSON-safe
+projection :func:`result_to_dict` (``extras`` — live test beds,
+workload objects — never crosses the worker boundary).
 """
 
 from __future__ import annotations
@@ -48,19 +50,39 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Union
 
 from repro.errors import CampaignError, ConfigurationError
 from repro.nftape.results import ExperimentResult
-from repro.runtime.journal import result_from_dict, result_to_dict
 from repro.runtime.spec import CampaignSpec
 from repro.runtime.spec_codec import spec_to_json
 
 __all__ = [
+    "STORE_FILE_NAME",
     "STORE_SCHEMA_VERSION",
     "AGGREGATE_FIELDS",
+    "RESULT_FIELDS",
+    "result_to_dict",
+    "result_from_dict",
     "spec_digest",
     "ResultStore",
 ]
 
+#: The result store's file name under an artifacts root.
+STORE_FILE_NAME = "results.sqlite"
+
 #: Result-store schema generation; bump on incompatible table changes.
 STORE_SCHEMA_VERSION = 1
+
+#: Scalar :class:`ExperimentResult` fields that cross the worker /
+#: store boundary (plus ``params``/``notes`` and the counter maps).
+RESULT_FIELDS = (
+    "name",
+    "duration_ps",
+    "messages_sent",
+    "messages_received",
+    "injections",
+    "active_misdeliveries",
+    "corrupted_deliveries",
+    "send_failures",
+    "checksum_drops",
+)
 
 #: Counter fields folded into the incremental ``aggregates`` table
 #: (the scalar :class:`ExperimentResult` counters, summed over winners).
@@ -120,6 +142,42 @@ CREATE VIEW IF NOT EXISTS campaign_progress AS
 """
 
 
+def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
+    """The JSON-safe projection of a result (drops ``extras``)."""
+    payload: Dict[str, Any] = {
+        name: getattr(result, name) for name in RESULT_FIELDS
+    }
+    payload["params"] = dict(result.params)
+    payload["notes"] = list(result.notes)
+    payload["host_stats"] = {
+        host: dict(stats) for host, stats in result.host_stats.items()
+    }
+    payload["switch_stats"] = {
+        switch: dict(stats) for switch, stats in result.switch_stats.items()
+    }
+    return payload
+
+
+def result_from_dict(payload: Dict[str, Any]) -> ExperimentResult:
+    """Inverse of :func:`result_to_dict`."""
+    result = ExperimentResult(
+        name=payload["name"],
+        params=dict(payload.get("params", {})),
+    )
+    for name in RESULT_FIELDS[1:]:
+        setattr(result, name, payload.get(name, 0))
+    result.notes = list(payload.get("notes", []))
+    result.host_stats = {
+        host: dict(stats)
+        for host, stats in payload.get("host_stats", {}).items()
+    }
+    result.switch_stats = {
+        switch: dict(stats)
+        for switch, stats in payload.get("switch_stats", {}).items()
+    }
+    return result
+
+
 def spec_digest(spec: CampaignSpec) -> str:
     """The campaign's identity in the store: blake2b-128 over the
     canonical codec JSON (worker-count and host independent)."""
@@ -131,7 +189,7 @@ def spec_digest(spec: CampaignSpec) -> str:
 
 
 class ResultStore:
-    """Shared sqlite result store for fabric campaigns (see module doc).
+    """Shared sqlite result store for campaigns (see module doc).
 
     Open one instance per process; connections are WAL-mode with a
     generous busy timeout, so coordinator and workers on one host can

@@ -3,10 +3,11 @@
 One :class:`ExperimentJob` fully describes one experiment run: the
 (picklable) spec, the derived seed, the attempt number, and where the
 shard's artifacts go.  :func:`execute_job` is **the** code path that
-runs an experiment — the serial executor calls it in-process, the
-pooled executor ships the job to a child process whose entry point
-(:func:`run_job_in_child`) calls the very same function — so serial and
-sharded campaigns cannot drift apart behaviourally.
+runs an experiment — the serial executor calls it in-process, and the
+pooled executor's lease-queue workers
+(:func:`~repro.runtime.fabric.run_fabric_worker`) call the very same
+function — so serial and sharded campaigns cannot drift apart
+behaviourally.
 
 When a job carries an artifacts directory, the experiment runs under
 its own private :class:`~repro.telemetry.TelemetrySession` and
@@ -22,42 +23,30 @@ the crash-retry and timeout paths end-to-end —
 * ``"_crash_until_attempt": n`` — the child process dies abruptly
   (``os._exit``) on attempts ``< n``, then succeeds;
 * ``"_hang_wall_s": s`` — the child sleeps ``s`` wall seconds before
-  running, tripping the per-experiment timeout (or, on the fabric, the
-  lease deadline).  ``"_hang_until_attempt": n`` scopes the hang to
-  attempts ``< n`` so re-issued attempts run clean;
+  running, tripping the per-experiment timeout (the lease deadline).
+  ``"_hang_until_attempt": n`` scopes the hang to attempts ``< n`` so
+  re-issued attempts run clean;
 * ``"_crash_after_artifacts": n`` — like ``_crash_until_attempt`` but
   the crash lands *after* the shard artifacts are written and promoted,
   exercising the retry-must-not-double-count merge invariant.
 
 All of them only ever fire inside a sacrificial worker process; the
 in-process serial executor ignores them.
-
-Lease protocol
---------------
-The campaign fabric's work-queue leases also live here (they are part
-of the per-experiment contract, not of any one executor): a lease is a
-JSON file claimed atomically with ``O_CREAT | O_EXCL``, carrying the
-claimer's identity and a wall-clock deadline.  A forfeited lease is
-*renamed* to a numbered tombstone — the tombstone count **is** the next
-attempt number, so re-issued attempts are derivable from the filesystem
-alone, with no coordinator state to lose.
 """
 
 from __future__ import annotations
 
 import errno
-import json
 import os
 import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Optional
 
 from repro.capture import CaptureSession
 from repro.nftape.results import ExperimentResult
 from repro.runtime import artifacts as _artifacts
-from repro.runtime.journal import result_to_dict
 from repro.runtime.spec import CampaignSpec, ExperimentSpec
 from repro.telemetry import TelemetrySession
 
@@ -65,19 +54,10 @@ __all__ = [
     "ExperimentJob",
     "job_for",
     "execute_job",
-    "payload_for",
-    "run_job_in_child",
     "CRASH_PARAM",
     "HANG_PARAM",
     "HANG_UNTIL_PARAM",
     "CRASH_AFTER_PARAM",
-    "Lease",
-    "lease_path",
-    "claim_lease",
-    "read_lease",
-    "release_lease",
-    "forfeit_lease",
-    "forfeit_count",
 ]
 
 #: Reserved params key: crash the worker on attempts below the value.
@@ -211,165 +191,3 @@ def execute_job(job: ExperimentJob,
         if crash_after is not None and job.attempt < int(crash_after):
             os._exit(CRASH_EXIT_CODE)
     return result
-
-
-def payload_for(job: ExperimentJob,
-                result: ExperimentResult) -> Dict[str, Any]:
-    """The JSON/pickle-safe completion message for a finished job."""
-    return {
-        "index": job.index,
-        "name": job.name,
-        "seed": job.seed,
-        "attempt": job.attempt,
-        "result": result_to_dict(result),
-    }
-
-
-def run_job_in_child(conn: Any, job: ExperimentJob) -> None:
-    """Child-process entry point: run the job, send one message back.
-
-    Protocol: exactly one ``("ok", payload)`` or ``("error", info)``
-    tuple is sent over ``conn``; a connection that closes without a
-    message means the worker crashed (the parent then retries with a
-    fresh worker and the same seed).
-    """
-    try:
-        result = execute_job(job)
-    except BaseException as exc:  # deterministic failure: do not retry
-        import traceback
-
-        try:
-            conn.send(("error", {
-                "index": job.index,
-                "name": job.name,
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "traceback": traceback.format_exc(),
-            }))
-        finally:
-            conn.close()
-        return
-    conn.send(("ok", payload_for(job, result)))
-    conn.close()
-
-
-# ---------------------------------------------------------------------------
-# the fabric lease protocol (filesystem-backed; see module docstring)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Lease:
-    """One claimed experiment: who runs it, which attempt, until when.
-
-    ``deadline_unix`` is wall-clock (``time.time``): leases must be
-    comparable across processes — and, tomorrow, across hosts sharing
-    the queue directory — which rules out per-process monotonic clocks.
-    """
-
-    index: int
-    attempt: int
-    worker: str
-    pid: int
-    deadline_unix: float
-
-
-def lease_path(leases_dir: Union[str, Path], index: int) -> Path:
-    """The lease file of experiment ``index``."""
-    return Path(leases_dir) / f"exp-{index:03d}.lease"
-
-
-def _tombstone_path(leases_dir: Union[str, Path], index: int,
-                    generation: int) -> Path:
-    return Path(leases_dir) / f"exp-{index:03d}.forfeit-{generation}"
-
-
-def forfeit_count(leases_dir: Union[str, Path], index: int) -> int:
-    """Forfeited attempts so far == the next attempt number."""
-    count = 0
-    while _tombstone_path(leases_dir, index, count).exists():
-        count += 1
-    return count
-
-
-def claim_lease(
-    leases_dir: Union[str, Path],
-    index: int,
-    worker: str,
-    timeout_s: float,
-) -> Optional[Lease]:
-    """Atomically claim experiment ``index``; None when already held.
-
-    ``O_CREAT | O_EXCL`` makes the claim a single filesystem
-    compare-and-swap — two workers racing for the same index cannot
-    both win, whatever the shared filesystem's caching does to reads.
-    The attempt number is derived from the forfeit tombstones, so a
-    re-issued experiment automatically claims as the next attempt.
-    """
-    path = lease_path(leases_dir, index)
-    lease = Lease(
-        index=index,
-        attempt=forfeit_count(leases_dir, index),
-        worker=worker,
-        pid=os.getpid(),
-        deadline_unix=time.time() + timeout_s,
-    )
-    try:
-        handle = os.open(str(path), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return None
-    try:
-        os.write(handle, json.dumps({
-            "index": lease.index,
-            "attempt": lease.attempt,
-            "worker": lease.worker,
-            "pid": lease.pid,
-            "deadline_unix": lease.deadline_unix,
-        }, sort_keys=True).encode("utf-8"))
-    finally:
-        os.close(handle)
-    return lease
-
-
-def read_lease(path: Union[str, Path]) -> Optional[Lease]:
-    """Parse a lease file; None when missing or torn mid-write."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return Lease(
-            index=int(doc["index"]),
-            attempt=int(doc["attempt"]),
-            worker=str(doc["worker"]),
-            pid=int(doc["pid"]),
-            deadline_unix=float(doc["deadline_unix"]),
-        )
-    except (OSError, ValueError, KeyError, json.JSONDecodeError):
-        return None
-
-
-def release_lease(leases_dir: Union[str, Path], index: int) -> None:
-    """Drop a completed experiment's lease (missing is fine — the
-    coordinator may have forfeited it while the worker finished)."""
-    try:
-        lease_path(leases_dir, index).unlink()
-    except FileNotFoundError:
-        pass  # simlint: disable=ERR001 -- release is idempotent
-
-
-def forfeit_lease(leases_dir: Union[str, Path], index: int) -> int:
-    """Rename an expired lease to its tombstone; returns next attempt.
-
-    The rename is atomic: either the tombstone exists (forfeit
-    happened, exactly once) or the lease file is still claimable.  A
-    concurrent release by the (actually alive) worker is tolerated —
-    the experiment then completed and re-issue is a no-op because the
-    result store keeps one winner regardless.
-    """
-    generation = forfeit_count(leases_dir, index)
-    try:
-        os.rename(
-            str(lease_path(leases_dir, index)),
-            str(_tombstone_path(leases_dir, index, generation)),
-        )
-    except FileNotFoundError:
-        return generation
-    return generation + 1

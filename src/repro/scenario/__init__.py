@@ -3,7 +3,7 @@
 ``repro.scenario`` turns *scenario documents* — topology + traffic model
 + fault plans, written as YAML-subset text, JSON, or frozen dataclasses
 — into the :class:`~repro.runtime.spec.CampaignSpec` objects the rest of
-the system already runs, journals, serves, and analyzes.  The package
+the system already runs, records, serves, and analyzes.  The package
 splits cleanly:
 
 * :mod:`repro.scenario.model` — the frozen document dataclasses;

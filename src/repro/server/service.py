@@ -18,10 +18,10 @@ Architecture — three thread roles, all buffers bounded:
 * the **runner thread(s)** drain the pending queue.  The default is one
   runner executing one campaign at a time; with ``runners > 1`` the
   queue drains N campaigns concurrently, and every record then runs on
-  the :class:`~repro.runtime.fabric.FabricExecutor` — whose experiments
-  execute in *worker processes* — because the in-process telemetry and
-  capture sessions are process-wide state that two concurrent
-  in-process campaigns would corrupt.  When the bounded queue is full,
+  the :class:`~repro.runtime.executors.PooledExecutor` — whose
+  experiments execute in *worker processes* — because the in-process
+  telemetry and capture sessions are process-wide state that two
+  concurrent in-process campaigns would corrupt.  When the bounded queue is full,
   ``POST /campaigns`` answers ``429`` immediately — submission never
   blocks on execution;
 * the **submitting client's** first event (``campaign_queued``) is
@@ -63,7 +63,6 @@ from repro.runtime.events import (
     TERMINAL_KINDS,
 )
 from repro.runtime.executors import PooledExecutor, SerialExecutor
-from repro.runtime.fabric import FabricExecutor
 from repro.runtime.spec import CampaignSpec
 from repro.runtime.spec_codec import spec_from_json
 from repro.scenario import compile_scenario, scenario_from_json
@@ -172,7 +171,7 @@ class MonitorServer:
         self.queue_limit = max(1, queue_limit)
         self.timeout_s = timeout_s
         #: Concurrent campaign runner threads.  More than one forces
-        #: every campaign onto the fabric executor (process-isolated
+        #: every campaign onto the pooled executor (process-isolated
         #: experiments) — see the module docstring.
         self.runners = max(1, runners)
         self.bus = EventBus(history=history)
@@ -385,28 +384,20 @@ class MonitorServer:
         record.state = "running"
         record.dir.mkdir(parents=True, exist_ok=True)
         try:
-            if self.runners > 1:
+            if self.runners > 1 or record.workers > 1:
                 # Concurrent runners: every campaign's experiments must
-                # run in worker *processes* (the fabric), because the
-                # ambient telemetry/capture sessions are process-wide —
-                # two in-process campaigns in one server process would
+                # run in worker *processes*, because the ambient
+                # telemetry/capture sessions are process-wide — two
+                # in-process campaigns in one server process would
                 # interleave their instrumentation.
-                executor: Any = FabricExecutor(
-                    workers=record.workers,
-                    artifacts_dir=record.dir,
-                    events_label=record.id,
-                )
-            elif record.workers > 1:
-                executor = PooledExecutor(
+                executor: Any = PooledExecutor(
                     workers=record.workers,
                     timeout_s=self.timeout_s,
-                    journal_path=record.dir / "journal.jsonl",
                     artifacts_dir=record.dir,
                     events_label=record.id,
                 )
             else:
                 executor = SerialExecutor(
-                    journal_path=record.dir / "journal.jsonl",
                     artifacts_dir=record.dir,
                     events_label=record.id,
                 )

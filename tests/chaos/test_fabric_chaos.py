@@ -1,8 +1,9 @@
 """Fault-injection chaos suite: every failure converges to serial.
 
-The fabric's failure-model table (``repro/runtime/fabric.py`` module
-docstring) promises five recoveries.  Each class here injects exactly
-one of those failures deterministically — via the worker-side chaos
+The lease queue's failure-model table (``repro/runtime/fabric.py``
+module docstring) promises five recoveries for the pooled executor.
+Each class here injects exactly one of those failures
+deterministically — via the worker-side chaos
 params (:data:`CRASH_PARAM` & friends), the executor's
 ``chaos_duplicate_delivery`` hook, or direct file surgery — and then
 asserts **convergence**: the chaos run's table render, merged capture
@@ -23,7 +24,7 @@ import time
 import pytest
 
 from repro.nftape.campaign import Campaign
-from repro.runtime import FabricExecutor, SerialExecutor
+from repro.runtime import PooledExecutor, SerialExecutor
 from repro.runtime.artifacts import merged_capture_path, \
     merged_metrics_path
 from repro.runtime.store import spec_digest
@@ -85,12 +86,12 @@ class TestWorkerKilledMidLease:
         running — the coordinator must spot the dead holder, re-issue
         with the same seed, and respawn a replacement."""
         home = tmp_path / "run"
-        executor = FabricExecutor(workers=2, poll_s=0.01,
+        executor = PooledExecutor(workers=2,
                                   artifacts_dir=home)
         table = Campaign.from_spec(chaos_spec(
             {target: {CRASH_PARAM: 1}}
         )).run(executor=executor)
-        assert executor.reissues == {target: 1}
+        assert executor.retries == {target: 1}
         assert_converged(baseline, table, home)
 
     def test_every_worker_crashing_at_once_still_converges(
@@ -98,12 +99,12 @@ class TestWorkerKilledMidLease:
         """All experiments crash their first attempt — a worse storm
         than any single kill; the respawn budget absorbs it."""
         home = tmp_path / "run"
-        executor = FabricExecutor(workers=2, poll_s=0.01,
+        executor = PooledExecutor(workers=2,
                                   artifacts_dir=home)
         table = Campaign.from_spec(chaos_spec(
             {index: {CRASH_PARAM: 1} for index in range(EXPERIMENTS)}
         )).run(executor=executor)
-        assert sum(executor.reissues.values()) == EXPERIMENTS
+        assert sum(executor.retries.values()) == EXPERIMENTS
         assert_converged(baseline, table, home)
 
 
@@ -116,16 +117,15 @@ class TestWorkerHangsPastDeadline:
     def test_expired_lease_is_reissued_and_the_late_result_loses(
             self, tmp_path, baseline, target):
         """The first attempt sleeps far past the lease deadline; the
-        re-issued attempt wins and the sleeper (terminated at campaign
-        end) never perturbs the output."""
+        coordinator terminates the sleeper, the re-issued attempt wins,
+        and the output is unperturbed."""
         home = tmp_path / "run"
-        executor = FabricExecutor(workers=2, poll_s=0.01,
-                                  lease_timeout_s=0.4,
+        executor = PooledExecutor(workers=2, timeout_s=0.4,
                                   artifacts_dir=home)
         table = Campaign.from_spec(chaos_spec(
             {target: {HANG_PARAM: 60.0, HANG_UNTIL_PARAM: 1}}
         )).run(executor=executor)
-        assert executor.reissues.get(target, 0) >= 1
+        assert executor.retries.get(target, 0) >= 1
         assert_converged(baseline, table, home)
 
 
@@ -141,7 +141,7 @@ class TestTornSqliteWrite:
         with the round) is quarantined at the next open; the resumed
         campaign re-runs everything and converges."""
         home = tmp_path / "run"
-        first = FabricExecutor(workers=2, poll_s=0.01,
+        first = PooledExecutor(workers=2,
                                artifacts_dir=home)
         Campaign.from_spec(chaos_spec()).run(executor=first)
 
@@ -154,7 +154,7 @@ class TestTornSqliteWrite:
             if path.exists():
                 path.unlink()
 
-        resumed = FabricExecutor(workers=2, poll_s=0.01, resume=True,
+        resumed = PooledExecutor(workers=2, resume=True,
                                  artifacts_dir=home)
         table = Campaign.from_spec(chaos_spec()).run(executor=resumed)
         assert resumed.skipped == []  # nothing trustworthy survived
@@ -164,12 +164,12 @@ class TestTornSqliteWrite:
 
     def test_garbage_store_at_first_open_is_quarantined(
             self, tmp_path, baseline):
-        """Not even a valid sqlite header: the fabric must quarantine
+        """Not even a valid sqlite header: the executor must quarantine
         and start fresh rather than crash or trust it."""
         home = tmp_path / "run"
         home.mkdir()
         (home / "results.sqlite").write_bytes(b"\x00garbage" * 200)
-        executor = FabricExecutor(workers=2, poll_s=0.01,
+        executor = PooledExecutor(workers=2,
                                   artifacts_dir=home)
         table = Campaign.from_spec(chaos_spec()).run(executor=executor)
         assert (home / "results.sqlite.corrupt-0").exists()
@@ -189,7 +189,7 @@ class TestDuplicateLeaseDelivery:
         twice.  The store's one-winner transaction and the atomic shard
         promotion keep exactly one of everything."""
         home = tmp_path / "run"
-        executor = FabricExecutor(workers=2, poll_s=0.01,
+        executor = PooledExecutor(workers=2,
                                   artifacts_dir=home,
                                   chaos_duplicate_delivery=target)
         table = Campaign.from_spec(chaos_spec()).run(executor=executor)
@@ -238,7 +238,7 @@ class TestQueueTruncation:
 
         saboteur = threading.Thread(target=tear_queue_mid_run,
                                     daemon=True)
-        executor = FabricExecutor(workers=2, poll_s=0.01,
+        executor = PooledExecutor(workers=2,
                                   artifacts_dir=home)
         saboteur.start()
         table = Campaign.from_spec(spec).run(executor=executor)

@@ -61,7 +61,7 @@ class TestCli:
         assert "no capture artifact" in capsys.readouterr().err
 
     def test_campaign_artifacts_dir_parallel(self, tmp_path, capsys):
-        """--workers N --artifacts-dir DIR: journal + merged artifacts."""
+        """--workers N --artifacts-dir DIR: result store + merged artifacts."""
         root = tmp_path / "art"
         assert main([
             "campaign", "--experiments", "2", "--duration-ms", "1",
@@ -70,7 +70,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "2 experiment(s) executed with 2 worker(s)" in out
         assert "artifacts merged" in out
-        assert (root / "journal.jsonl").exists()
+        assert (root / "results.sqlite").exists()
         assert (root / "telemetry" / "metrics.json").exists()
         assert (root / "capture" / "capture.rcap").exists()
         assert (root / "experiments").is_dir()

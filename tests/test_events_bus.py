@@ -6,8 +6,8 @@ Three layers of proof:
   subscription rings that drop-and-count instead of blocking, history
   replay for late subscribers, session nesting;
 * **emission** — serial and pooled executors publish the documented
-  lifecycle kinds in the documented order, and the journal announces
-  every flushed line;
+  lifecycle kinds in the documented order, and every
+  ``experiment_finished`` follows its committed result-store row;
 * **observation-only** — with a bus installed (and a live subscriber
   attached) the kernel event-stream digest still matches the golden
   pre-telemetry digests, and a campaign's merged artifacts are
@@ -15,6 +15,7 @@ Three layers of proof:
 """
 
 import json
+import sqlite3
 import threading
 
 import pytest
@@ -30,6 +31,7 @@ from repro.runtime.events import (
     emit,
 )
 from repro.runtime.executors import PooledExecutor, SerialExecutor
+from repro.runtime.store import spec_digest
 
 from tests.test_runtime import tiny_spec
 from tests.test_telemetry_determinism import DURATION_PS, GOLDEN_DIGESTS
@@ -132,7 +134,7 @@ class TestEventBus:
 
 
 # ----------------------------------------------------------------------
-# executor + journal emission
+# executor emission
 # ----------------------------------------------------------------------
 
 class TestExecutorEmission:
@@ -141,14 +143,13 @@ class TestExecutorEmission:
         bus = EventBus()
         with EventBusSession(bus):
             Campaign.from_spec(spec).run(executor=SerialExecutor(
-                journal_path=tmp_path / "journal.jsonl"))
+                artifacts_dir=tmp_path / "artifacts"))
         kinds = [e.kind for e in bus.history("events campaign")]
         assert kinds == [
             "campaign_started",
-            "experiment_started", "journal_record",
-            "experiment_finished", "snapshot",
-            "experiment_started", "journal_record",
-            "experiment_finished", "snapshot",
+            "experiment_started", "experiment_finished", "snapshot",
+            "experiment_started", "experiment_finished", "snapshot",
+            "shard_merged",
             "campaign_finished",
         ]
         assert set(kinds) <= set(EVENT_KINDS)
@@ -177,8 +178,7 @@ class TestExecutorEmission:
         bus = EventBus()
         with EventBusSession(bus):
             Campaign.from_spec(spec).run(executor=PooledExecutor(
-                workers=2, journal_path=tmp_path / "journal.jsonl",
-                artifacts_dir=tmp_path / "artifacts"))
+                workers=2, artifacts_dir=tmp_path / "artifacts"))
         kinds = [e.kind for e in bus.history("pooled events")]
         assert kinds[0] == "campaign_started"
         assert kinds[-1] == "campaign_finished"
@@ -197,12 +197,14 @@ class TestExecutorEmission:
                 executor=SerialExecutor(events_label="c0042"))
         assert bus.campaigns() == ["c0042"]
 
-    def test_journal_line_is_readable_when_its_event_fires(self, tmp_path):
-        """Reader-during-write: by the time ``journal_record`` is
-        published, the journal already holds that record as a complete,
-        parsable line (one write + flush per record)."""
+    def test_winner_row_is_readable_when_its_event_fires(self, tmp_path):
+        """Reader-during-write: by the time ``experiment_finished`` is
+        published, the result store already holds that experiment's
+        winner row, readable from a second sqlite connection (the store
+        commits before the event is emitted)."""
         spec = tiny_spec(n=3, name="flush campaign")
-        journal = tmp_path / "journal.jsonl"
+        root = tmp_path / "artifacts"
+        digest = spec_digest(spec)
         bus = EventBus()
         observed = []
         failures = []
@@ -212,12 +214,16 @@ class TestExecutorEmission:
                 event = sub.get(timeout=0.5)
                 if event is None:
                     return
-                if event.kind != "journal_record":
+                if event.kind != "experiment_finished":
                     continue
-                lines = journal.read_text().splitlines()
-                entries = [json.loads(line) for line in lines]  # no torn
-                done = {e["index"] for e in entries
-                        if e.get("type") == "result"}
+                conn = sqlite3.connect(root / "results.sqlite",
+                                       timeout=5.0)
+                try:
+                    done = {idx for idx, in conn.execute(
+                        "SELECT idx FROM results WHERE spec_digest = ? "
+                        "AND winner = 1", (digest,))}
+                finally:
+                    conn.close()
                 if event.payload["index"] not in done:
                     failures.append(event.payload["index"])
                 observed.append(event.payload["index"])
@@ -227,7 +233,7 @@ class TestExecutorEmission:
         with EventBusSession(bus):
             thread.start()
             Campaign.from_spec(spec).run(
-                executor=SerialExecutor(journal_path=journal))
+                executor=SerialExecutor(artifacts_dir=root))
         sub.close()
         thread.join(timeout=10)
         assert not thread.is_alive()
@@ -258,8 +264,7 @@ class TestObservationOnly:
         merged artifacts and insight digests."""
         def run(root, session):
             spec = tiny_spec(n=2, name="ab campaign")
-            executor = SerialExecutor(
-                journal_path=root / "journal.jsonl", artifacts_dir=root)
+            executor = SerialExecutor(artifacts_dir=root)
             if session is None:
                 table = Campaign.from_spec(spec).run(executor=executor)
             else:

@@ -1,18 +1,19 @@
-"""The distributed campaign fabric: leases, store resume, events.
+"""The pooled executor's lease queue: queue file, store resume, events.
 
-What docs/runtime.md promises for the fabric, pinned:
+What docs/runtime.md promises for the lease-queue :class:`PooledExecutor`,
+pinned:
 
 * **byte-identical at any worker count** — the same campaign run
-  serially and on the fabric with 1, 2, and 4 workers renders the same
-  table and merges the same artifacts;
-* ``resume=True`` restarts from the sqlite store (not the journal):
-  completed experiments are restored, the rest execute, the table is
-  unchanged;
+  serially and pooled with 1, 2, and 4 workers renders the same table,
+  merges the same artifacts, and stores the same winner rows;
+* ``resume=True`` restarts from the sqlite store: completed
+  experiments are restored, the rest execute, the table is unchanged;
 * the queue file is self-validating — a torn or truncated queue parses
   as *no work*, never as wrong work;
 * :class:`EventBus` lifecycle is exactly-once per experiment even when
-  a lease is forfeited and re-issued, and re-issue is its own event
-  kind (``fabric_lease_reissued``), not a second ``experiment_started``;
+  a lease is forfeited and re-issued, and re-issue is announced as
+  ``experiment_retried`` with a ``reason``, not a second
+  ``experiment_started``;
 * a retried/re-issued attempt never double-counts merged telemetry —
   the counters of a run whose attempt 0 crashed *after* writing its
   artifact shard equal a clean single-attempt run's.
@@ -35,7 +36,6 @@ from repro.runtime import (
     EventBus,
     EventBusSession,
     ExperimentSpec,
-    FabricExecutor,
     PlanSpec,
     PooledExecutor,
     SerialExecutor,
@@ -131,45 +131,48 @@ class TestQueueFile:
 # worker-count identity and artifacts
 # ----------------------------------------------------------------------
 
-class TestWorkerCountIdentity:
-    def test_fabric_matches_serial_at_1_2_and_4_workers(self):
-        serial = Campaign.from_spec(tiny_spec()).run(
-            executor=SerialExecutor())
-        for workers in (1, 2, 4):
-            executor = FabricExecutor(workers=workers, poll_s=0.01)
-            table = Campaign.from_spec(tiny_spec()).run(executor=executor)
-            assert table.render() == serial.render(), workers
-            assert executor.executed == [0, 1, 2, 3]
-            assert executor.reissues == {}
+def _exported(root, spec):
+    with ResultStore(root / "results.sqlite") as store:
+        return list(store.export_rows(spec_digest(spec)))
 
-    def test_merged_artifacts_match_the_pooled_path(self, tmp_path):
+
+class TestWorkerCountIdentity:
+    def test_fabric_matches_serial_at_1_2_and_4_workers(self, tmp_path):
+        """One spec, four runs — serial and pooled with 1, 2 and 4
+        workers: identical rendered tables and identical winner rows in
+        the result store."""
+        spec = tiny_spec()
+        serial_root = tmp_path / "serial"
+        serial = Campaign.from_spec(spec).run(
+            executor=SerialExecutor(artifacts_dir=serial_root))
+        reference = _exported(serial_root, spec)
+        assert [row["index"] for row in reference] == [0, 1, 2, 3]
+        for workers in (1, 2, 4):
+            root = tmp_path / f"w{workers}"
+            executor = PooledExecutor(workers=workers, artifacts_dir=root)
+            table = Campaign.from_spec(spec).run(executor=executor)
+            assert table.render() == serial.render(), workers
+            assert _exported(root, spec) == reference, workers
+            assert executor.executed == [0, 1, 2, 3]
+            assert executor.retries == {}
+
+    def test_merged_artifacts_match_the_serial_path(self, tmp_path):
+        serial_dir = tmp_path / "serial"
         pooled_dir = tmp_path / "pooled"
-        fabric_dir = tmp_path / "fabric"
-        Campaign.from_spec(tiny_spec()).run(executor=PooledExecutor(
-            workers=2, artifacts_dir=pooled_dir))
-        executor = FabricExecutor(workers=2, poll_s=0.01,
-                                  artifacts_dir=fabric_dir)
+        Campaign.from_spec(tiny_spec()).run(executor=SerialExecutor(
+            artifacts_dir=serial_dir))
+        executor = PooledExecutor(workers=2, artifacts_dir=pooled_dir)
         Campaign.from_spec(tiny_spec()).run(executor=executor)
         assert executor.merge_summary["telemetry_shards"] == 4
         assert executor.merge_summary["capture_shards"] == 4
         assert not executor.merge_summary["missing_shards"]
-        assert (fabric_dir / "capture" / "capture.rcap").read_bytes() \
-            == (pooled_dir / "capture" / "capture.rcap").read_bytes()
-        assert counter_series(merged_metrics_path(fabric_dir)) \
-            == counter_series(merged_metrics_path(pooled_dir))
-
-    def test_timings_report_the_merge_overlap(self, tmp_path):
-        executor = FabricExecutor(workers=2, poll_s=0.01,
-                                  artifacts_dir=tmp_path / "run")
-        Campaign.from_spec(tiny_spec()).run(executor=executor)
-        timings = executor.timings
-        assert set(timings) == {"execute_wall_s", "merge_busy_s",
-                                "merge_overlap_s"}
-        assert timings["execute_wall_s"] > 0
-        assert 0 <= timings["merge_overlap_s"] <= timings["merge_busy_s"]
+        assert (pooled_dir / "capture" / "capture.rcap").read_bytes() \
+            == (serial_dir / "capture" / "capture.rcap").read_bytes()
+        assert counter_series(merged_metrics_path(pooled_dir)) \
+            == counter_series(merged_metrics_path(serial_dir))
 
     def test_store_is_queryable_after_the_run(self, tmp_path):
-        executor = FabricExecutor(workers=2, poll_s=0.01,
+        executor = PooledExecutor(workers=2,
                                   artifacts_dir=tmp_path / "run")
         Campaign.from_spec(tiny_spec()).run(executor=executor)
         with ResultStore(tmp_path / "run" / "results.sqlite") as store:
@@ -180,16 +183,16 @@ class TestWorkerCountIdentity:
 
     def test_fabric_requires_a_declarative_campaign(self):
         with pytest.raises(CampaignError, match="declarative"):
-            list(FabricExecutor().execute(object()))
+            list(PooledExecutor().execute(object()))
 
     def test_fabric_resume_without_a_home_is_an_error(self):
         with pytest.raises(CampaignError, match="resume"):
             Campaign.from_spec(tiny_spec()).run(
-                executor=FabricExecutor(resume=True))
+                executor=PooledExecutor(resume=True))
 
 
 # ----------------------------------------------------------------------
-# resume from the store (not the journal)
+# resume from the store
 # ----------------------------------------------------------------------
 
 class TestStoreResume:
@@ -197,7 +200,7 @@ class TestStoreResume:
         spec = tiny_spec()
         serial = Campaign.from_spec(spec).run(executor=SerialExecutor())
 
-        # Seed the store with the first half, as if a prior fabric run
+        # Seed the store with the first half, as if a prior pooled run
         # was killed at 50%.
         home = tmp_path / "run"
         home.mkdir()
@@ -207,7 +210,7 @@ class TestStoreResume:
                 store.record(digest, index, result.name,
                              spec.seed_for(index), result)
 
-        executor = FabricExecutor(workers=2, poll_s=0.01, resume=True,
+        executor = PooledExecutor(workers=2, resume=True,
                                   artifacts_dir=home)
         table = Campaign.from_spec(spec).run(executor=executor)
         assert executor.skipped == [0, 1]
@@ -216,9 +219,9 @@ class TestStoreResume:
 
     def test_resume_with_everything_done_executes_nothing(self, tmp_path):
         home = tmp_path / "run"
-        first = FabricExecutor(workers=2, poll_s=0.01, artifacts_dir=home)
+        first = PooledExecutor(workers=2, artifacts_dir=home)
         baseline = Campaign.from_spec(tiny_spec()).run(executor=first)
-        second = FabricExecutor(workers=2, poll_s=0.01, resume=True,
+        second = PooledExecutor(workers=2, resume=True,
                                 artifacts_dir=home)
         table = Campaign.from_spec(tiny_spec()).run(executor=second)
         assert second.skipped == [0, 1, 2, 3]
@@ -231,13 +234,13 @@ class TestStoreResume:
 # ----------------------------------------------------------------------
 
 def lease_reissue_run(tmp_path, bus):
-    """One fabric run where experiment 1's first attempt hangs past the
-    lease deadline, forcing a forfeit + re-issue."""
+    """One pooled run where experiment 1's first attempt hangs past the
+    lease deadline, forcing a kill + forfeit + re-issue."""
     spec = fabric_spec(per_index_params={
         1: {HANG_PARAM: 30.0, HANG_UNTIL_PARAM: 1},
     })
-    executor = FabricExecutor(
-        workers=2, poll_s=0.01, lease_timeout_s=0.4,
+    executor = PooledExecutor(
+        workers=2, timeout_s=0.4,
         artifacts_dir=tmp_path / "run", events_label="reissue campaign",
     )
     with EventBusSession(bus):
@@ -246,13 +249,16 @@ def lease_reissue_run(tmp_path, bus):
 
 
 class TestEventsUnderReissue:
-    def test_fabric_lease_reissued_is_a_documented_kind(self):
-        assert "fabric_lease_reissued" in EVENT_KINDS
+    def test_retired_kinds_are_gone(self):
+        assert "experiment_retried" in EVENT_KINDS
+        for kind in ("fabric_lease_reissued", "experiment_timeout",
+                     "journal_record"):
+            assert kind not in EVENT_KINDS
 
     def test_lifecycle_is_exactly_once_per_index(self, tmp_path):
         bus = EventBus()
         executor, table = lease_reissue_run(tmp_path, bus)
-        assert executor.reissues.get(1, 0) >= 1
+        assert executor.retries.get(1, 0) >= 1
 
         events = bus.history("reissue campaign")
         started = [e.payload["index"] for e in events
@@ -270,23 +276,21 @@ class TestEventsUnderReissue:
         bus = EventBus()
         executor, _ = lease_reissue_run(tmp_path, bus)
         reissued = [e for e in bus.history("reissue campaign")
-                    if e.kind == "fabric_lease_reissued"]
-        assert len(reissued) == executor.reissues[1] >= 1
+                    if e.kind == "experiment_retried"]
+        assert len(reissued) == executor.retries[1] >= 1
         event = reissued[0]
         assert event.payload["index"] == 1
         assert event.payload["name"] == "run-1"
-        assert event.payload["next_attempt"] \
-            == event.payload["attempt"] + 1
-        assert "expired" in event.payload["reason"] \
-            or "died" in event.payload["reason"]
+        assert event.payload["attempt"] == 1
+        assert "timed out" in event.payload["reason"]
 
     def test_campaign_finished_reports_the_reissue_count(self, tmp_path):
         bus = EventBus()
         executor, _ = lease_reissue_run(tmp_path, bus)
         (finished,) = [e for e in bus.history("reissue campaign")
                        if e.kind == "campaign_finished"]
-        assert finished.payload["reissued"] \
-            == sum(executor.reissues.values()) >= 1
+        assert finished.payload["retried"] \
+            == sum(executor.retries.values()) >= 1
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +300,7 @@ class TestEventsUnderReissue:
 class TestNoDoubleCount:
     """Attempt 0 crashes *after* promoting its artifact shard; attempt 1
     re-runs and must lose the promotion race — merged telemetry counters
-    equal a clean single-attempt run's, for both executors."""
+    equal a clean single-attempt run's."""
 
     def test_pooled_retry_does_not_double_count(self, tmp_path):
         clean_dir = tmp_path / "clean"
@@ -304,28 +308,26 @@ class TestNoDoubleCount:
             workers=2, artifacts_dir=clean_dir))
 
         crashed_dir = tmp_path / "crashed"
-        executor = PooledExecutor(workers=2, max_retries=1,
-                                  artifacts_dir=crashed_dir)
+        executor = PooledExecutor(workers=2, artifacts_dir=crashed_dir)
         Campaign.from_spec(
             tiny_spec(extra_params={CRASH_AFTER_PARAM: 1})
         ).run(executor=executor)
-        assert sum(executor.retries.values()) >= 1
+        assert executor.retries == {index: 1 for index in range(4)}
         assert counter_series(merged_metrics_path(crashed_dir)) \
             == counter_series(merged_metrics_path(clean_dir))
 
     def test_fabric_reissue_does_not_double_count(self, tmp_path):
         clean_dir = tmp_path / "clean"
-        Campaign.from_spec(fabric_spec()).run(executor=FabricExecutor(
-            workers=2, poll_s=0.01, artifacts_dir=clean_dir))
+        Campaign.from_spec(fabric_spec()).run(executor=PooledExecutor(
+            workers=2, artifacts_dir=clean_dir))
 
         crashed_dir = tmp_path / "crashed"
-        executor = FabricExecutor(workers=2, poll_s=0.01,
-                                  lease_timeout_s=30.0,
+        executor = PooledExecutor(workers=2, timeout_s=30.0,
                                   artifacts_dir=crashed_dir)
         table = Campaign.from_spec(fabric_spec(per_index_params={
             2: {CRASH_AFTER_PARAM: 1},
         })).run(executor=executor)
-        assert executor.reissues.get(2, 0) == 1
+        assert executor.retries.get(2, 0) == 1
         assert counter_series(merged_metrics_path(crashed_dir)) \
             == counter_series(merged_metrics_path(clean_dir))
         clean = Campaign.from_spec(fabric_spec()).run(

@@ -223,12 +223,12 @@ def test_flow203_local_function_into_executor(tmp_path):
 
 
 def test_flow203_module_level_target_is_clean(tmp_path):
-    # The real executor passes the module-level run_job_in_child — the
+    # The real executor passes the module-level run_fabric_worker — the
     # picklable shape the rule is steering people toward.
     module = module_of(tmp_path, "repro/runtime/ok2.py", """\
         def launch(context, queue):
             worker = context.Process(
-                target=run_job_in_child, args=(queue,),
+                target=run_fabric_worker, args=(queue,),
             )
             worker.start()
             return worker

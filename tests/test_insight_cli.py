@@ -1,26 +1,33 @@
 """CLI surface tests for ``insight analyze|report|similar``.
 
 Everything runs in-process through :func:`repro.cli.main` against a
-real (small, flat-layout) campaign artifact directory, pinning exit
+real (small, engine-layout) campaign artifact directory, pinning exit
 codes, the digest line the CI golden gate greps, and the similar-query
 argument contract.
 """
 
 import json
 import re
+from argparse import Namespace
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _campaign_spec, main
 from repro.insight import analyze_artifacts
+from repro.nftape.campaign import Campaign
+from repro.runtime import SerialExecutor
 
 _HEX_DIGEST = re.compile(r"^[0-9a-f]{32}$")
 
 
 @pytest.fixture(scope="module")
-def artifact_root(tmp_path_factory, run_flat_campaign):
+def artifact_root(tmp_path_factory):
+    """A 2-experiment campaign's engine-layout artifact root."""
     root = tmp_path_factory.mktemp("insight-cli") / "art"
-    run_flat_campaign(root, experiments=2)
+    spec = _campaign_spec(
+        Namespace(experiments=2, duration_ms=1.0, seed=0), True)
+    Campaign.from_spec(spec).run(executor=SerialExecutor(
+        artifacts_dir=root, label=spec.name))
     return root
 
 

@@ -2,8 +2,8 @@
 
 These tests run the actual campaign CLI (in-process) to produce genuine
 artifact directories — engine layout via ``--artifacts-dir`` at two
-worker counts, flat layout via the deprecated per-artifact flags — then
-drive :func:`repro.insight.analyze_artifacts` through its contract:
+worker counts — then drive :func:`repro.insight.analyze_artifacts`
+through its contract:
 
 * the top-ranked cause names the actually-injected fault;
 * the blast radius lists exactly the host pairs routed across the
@@ -52,14 +52,6 @@ def engine_root_serial(tmp_path_factory):
     return root
 
 
-@pytest.fixture(scope="module")
-def flat_root(tmp_path_factory, run_flat_campaign):
-    """A legacy flat-layout artifact directory (serial ambient session)."""
-    root = tmp_path_factory.mktemp("insight") / "flat"
-    run_flat_campaign(root, experiments=1)
-    return root
-
-
 def _mutable_copy(source, tmp_path, name):
     target = tmp_path / name
     shutil.copytree(source, target)
@@ -102,14 +94,6 @@ class TestHappyPath:
         for incident in joined:
             names = {p["name"] for p in incident.span["phases"]}
             assert "workload" in names
-
-    def test_flat_layout_joins_without_shards(self, flat_root):
-        report = analyze_artifacts(flat_root)
-        assert report.campaign["source"] == "flat"
-        assert len(report.incidents) == 1
-        incident = report.incidents[0]
-        assert incident.span.get("joined")
-        assert incident.span["shard"] is None
 
     def test_no_wall_clock_leaks_into_the_report(self, engine_root):
         text = analyze_artifacts(engine_root).canonical_json()

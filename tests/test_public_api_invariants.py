@@ -37,7 +37,7 @@ PUBLIC_MODULES = [
     "repro.nftape.classify", "repro.nftape.report",
     "repro.nftape.random_faults", "repro.nftape.paper",
     "repro.runtime", "repro.runtime.spec", "repro.runtime.seeding",
-    "repro.runtime.executors", "repro.runtime.journal",
+    "repro.runtime.executors",
     "repro.runtime.artifacts", "repro.runtime.worker",
     "repro.runtime.fabric", "repro.runtime.store",
     "repro.insight", "repro.insight.model", "repro.insight.correlate",
@@ -71,7 +71,7 @@ API_NAMES = {
     "scenario_from_json", "list_scenarios", "load_scenario",
     # declarative campaigns and executors
     "Campaign", "default_row", "CampaignSpec", "ExperimentSpec",
-    "PlanSpec", "SerialExecutor", "PooledExecutor", "FabricExecutor",
+    "PlanSpec", "SerialExecutor", "PooledExecutor",
     "ResultStore", "derive_seed", "spec_digest",
     "spec_to_json", "spec_from_json",
     # observation sessions and the live event bus
@@ -100,9 +100,11 @@ class TestApiSurface:
 
     def test_version_string(self):
         # v2 removed the data-path pipeline selectors and the
-        # ``pipeline=`` option of FaultInjectorDevice/TestbedOptions.
+        # ``pipeline=`` option of FaultInjectorDevice/TestbedOptions;
+        # v3 removed FabricExecutor (PooledExecutor is the lease queue)
+        # and the executors' journal/retry/start-method options.
         import repro.api as api
-        assert api.API_VERSION == "v2"
+        assert api.API_VERSION == "v3"
 
 
 @pytest.mark.parametrize("name", PUBLIC_MODULES)

@@ -1,4 +1,4 @@
-"""The sharded campaign engine: specs, seeding, executors, journal.
+"""The sharded campaign engine: specs, seeding, executors, resume.
 
 The contract under test is the one docs/runtime.md promises:
 
@@ -6,14 +6,15 @@ The contract under test is the one docs/runtime.md promises:
   whichever process runs them;
 * per-experiment seeds derive from the base seed by a pure rule, so
   results are **bit-identical at any worker count**;
-* the journal makes ``--resume`` skip completed experiments without
-  changing the merged table;
+* the result store makes ``--resume`` skip completed experiments
+  without changing the merged table, for both executors;
 * crashed workers are retried with the same seed; hung workers are
-  killed by the wall-clock timeout.
+  killed by the wall-clock timeout (the lease deadline).
 """
 
 import json
 import pickle
+import sqlite3
 
 import pytest
 
@@ -24,7 +25,6 @@ from repro.myrinet.symbols import GAP, STOP
 from repro.nftape.campaign import Campaign
 from repro.nftape.experiment import Experiment, TestbedOptions
 from repro.runtime import (
-    CampaignJournal,
     CampaignSpec,
     ExperimentSpec,
     PlanSpec,
@@ -32,7 +32,9 @@ from repro.runtime import (
     SerialExecutor,
     derive_seed,
 )
+from repro.runtime.executors import MAX_RETRIES
 from repro.runtime.seeding import SEED_MASK
+from repro.runtime.store import ResultStore, spec_digest
 from repro.runtime.worker import CRASH_PARAM, HANG_PARAM
 from repro.sim.timebase import MS
 
@@ -201,90 +203,78 @@ class TestParallelDeterminism:
 
 
 # ----------------------------------------------------------------------
-# journal + resume
+# result-store resume (serial and pooled share one store)
 # ----------------------------------------------------------------------
 
-class TestJournalResume:
-    def test_resume_skips_completed_experiments(self, tmp_path):
-        spec = tiny_spec(n=4)
-        journal = tmp_path / "journal.jsonl"
+def _store_rows(root, spec):
+    with ResultStore(root / "results.sqlite") as store:
+        return list(store.export_rows(spec_digest(spec)))
 
-        full_exec = SerialExecutor(journal_path=journal)
+
+def _keep_first_winners(root, spec, keep):
+    """Simulate an interruption: drop every winner past ``keep``."""
+    conn = sqlite3.connect(root / "results.sqlite")
+    with conn:
+        conn.execute("DELETE FROM results WHERE spec_digest = ? "
+                     "AND idx >= ?", (spec_digest(spec), keep))
+    conn.close()
+
+
+class TestStoreResume:
+    @pytest.mark.parametrize("resume_workers", [1, 2])
+    def test_resume_skips_completed_experiments(self, tmp_path,
+                                                resume_workers):
+        """Half a serial run's winners survive; the resumed run (serial
+        or pooled) restores them and executes only the rest."""
+        spec = tiny_spec(n=4)
+        root = tmp_path / "run"
+
+        full_exec = SerialExecutor(artifacts_dir=root)
         full = Campaign.from_spec(spec).run(executor=full_exec)
         assert sorted(full_exec.executed) == [0, 1, 2, 3]
+        _keep_first_winners(root, spec, keep=2)
 
-        # Simulate an interruption: keep the header + two results.
-        lines = journal.read_text().splitlines()
-        journal.write_text("\n".join(lines[:3]) + "\n")
-
-        resumed_exec = PooledExecutor(
-            workers=2, journal_path=journal, resume=True
+        resumed_exec = (
+            SerialExecutor(artifacts_dir=root, resume=True)
+            if resume_workers == 1 else
+            PooledExecutor(workers=2, artifacts_dir=root, resume=True)
         )
         resumed = Campaign.from_spec(spec).run(executor=resumed_exec)
         assert sorted(resumed_exec.skipped) == [0, 1]
         assert sorted(resumed_exec.executed) == [2, 3]
         assert resumed.render() == full.render()
 
-    def test_resume_refuses_a_different_campaign(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
+    def test_a_different_spec_restores_nothing(self, tmp_path):
+        root = tmp_path / "run"
         Campaign.from_spec(tiny_spec(n=1, base_seed=0)).run(
-            executor=SerialExecutor(journal_path=journal)
+            executor=SerialExecutor(artifacts_dir=root)
         )
-        other = tiny_spec(n=1, base_seed=99)
-        with pytest.raises(CampaignError, match="different"):
-            Campaign.from_spec(other).run(
-                executor=SerialExecutor(journal_path=journal, resume=True)
-            )
+        other = SerialExecutor(artifacts_dir=root, resume=True)
+        Campaign.from_spec(tiny_spec(n=1, base_seed=99)).run(
+            executor=other)
+        assert other.skipped == []
+        assert other.executed == [0]
 
-    def test_torn_final_line_is_ignored(self, tmp_path):
+    def test_serial_records_every_winner(self, tmp_path):
         spec = tiny_spec(n=2)
-        journal = tmp_path / "journal.jsonl"
-        Campaign.from_spec(spec).run(
-            executor=SerialExecutor(journal_path=journal)
-        )
-        with journal.open("a") as stream:
-            stream.write('{"type": "result", "index": 1, "resu')  # torn
-        restored = CampaignJournal(journal).completed(spec)
-        assert sorted(restored) == [0, 1]
+        root = tmp_path / "run"
+        table = Campaign.from_spec(spec).run(
+            executor=SerialExecutor(artifacts_dir=root))
+        rows = _store_rows(root, spec)
+        assert [row["index"] for row in rows] == [0, 1]
+        assert [row["seed"] for row in rows] == \
+            [spec.seed_for(0), spec.seed_for(1)]
+        assert [row["result"]["name"] for row in rows] == \
+            [result.name for result in table.results]
 
-    def test_reader_during_write_sees_only_whole_lines(self, tmp_path):
-        """Journal writes are line-atomic and flushed per record: a
-        reader polling the file *while the campaign runs* only ever
-        parses complete JSON lines, and every line the writer reported
-        done is already on disk (the live server's status endpoint and
-        ``completed()`` polls rely on this)."""
-        import json as jsonlib
-
-        spec = tiny_spec(n=3)
-        journal = tmp_path / "journal.jsonl"
-        snapshots = []
-
-        def probe_reader(message):
-            # Runs as each experiment *starts*, i.e. concurrent with the
-            # journal's lifetime and between its flushed appends: every
-            # earlier experiment's record must already be on disk.
-            if not journal.exists():
-                return
-            entries = [jsonlib.loads(line)  # raises on any torn line
-                       for line in journal.read_text().splitlines()]
-            snapshots.append(
-                sorted(e["index"] for e in entries
-                       if e.get("type") == "result")
-            )
-
-        Campaign.from_spec(spec, on_progress=probe_reader).run(
-            executor=SerialExecutor(journal_path=journal)
-        )
-        # Each poll saw every record completed so far — nothing was
-        # sitting unflushed in the writer's buffer.
-        assert snapshots == [[], [0], [0, 1]]
-        restored = CampaignJournal(journal).completed(spec)
-        assert sorted(restored) == [0, 1, 2]
-
-    def test_resume_without_journal_path_fails(self):
-        with pytest.raises(CampaignError, match="journal"):
+    def test_resume_without_artifacts_dir_fails(self):
+        with pytest.raises(CampaignError, match="result store"):
             Campaign.from_spec(tiny_spec(n=1)).run(
                 executor=SerialExecutor(resume=True)
+            )
+        with pytest.raises(CampaignError, match="result store"):
+            Campaign.from_spec(tiny_spec(n=1)).run(
+                executor=PooledExecutor(resume=True)
             )
 
 
@@ -302,7 +292,7 @@ class TestRobustness:
         crashing = Campaign.from_spec(
             tiny_spec(n=2, extra_params={CRASH_PARAM: 1})
         )
-        crashing_exec = PooledExecutor(workers=2, max_retries=1)
+        crashing_exec = PooledExecutor(workers=2)
         crashed_table = crashing.run(executor=crashing_exec)
 
         assert crashing_exec.retries == {0: 1, 1: 1}
@@ -310,21 +300,21 @@ class TestRobustness:
 
     def test_crash_beyond_retry_budget_fails_the_campaign(self):
         campaign = Campaign.from_spec(
-            tiny_spec(n=1, extra_params={CRASH_PARAM: 5})
+            tiny_spec(n=1, extra_params={CRASH_PARAM: MAX_RETRIES + 1})
         )
-        executor = PooledExecutor(workers=1, max_retries=1)
+        executor = PooledExecutor(workers=1)
         with pytest.raises(CampaignError, match="failed after"):
             campaign.run(executor=executor)
+        assert executor.retries == {0: MAX_RETRIES}
 
     def test_hung_worker_trips_the_timeout(self):
         campaign = Campaign.from_spec(
             tiny_spec(n=1, extra_params={HANG_PARAM: 30.0})
         )
-        executor = PooledExecutor(
-            workers=1, timeout_s=0.5, max_retries=0
-        )
+        executor = PooledExecutor(workers=1, timeout_s=0.5)
         with pytest.raises(CampaignError, match="timed out"):
             campaign.run(executor=executor)
+        assert executor.retries == {0: MAX_RETRIES}
 
     def test_deterministic_worker_exception_is_not_retried(self):
         """A ValueError inside the experiment is the campaign's bug, not
@@ -332,8 +322,9 @@ class TestRobustness:
         spec = CampaignSpec.build("bad", [
             ExperimentSpec("negative-duration", duration_ps=-5)
         ])
-        executor = PooledExecutor(workers=1, max_retries=3)
+        executor = PooledExecutor(workers=1)
         with pytest.raises(CampaignError) as error:
             Campaign.from_spec(spec).run(executor=executor)
         assert executor.retries == {}
         assert "negative-duration" in str(error.value)
+        assert "Traceback" in str(error.value)

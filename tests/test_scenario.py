@@ -357,7 +357,7 @@ class TestScenarioCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "passthrough" in out
-        assert (root / "journal.jsonl").exists()
+        assert (root / "results.sqlite").exists()
         assert (root / "spec.json").exists()
         spec_doc = json.loads((root / "spec.json").read_text())
         assert spec_doc["name"] == "paper-sec35"
@@ -368,7 +368,7 @@ class TestScenarioCli:
             "campaign", "--scenario", "paper-sec35",
             "--artifacts-dir", str(root), "--no-progress",
         ]) == 0
-        assert (root / "journal.jsonl").exists()
+        assert (root / "results.sqlite").exists()
 
     def test_golden_only_scenario_checks_just_that_digest(self, capsys):
         assert main([

@@ -1,13 +1,13 @@
-"""Library scenarios through the fabric: compile digests + identity.
+"""Library scenarios through the lease queue: compile digests + identity.
 
 The scenario path is the declarative front door (``scenario run``); the
-fabric must be a pure executor swap behind it.  Two gates per library
-scenario:
+pooled lease-queue executor must be a pure executor swap behind it.
+Two gates per library scenario:
 
 * its **compile digest** still matches the committed golden corpus
-  (the fabric PR must not perturb compilation);
+  (executor changes must not perturb compilation);
 * its compiled campaign renders a **byte-identical table at 1, 2, and
-  4 fabric workers** — compared against a serial run of the same spec.
+  4 pooled workers** — compared against a serial run of the same spec.
 
 The identity runs use a *shrunk* copy of each compiled spec (durations
 capped at 0.25 ms simulated) so the whole matrix stays test-suite
@@ -24,7 +24,7 @@ import pytest
 
 from repro.cli import main
 from repro.nftape.campaign import Campaign
-from repro.runtime import FabricExecutor, SerialExecutor
+from repro.runtime import PooledExecutor, SerialExecutor
 from repro.scenario import compile_scenario, load_scenario
 from repro.scenario.golden import check_scenario_corpus, compile_digest
 from repro.scenario.library import list_scenarios
@@ -73,11 +73,11 @@ class TestFabricWorkerCountIdentity:
         spec = shrunk(name)
         serial = Campaign.from_spec(spec).run(executor=SerialExecutor())
         for workers in (1, 2, 4):
-            executor = FabricExecutor(workers=workers, poll_s=0.01)
+            executor = PooledExecutor(workers=workers)
             table = Campaign.from_spec(spec).run(executor=executor)
             assert table.render() == serial.render(), \
                 f"{name} diverged at {workers} worker(s)"
-            assert executor.reissues == {}
+            assert executor.retries == {}
 
 
 class TestScenarioRunFabricCli:
@@ -86,18 +86,19 @@ class TestScenarioRunFabricCli:
         home = tmp_path / "run"
         assert main([
             "scenario", "run", "dual-injector",
-            "--fabric", "2", "--artifacts-dir", str(home),
+            "--workers", "2", "--artifacts-dir", str(home),
             "--no-progress",
         ]) == 0
         out = capsys.readouterr().out
-        assert "on the fabric with 2 worker(s)" in out
+        assert "executed with 2 worker(s)" in out
+        assert "store: " in out
         assert (home / "results.sqlite").is_file()
 
     def test_store_query_reads_the_scenario_run(self, tmp_path, capsys):
         home = tmp_path / "run"
         assert main([
             "scenario", "run", "dual-injector",
-            "--fabric", "2", "--artifacts-dir", str(home),
+            "--workers", "2", "--artifacts-dir", str(home),
             "--no-progress",
         ]) == 0
         capsys.readouterr()

@@ -25,8 +25,9 @@ import pytest
 
 from repro.nftape.campaign import Campaign
 from repro.runtime.events import EVENTS
-from repro.runtime.executors import SerialExecutor
+from repro.runtime.executors import MAX_RETRIES, SerialExecutor
 from repro.runtime.spec_codec import spec_to_json
+from repro.runtime.worker import HANG_PARAM
 from repro.server import MonitorServer
 from repro.telemetry.exporters import PROMETHEUS_CONTENT_TYPE
 
@@ -367,10 +368,7 @@ class TestOfflineEquivalence:
 
         offline_root = tmp_path / "offline"
         offline_table = Campaign.from_spec(spec).run(
-            executor=SerialExecutor(
-                journal_path=offline_root / "journal.jsonl",
-                artifacts_dir=offline_root,
-            ))
+            executor=SerialExecutor(artifacts_dir=offline_root))
         assert served_table.decode("utf-8") \
             == offline_table.render() + "\n"
 
@@ -383,3 +381,30 @@ class TestOfflineEquivalence:
         offline_capture = (
             offline_root / "capture" / "capture.rcap").read_bytes()
         assert served_capture == offline_capture
+
+
+class TestConcurrentRunnerTimeout:
+    def test_timeout_reaches_the_pooled_executor(self, tmp_path):
+        """``serve --runners 2 --timeout-s``: every attempt of a hung
+        experiment is killed at the deadline and re-issued until the
+        retry budget is spent, so the campaign fails instead of hanging
+        with the timeout silently dropped."""
+        instance = MonitorServer(root=str(tmp_path / "srv"), runners=2,
+                                 timeout_s=0.3)
+        instance.start()
+        try:
+            client = Client(instance)
+            _, submitted = client.submit(tiny_spec(
+                n=1, name="hung campaign",
+                extra_params={HANG_PARAM: 60.0}))
+            status = client.wait_done(submitted["id"])
+            assert status["state"] == "failed"
+            _, lines = client.stream_lines(submitted["id"])
+        finally:
+            instance.stop()
+        events = [json.loads(line) for line in lines]
+        retried = [event for event in events
+                   if event["kind"] == "experiment_retried"]
+        assert len(retried) == MAX_RETRIES
+        assert all("timed out" in event["reason"] for event in retried)
+        assert events[-1]["kind"] == "campaign_failed"
