@@ -70,7 +70,7 @@ def _build_campaign(duration_ps: int) -> Campaign:
 def _run_variant(duration_ps: int, with_capture: bool) -> dict:
     """Run the campaign; return wall/sim rates (+ recorder stats)."""
     campaign = _build_campaign(duration_ps)
-    # A nested telemetry session provides the wall clock (the SIM001
+    # A telemetry session provides the wall clock (the SIM001
     # allowance) and the kernel event count for this variant alone.
     session = TelemetrySession(label=f"capture={'on' if with_capture else 'off'}")
     if with_capture:

@@ -9,25 +9,13 @@ comparison against the paper is scale-free.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
-from typing import Dict
 
 import pytest
 
-from repro.telemetry import TelemetrySession
-
 #: Directory where each benchmark drops its rendered table.
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-#: Repo-root perf-trajectory artifact: bench name -> wall/sim-event rates.
-BENCH_TELEMETRY_PATH = (
-    pathlib.Path(__file__).parent.parent / "BENCH_telemetry.json"
-)
-
-#: Per-session accumulator for :data:`BENCH_TELEMETRY_PATH`.
-_BENCH_TELEMETRY: Dict[str, Dict[str, float]] = {}
 
 
 def bench_scale() -> float:
@@ -55,43 +43,3 @@ def record_result(name: str, text: str) -> None:
 def results():
     """The record_result helper as a fixture."""
     return record_result
-
-
-@pytest.fixture(autouse=True)
-def _bench_telemetry(request):
-    """Wrap every benchmark in a telemetry session; collect rates.
-
-    The session's registry receives the kernel's batch accounting
-    (``sim.events_fired``) from the instrumented simulator, so each
-    bench contributes one ``{wall_s, sim_events, events_per_s}`` row to
-    the repo-root ``BENCH_telemetry.json`` perf trajectory.  Telemetry
-    observes only — bench results and digests are unchanged.
-    """
-    session = TelemetrySession(label=request.node.name)
-    with session:
-        yield
-    name = request.node.name
-    if name.startswith("test_"):
-        name = name[len("test_"):]
-    wall_s = session.wall_s or 0.0
-    sim_events = int(session.registry.value("sim.events_fired"))
-    _BENCH_TELEMETRY[name] = {
-        "wall_s": round(wall_s, 6),
-        "sim_events": sim_events,
-        "events_per_s": round(sim_events / wall_s, 1) if wall_s else 0.0,
-    }
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Persist the perf trajectory once the benchmark session ends."""
-    if not _BENCH_TELEMETRY:
-        return
-    document = {
-        "generated_by": "benchmarks/conftest.py",
-        "schema": "bench name -> {wall_s, sim_events, events_per_s}",
-        "bench_scale": bench_scale(),
-        "benches": dict(sorted(_BENCH_TELEMETRY.items())),
-    }
-    BENCH_TELEMETRY_PATH.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n"
-    )

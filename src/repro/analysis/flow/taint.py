@@ -29,7 +29,7 @@ order was unstable.
 
 Sinks are recognised two ways: **by name** for the unambiguous entry
 points (``derive_seed(...)``, ``blake2b(...)``, and the capture
-writer's ``write_event``/``write_window``/``write_experiment``), and
+writer's ``write_event``/``write_record``/``write_experiment``), and
 **by tracked kind** for generic method names — a variable assigned from
 ``blake2b(...)`` carries kind ``digest`` so its ``.update(x)`` is a
 sink, while an unrelated ``d.update(x)`` is not.  Kinds assigned to
@@ -96,7 +96,7 @@ _KIND_SINKS = {
     "digest": {"update"},
     "table": {"add", "note"},
     "journal": {"record", "begin"},
-    "capture": {"write_event", "write_window", "write_experiment"},
+    "capture": {"write_event", "write_record", "write_experiment"},
     "metric": {"inc", "set", "observe", "add"},
 }
 #: Call names that are sinks regardless of kind tracking.
@@ -104,7 +104,7 @@ _NAME_SINKS = {
     "derive_seed": "a derive_seed argument",
     "blake2b": "a blake2b digest input",
     "write_event": "a capture event record",
-    "write_window": "a capture window record",
+    "write_record": "a raw capture record",
     "write_experiment": "a capture experiment record",
 }
 #: Human labels for the kind-tracked sinks.

@@ -27,8 +27,15 @@ length-prefixed binary file that a host-side tool can decode offline:
      its name, seed, §4.4 classification, and telemetry span id.
 
 Unknown record types are skipped by length (forward compatibility);
-a version above :data:`VERSION` raises.  :func:`read_capture` round-trips
+a version above :data:`VERSION` raises.  :func:`read_capture` walks the
+framing (:func:`walk_capture`), then decodes each body; it round-trips
 everything :class:`CaptureWriter` emits, byte for byte of meaning.
+
+The campaign merge splices shard files: it copies bodies as bytes and
+patches only the ``u32`` experiment index, at
+:data:`CAPTURE_INDEX_OFFSET` of a window body and
+:data:`EVENT_INDEX_OFFSET` of an event body.  Both offsets are part of
+the version-1 layout: moving either requires a :data:`VERSION` bump.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Dict, List, Optional, Sequence, Union
+from typing import Any, BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.capture.provenance import LifecycleEvent
 from repro.errors import ConfigurationError
@@ -50,6 +57,7 @@ __all__ = [
     "CaptureWindow",
     "CaptureFileData",
     "CaptureWriter",
+    "walk_capture",
     "read_capture",
     "pack_symbol",
     "unpack_symbol",
@@ -64,12 +72,21 @@ RECORD_EXPERIMENT = 3
 
 _HEADER = struct.Struct("<HI")  # version, meta length
 _RECORD = struct.Struct("<BI")  # record type, body length
-#: experiment_index, time_ps, direction, forced, lanes_rewritten,
-#: lanes_unreachable, segment_index, window_before, window_after,
-#: ctl_before, ctl_after, n_before, n_after
+#: Fixed fields of a window body, in ``_CAPTURE_FIXED`` order.
+_CAPTURE_FIELDS = (
+    "experiment_index", "time_ps", "direction", "forced", "lanes_rewritten",
+    "lanes_unreachable", "segment_index", "window_before", "window_after",
+    "ctl_before", "ctl_after", "n_before", "n_after",
+)
 _CAPTURE_FIXED = struct.Struct("<IQBBBBQIIBBHH")
 #: time_ps, corr_id (-1 = none), seq, experiment_index, json length
 _EVENT_FIXED = struct.Struct("<QqIII")
+#: Byte offsets of the ``u32`` experiment index in a window / event body.
+CAPTURE_INDEX_OFFSET = 0
+EVENT_INDEX_OFFSET = struct.calcsize("<QqI")
+#: Record type -> the fixed part every body of that type must hold.
+_FIXED_SIZE = {RECORD_CAPTURE: _CAPTURE_FIXED.size,
+               RECORD_EVENT: _EVENT_FIXED.size}
 
 
 def pack_symbol(symbol: Symbol) -> int:
@@ -167,7 +184,8 @@ class CaptureWriter:
 
     # ------------------------------------------------------------------
 
-    def _write_record(self, record_type: int, body: bytes) -> None:
+    def write_record(self, record_type: int, body: bytes) -> None:
+        """Frame and write one already-encoded record body."""
         self._stream.write(_RECORD.pack(record_type, len(body)))
         self._stream.write(body)
         self.records_written += 1
@@ -196,36 +214,7 @@ class CaptureWriter:
             f"<{len(before) + len(after)}H",
             *(pack_symbol(s) for s in list(before) + list(after)),
         )
-        self._write_record(RECORD_CAPTURE, fixed + packed)
-
-    def write_window(self, window: CaptureWindow) -> None:
-        """Re-serialize a decoded :class:`CaptureWindow`.
-
-        The inverse of the type-1 decoder: lets tools that read a
-        capture file back (e.g. the sharded campaign engine's artifact
-        merge, which rewrites per-shard experiment indices to
-        campaign-global ones) re-emit windows losslessly.
-        """
-        fixed = _CAPTURE_FIXED.pack(
-            window.experiment_index,
-            window.time_ps,
-            ord(window.direction[0]) if window.direction else 0,
-            1 if window.forced else 0,
-            window.lanes_rewritten,
-            window.lanes_unreachable,
-            window.segment_index,
-            window.window_before,
-            window.window_after,
-            window.ctl_before,
-            window.ctl_after,
-            len(window.before),
-            len(window.after),
-        )
-        packed = struct.pack(
-            f"<{len(window.before) + len(window.after)}H",
-            *(pack_symbol(s) for s in window.before + window.after),
-        )
-        self._write_record(RECORD_CAPTURE, fixed + packed)
+        self.write_record(RECORD_CAPTURE, fixed + packed)
 
     def write_event(self, event: LifecycleEvent) -> None:
         """Serialize one lifecycle event."""
@@ -245,12 +234,12 @@ class CaptureWriter:
             event.experiment_index,
             len(blob),
         )
-        self._write_record(RECORD_EVENT, fixed + blob)
+        self.write_record(RECORD_EVENT, fixed + blob)
 
     def write_experiment(self, meta: Dict[str, Any]) -> None:
         """Serialize one experiment marker."""
         blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-        self._write_record(RECORD_EXPERIMENT, blob)
+        self.write_record(RECORD_EXPERIMENT, blob)
 
     # ------------------------------------------------------------------
 
@@ -276,11 +265,19 @@ def _read_exact(stream: BinaryIO, count: int, what: str) -> bytes:
     return data
 
 
-def read_capture(source: Union[str, Path, bytes, BinaryIO]) -> CaptureFileData:
-    """Read an ``.rcap`` file back; lossless inverse of the writer."""
+def walk_capture(
+    source: Union[str, Path, bytes, BinaryIO],
+) -> Tuple[Dict[str, Any], List[Tuple[int, bytes]]]:
+    """Check an ``.rcap`` file's framing; return ``(meta, records)``.
+
+    ``records`` lists every ``(record_type, body)`` in file order,
+    unknown types included.  Bad magic, a newer version, a truncated
+    header or record, and a window or event body shorter than its fixed
+    part raise :class:`~repro.errors.ConfigurationError`.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as stream:
-            return read_capture(stream.read())
+            return walk_capture(stream.read())
     if isinstance(source, bytes):
         stream: BinaryIO = io.BytesIO(source)
     else:
@@ -300,8 +297,7 @@ def read_capture(source: Union[str, Path, bytes, BinaryIO]) -> CaptureFileData:
             f"version {VERSION}"
         )
     meta = json.loads(_read_exact(stream, meta_len, "metadata"))
-    data = CaptureFileData(meta=meta)
-
+    records: List[Tuple[int, bytes]] = []
     while True:
         head = stream.read(_RECORD.size)
         if not head:
@@ -310,6 +306,20 @@ def read_capture(source: Union[str, Path, bytes, BinaryIO]) -> CaptureFileData:
             raise ConfigurationError("truncated capture file: partial record")
         record_type, body_len = _RECORD.unpack(head)
         body = _read_exact(stream, body_len, f"record type {record_type}")
+        if body_len < _FIXED_SIZE.get(record_type, 0):
+            raise ConfigurationError(
+                f"capture record type {record_type}: {body_len}-byte body "
+                "is shorter than its fixed part"
+            )
+        records.append((record_type, body))
+    return meta, records
+
+
+def read_capture(source: Union[str, Path, bytes, BinaryIO]) -> CaptureFileData:
+    """Read an ``.rcap`` file back; lossless inverse of the writer."""
+    meta, records = walk_capture(source)
+    data = CaptureFileData(meta=meta)
+    for record_type, body in records:
         if record_type == RECORD_CAPTURE:
             data.captures.append(_decode_capture(body))
         elif record_type == RECORD_EVENT:
@@ -323,38 +333,18 @@ def read_capture(source: Union[str, Path, bytes, BinaryIO]) -> CaptureFileData:
 
 
 def _decode_capture(body: bytes) -> CaptureWindow:
-    (
-        experiment_index,
-        time_ps,
-        direction_byte,
-        forced,
-        lanes_rewritten,
-        lanes_unreachable,
-        segment_index,
-        window_before,
-        window_after,
-        ctl_before,
-        ctl_after,
-        n_before,
-        n_after,
-    ) = _CAPTURE_FIXED.unpack_from(body)
-    count = n_before + n_after
+    fields = dict(zip(_CAPTURE_FIELDS, _CAPTURE_FIXED.unpack_from(body)))
+    n_before = fields.pop("n_before")
+    count = n_before + fields.pop("n_after")
     packed = struct.unpack_from(f"<{count}H", body, _CAPTURE_FIXED.size)
     symbols = [unpack_symbol(p) for p in packed]
+    direction, forced = fields.pop("direction"), fields.pop("forced")
     return CaptureWindow(
-        experiment_index=experiment_index,
-        time_ps=time_ps,
-        direction=chr(direction_byte) if direction_byte else "",
-        segment_index=segment_index,
-        window_before=window_before,
-        ctl_before=ctl_before,
-        window_after=window_after,
-        ctl_after=ctl_after,
-        lanes_rewritten=lanes_rewritten,
-        lanes_unreachable=lanes_unreachable,
+        direction=chr(direction) if direction else "",
         forced=bool(forced),
         before=symbols[:n_before],
         after=symbols[n_before:],
+        **fields,
     )
 
 

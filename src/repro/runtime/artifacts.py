@@ -30,21 +30,21 @@ experiment-index order, never completion order — with these rules:
   restart per shard, so shard+span_id is the unique key).
 * ``trace.json`` — regenerated from the concatenated span records so
   the whole campaign loads as one Perfetto timeline.
-* ``capture.rcap`` — re-encoded into one file: experiment markers,
-  capture windows, and lifecycle events get their per-shard experiment
-  index rewritten to the campaign-global index, and each marker gains a
-  ``"shard"`` field naming its source directory.
+* ``capture.rcap`` — spliced: records copied as bytes, experiment
+  index patched to the campaign-global one.  Only the header and the
+  experiment markers are re-encoded, each marker gaining a ``"shard"``
+  field naming its source directory; unknown record types are dropped.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
+import struct
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
-from repro.capture.format import CaptureWriter, read_capture
+from repro.capture import format as _rcap
 from repro.capture.session import CAPTURE_FILE_NAME
 from repro.telemetry.exporters import (
     parse_spans_jsonl,
@@ -70,6 +70,8 @@ TELEMETRY_SUBDIR = "telemetry"
 CAPTURE_SUBDIR = "capture"
 
 _SLUG_RE = re.compile(r"[^A-Za-z0-9_.-]+")
+#: The ``u32`` experiment index the capture splice patches.
+_INDEX = struct.Struct("<I")
 
 
 def slugify(name: str, max_length: int = 48) -> str:
@@ -211,63 +213,71 @@ def _merge_captures(
     sources: Sequence[Tuple[int, str, Path]],
     label: str,
 ) -> Path:
-    """Re-encode shard ``.rcap`` files into one campaign capture file."""
+    """Splice shard ``.rcap`` files into one campaign capture file."""
     shards_meta: List[Dict[str, Any]] = []
-    datasets = []
+    shards = []
     for global_index, name, path in sources:
-        data = read_capture(path)
-        datasets.append((global_index, name, data))
+        meta, records = _rcap.walk_capture(path)
+        # Bucket by type (unknown types are dropped): each shard is
+        # written as its markers, then its windows, then its events.
+        bodies: Dict[int, List[bytes]] = {_rcap.RECORD_EXPERIMENT: [],
+                                          _rcap.RECORD_CAPTURE: [],
+                                          _rcap.RECORD_EVENT: []}
+        for record_type, body in records:
+            if record_type in bodies:
+                bodies[record_type].append(body)
+        shards.append((global_index, name, meta, bodies))
         shards_meta.append({
             "index": global_index,
             "name": name,
             "source": str(path.parent.parent.name),
-            "events": len(data.events),
-            "captures": len(data.captures),
+            "events": len(bodies[_rcap.RECORD_EVENT]),
+            "captures": len(bodies[_rcap.RECORD_CAPTURE]),
         })
     meta = {
         "label": label,
         "sim_epoch_ps": 0,
         "merged_by": "repro.runtime",
         "shards": shards_meta,
-        "experiments": len(datasets),
-        "events_retained": sum(len(d.events) for _, _, d in datasets),
+        "experiments": len(shards),
+        "events_retained": sum(entry["events"] for entry in shards_meta),
         "events_dropped": sum(
-            d.meta.get("events_dropped", 0) for _, _, d in datasets
+            m.get("events_dropped", 0) for _, _, m, _ in shards
         ),
         "corr_ids_assigned": sum(
-            d.meta.get("corr_ids_assigned", 0) for _, _, d in datasets
+            m.get("corr_ids_assigned", 0) for _, _, m, _ in shards
         ),
     }
-    with CaptureWriter(target, meta=meta) as writer:
-        for global_index, name, data in datasets:
+    with _rcap.CaptureWriter(target, meta=meta) as writer:
+        for global_index, name, _, bodies in shards:
+            markers = [json.loads(body)
+                       for body in bodies[_rcap.RECORD_EXPERIMENT]]
             # Per-shard experiment indices restart at 0; remap them to
             # the campaign-global index (one experiment per shard, but
             # the loop tolerates shards carrying several).
             local_indices = sorted(
-                {marker.get("index", 0) for marker in data.experiments}
+                {marker.get("index", 0) for marker in markers}
             ) or [0]
             remap = {
                 local: global_index + offset
                 for offset, local in enumerate(local_indices)
             }
-            for marker in data.experiments:
-                marker = dict(marker)
+            for marker in markers:
                 marker["index"] = remap.get(marker.get("index", 0),
                                             global_index)
                 marker["shard"] = shard_dir(".", global_index, name).name
                 writer.write_experiment(marker)
-            for window in data.captures:
-                writer.write_window(dataclasses.replace(
-                    window,
-                    experiment_index=remap.get(window.experiment_index,
-                                               global_index),
-                ))
-            for event in data.events:
-                writer.write_event(dataclasses.replace(
-                    event,
-                    experiment_index=remap.get(event.experiment_index,
-                                               global_index),
-                ))
+            for record_type, offset in (
+                (_rcap.RECORD_CAPTURE, _rcap.CAPTURE_INDEX_OFFSET),
+                (_rcap.RECORD_EVENT, _rcap.EVENT_INDEX_OFFSET),
+            ):
+                for body in bodies[record_type]:
+                    (local,) = _INDEX.unpack_from(body, offset)
+                    writer.write_record(record_type, b"".join((
+                        body[:offset],
+                        _INDEX.pack(remap.get(local, global_index)),
+                        body[offset + _INDEX.size:],
+                    )))
     return target
 
 

@@ -119,7 +119,7 @@ class TestRoundTrip:
         with CaptureWriter(buffer, meta={}) as writer:
             writer.write_experiment({"index": 0, "name": "x"})
             # A future record type the v1 reader has never heard of.
-            writer._write_record(250, b"mystery-bytes")
+            writer.write_record(250, b"mystery-bytes")
             writer.write_event(
                 LifecycleEvent(time_ps=1, stage="drop", node="pc")
             )

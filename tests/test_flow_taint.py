@@ -177,7 +177,7 @@ def test_flow104_pathlib_iterdir(tmp_path):
     findings = taint_findings(tmp_path, """\
         def manifest(writer, root):
             entries = [p.name for p in root.iterdir()]
-            writer.write_window({"entries": entries})
+            writer.write_record(1, {"entries": entries})
         """)
     assert rule_ids(findings) == ["FLOW104"]
 
