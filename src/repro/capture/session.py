@@ -38,7 +38,7 @@ from repro.telemetry.spans import current_span_id
 
 __all__ = ["CaptureSession", "capture_experiment", "CAPTURE_FILE_NAME"]
 
-#: File name dropped into ``--capture-dir``.
+#: File name dropped into ``--artifacts-dir``'s ``capture/``.
 CAPTURE_FILE_NAME = "capture.rcap"
 
 

@@ -34,9 +34,7 @@ Artifacts land under one umbrella: ``--artifacts-dir DIR`` writes
 ``DIR/telemetry/`` (metrics.json, spans.jsonl, trace.json) and
 ``DIR/capture/`` (capture.rcap); engine campaigns additionally keep
 the result store ``DIR/results.sqlite`` and per-experiment shards under
-``DIR/experiments/``.  The PR-4-era ``--telemetry-dir``/``--capture-dir``
-aliases are retired: passing either now fails with a ``DeprecationWarning``
-naming the replacement (see docs/runtime.md).
+``DIR/experiments/``.
 """
 
 from __future__ import annotations
@@ -141,14 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--artifacts-dir", default=None,
                      help="write all artifacts under this directory "
                           "(DIR/telemetry/ and DIR/capture/)")
-    run.add_argument("--telemetry-dir", default=None,
-                     help=argparse.SUPPRESS)
-    run.add_argument("--capture-dir", default=None,
-                     help=argparse.SUPPRESS)
 
     campaign = sub.add_parser(
         "campaign",
-        help="run a control-symbol fault-injection campaign (telemetry demo)",
+        help="run the control-symbol-demo fault-injection campaign",
     )
     campaign.add_argument("--experiments", type=int, default=4,
                           help="number of experiments (default 4)")
@@ -172,14 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "DIR/telemetry/, DIR/capture/, "
                                "DIR/results.sqlite (query with 'store "
                                "query'), DIR/experiments/")
-    campaign.add_argument("--telemetry-dir", default=None,
-                          help=argparse.SUPPRESS)
-    campaign.add_argument("--capture-dir", default=None,
-                          help=argparse.SUPPRESS)
     campaign.add_argument("--scenario", default=None, metavar="NAME",
                           help="run a library scenario (or a .yaml/.json "
-                               "scenario file) instead of the built-in "
-                               "control-symbol campaign; see "
+                               "scenario file) instead of "
+                               "control-symbol-demo; see "
                                "'scenario list'")
     campaign.add_argument("--follow", action="store_true",
                           help="print live NDJSON lifecycle events "
@@ -462,37 +452,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_artifact_dirs(args) -> Tuple[Optional[str], Optional[str]]:
-    """Map ``--artifacts-dir`` to ``(telemetry_dir, capture_dir)``.
-
-    The PR-4-era ``--telemetry-dir``/``--capture-dir`` aliases went
-    through a deprecation-warning release and are now retired: passing
-    either exits 2 with a ``DeprecationWarning`` line naming the
-    replacement, so old scripts fail loudly with the fix in the message
-    instead of silently producing a different artifact layout.
-    """
+    """Map ``--artifacts-dir DIR`` to ``(DIR/telemetry, DIR/capture)``."""
     from pathlib import Path
 
-    retired = [
-        flag for flag, value in (
-            ("--telemetry-dir", getattr(args, "telemetry_dir", None)),
-            ("--capture-dir", getattr(args, "capture_dir", None)),
-        ) if value
-    ]
-    if retired:
-        print(
-            f"DeprecationWarning: {'/'.join(retired)} "
-            "has been removed; use --artifacts-dir DIR (writes "
-            "DIR/telemetry/ and DIR/capture/ — see docs/runtime.md)",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    telemetry_dir = capture_dir = None
-    artifacts_dir = getattr(args, "artifacts_dir", None)
-    if artifacts_dir:
-        root = Path(artifacts_dir)
-        telemetry_dir = str(root / "telemetry")
-        capture_dir = str(root / "capture")
-    return telemetry_dir, capture_dir
+    if not args.artifacts_dir:
+        return None, None
+    root = Path(args.artifacts_dir)
+    return str(root / "telemetry"), str(root / "capture")
 
 
 def _list_experiments() -> str:
@@ -614,47 +580,36 @@ def _run_lint(args) -> int:
 
 
 def _campaign_spec(args, capture_enabled: bool):
-    """The CLI campaign as a declarative, picklable CampaignSpec."""
-    from repro.core.faults import control_symbol_swap
-    from repro.core.monitor import MonitorConfig
-    from repro.hw.registers import MatchMode
-    from repro.myrinet.symbols import GAP, GO, IDLE, STOP
-    from repro.nftape.experiment import TestbedOptions
-    from repro.runtime.spec import CampaignSpec, ExperimentSpec, PlanSpec
+    """The CLI campaign: library document ``control-symbol-demo`` with
+    ``--experiments``/``--duration-ms``/``--seed`` as overrides.
 
-    pairs = [
-        ("IDLE", "GAP"), ("GAP", "IDLE"), ("STOP", "GO"), ("GO", "STOP"),
-        ("IDLE", "STOP"), ("GAP", "GO"), ("STOP", "IDLE"), ("GO", "GAP"),
-    ]
-    symbols = {"IDLE": IDLE, "GAP": GAP, "STOP": STOP, "GO": GO}
+    ``--experiments N`` cycles through the document's eight swap pairs;
+    each duty cycle is armed for an eighth of the duration and disarmed
+    for half of it.
+    """
+    import dataclasses
+    from itertools import cycle, islice
+
+    from repro.scenario import (
+        compile_scenario,
+        load_scenario,
+        with_fault_windows,
+    )
+    from repro.sim.timebase import US
+
+    doc = load_scenario("control-symbol-demo")
     duration_ps = max(1 * MS, int(args.duration_ms * MS))
-
-    device_kwargs = {}
-    if capture_enabled:
-        # The campaign's ~96-byte wire packets must fit in the windows
-        # for the offline decoder to reassemble them whole.
-        device_kwargs["monitor_config"] = MonitorConfig(
-            enabled=True, pre_symbols=128, post_symbols=128
-        )
-
-    specs = []
-    for index in range(max(1, args.experiments)):
-        source, target = pairs[index % len(pairs)]
-        specs.append(ExperimentSpec(
-            name=f"{source}->{target}",
-            duration_ps=duration_ps,
-            plan=PlanSpec(
-                "duty_cycle", "RL",
-                control_symbol_swap(symbols[source], symbols[target],
-                                    MatchMode.ON),
-                use_serial=False,
-                on_ps=duration_ps // 8,
-                off_ps=duration_ps // 2,
-            ),
-            testbed=TestbedOptions(device_kwargs=dict(device_kwargs)),
-        ))
-    return CampaignSpec.build(
-        "cli control-symbol campaign", specs, base_seed=args.seed
+    doc = dataclasses.replace(
+        doc,
+        experiments=islice(cycle(doc.experiments), max(1, args.experiments)),
+        seed=args.seed, capture=capture_enabled,
+        duration_ms=duration_ps / MS,
+    )
+    doc = with_fault_windows(
+        doc, (duration_ps // 8) / US, (duration_ps // 2) / US
+    )
+    return dataclasses.replace(
+        compile_scenario(doc), name="cli control-symbol campaign"
     )
 
 
@@ -786,29 +741,21 @@ class _FollowEvents:
 def _run_campaign(args) -> int:
     """``campaign``: a Table 4 style control-symbol swap campaign.
 
-    The campaign cycles through control-symbol corruption pairs with a
-    duty-cycled trigger.  With ``--artifacts-dir`` the run is recorded
-    in the result store (``--resume`` restores completed experiments)
-    and drops merged
+    Compiles library document ``control-symbol-demo``, which cycles
+    through control-symbol corruption pairs with a duty-cycled trigger.
+    With ``--artifacts-dir`` the run is recorded in the result store
+    (``--resume`` restores completed experiments) and drops merged
     telemetry (``metrics.json``, ``spans.jsonl``, a Perfetto-loadable
     ``trace.json``) plus a binary ``capture.rcap`` that ``python -m
     repro capture decode`` analyzes; ``--workers N`` shards the
     experiments across N worker processes with bit-identical output.
-    ``--scenario NAME_OR_PATH`` swaps the built-in swap matrix for a
-    compiled scenario document (library name or YAML/JSON file) —
+    ``--scenario NAME_OR_PATH`` swaps the demo for another compiled
+    scenario document (library name or YAML/JSON file) —
     sugar for ``python -m repro scenario run``.
     """
-    from contextlib import nullcontext
-
-    from repro.capture import CaptureSession
     from repro.errors import ConfigurationError
-    from repro.nftape.campaign import Campaign
-    from repro.telemetry import TelemetrySession
 
-    telemetry_dir, capture_dir = _resolve_artifact_dirs(args)
-    workers = max(1, args.workers)
     engine_root = args.artifacts_dir
-
     if args.resume and engine_root is None:
         print(
             "--resume reads the result store; pass --artifacts-dir DIR "
@@ -817,8 +764,7 @@ def _run_campaign(args) -> int:
         )
         return 2
 
-    capture_enabled = bool(capture_dir) or engine_root is not None
-    if getattr(args, "scenario", None):
+    if args.scenario:
         from repro.scenario import compile_scenario
 
         try:
@@ -827,64 +773,12 @@ def _run_campaign(args) -> int:
             print(f"scenario error: {exc}", file=sys.stderr)
             return 2
     else:
-        spec = _campaign_spec(args, capture_enabled)
-
-    if engine_root is not None or workers > 1:
-        # Engine path: result store + per-experiment artifact shards,
-        # merged deterministically on completion (same layout at any
-        # worker count).
-        return _execute_spec(
-            spec, workers=workers, resume=args.resume,
-            engine_root=engine_root, follow_events=args.follow,
-            no_progress=args.no_progress,
-        )
-
-    progress = None
-    if not args.no_progress:
-        def progress(message: str) -> None:
-            print(f"\r{message:<60}", end="", file=sys.stderr, flush=True)
-
-    campaign = Campaign.from_spec(spec, on_progress=progress)
-
-    # --follow: stdout carries pure NDJSON events; human output moves
-    # to stderr so `... --follow | jq .kind` just works.
-    table_out = sys.stderr if args.follow else sys.stdout
-    follow = _FollowEvents() if args.follow else nullcontext()
-
-    # Legacy ambient-session path (serial, deprecated per-artifact
-    # flags): one process-wide session brackets the whole campaign.
-    session = TelemetrySession(out_dir=telemetry_dir, label=spec.name)
-    capture = (
-        CaptureSession(out_dir=capture_dir, label=spec.name)
-        if capture_dir else nullcontext()
+        spec = _campaign_spec(args, engine_root is not None)
+    return _execute_spec(
+        spec, workers=max(1, args.workers), resume=args.resume,
+        engine_root=engine_root, follow_events=args.follow,
+        no_progress=args.no_progress,
     )
-    with follow:
-        with session:
-            with capture:
-                table = campaign.run()
-    if progress is not None:
-        print(file=sys.stderr)
-    print(table.render(), file=table_out)
-    fired = session.registry.value("sim.events_fired")
-    rate = session.registry.value("sim.events_per_s")
-    print(
-        f"telemetry: {int(fired)} kernel events in {session.wall_s:.2f}s "
-        f"wall ({rate:,.0f} events/s)",
-        file=table_out,
-    )
-    if telemetry_dir:
-        print(f"telemetry artifacts written to {telemetry_dir}/"
-              f" (metrics.json, spans.jsonl, trace.json)",
-              file=table_out)
-    if capture_dir:
-        recorder = capture.recorder
-        print(
-            f"capture: {len(recorder.events)} lifecycle events, "
-            f"{recorder.corr_ids_assigned} correlation ids, "
-            f"{len(recorder.experiments)} experiment(s) -> {capture.path}",
-            file=table_out,
-        )
-    return 0
 
 
 def _run_serve(args) -> int:
@@ -1028,7 +922,7 @@ def _run_capture(args) -> int:
     if not path.exists():
         print(
             f"no capture artifact at {path} (run a campaign with "
-            "--capture-dir first)",
+            "--artifacts-dir first)",
             file=sys.stderr,
         )
         return 2
@@ -1086,7 +980,7 @@ def _run_metrics(args) -> int:
     path = Path(args.input)
     if not path.exists():
         print(f"no metrics artifact at {path} (run a campaign with "
-              "--telemetry-dir first)", file=sys.stderr)
+              "--artifacts-dir first)", file=sys.stderr)
         return 2
     document = json.loads(path.read_text())
     if args.format == "json":

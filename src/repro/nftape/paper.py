@@ -29,6 +29,7 @@ so paper campaigns replay bit-identically at any worker count.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.faults import control_symbol_swap, replace_bytes
@@ -37,7 +38,6 @@ from repro.hostsim.sockets import HostStack
 from repro.hw.registers import CorruptMode, InjectorConfig, MatchMode
 from repro.myrinet.symbols import (
     GAP,
-    GO,
     IDLE,
     STOP,
     GAP_VALUE,
@@ -49,7 +49,8 @@ from repro.nftape.plan import FaultPlan
 from repro.nftape.results import ExperimentResult, ResultTable
 from repro.nftape.workload import WorkloadConfig
 from repro.runtime.seeding import derive_seed
-from repro.runtime.spec import CampaignSpec, ExperimentSpec, PlanSpec
+from repro.runtime.spec import CampaignSpec
+from repro.scenario import compile_scenario, load_scenario, with_fault_windows
 from repro.sim.timebase import MS, NS, US, to_ns
 
 # ---------------------------------------------------------------------------
@@ -80,7 +81,8 @@ PAPER_TABLE2 = [
     (235_426, 236_134, 708),
 ]
 
-#: Paper Table 4 rows: (mask, replacement, sent, received, loss).
+#: Paper Table 4 rows: (mask, replacement, sent, received, loss); library
+#: scenario ``paper-table4-full`` carries them in its experiments' params.
 PAPER_TABLE4 = [
     ("STOP", "IDLE", 4064, 3705, 0.08),
     ("STOP", "GAP", 4092, 3445, 0.15),
@@ -92,9 +94,6 @@ PAPER_TABLE4 = [
     ("GO", "GAP", 3483, 3108, 0.10),
     ("GO", "STOP", 3720, 3322, 0.10),
 ]
-
-_SYMBOLS = {"STOP": STOP, "GO": GO, "GAP": GAP, "IDLE": IDLE}
-
 
 # ---------------------------------------------------------------------------
 # Table 2 — added latency of the device in the data path
@@ -180,37 +179,21 @@ def table4_spec(
 ) -> CampaignSpec:
     """The Table 4 campaign as a declarative, picklable description.
 
-    One :class:`~repro.runtime.spec.ExperimentSpec` per mask/replacement
-    pair, named ``"{mask}->{replacement}"``; the paper's published
-    numbers travel in ``params`` so the row builder can place them next
-    to the measured ones in any process.  Seed of row ``i`` is
+    Library document ``paper-table4-full`` compiled with the arguments
+    as overrides: one experiment per mask/replacement pair, named
+    ``"{mask}->{replacement}"``, with the paper's published numbers in
+    ``params`` so the row builder can place them next to the measured
+    ones in any process.  Seed of row ``i`` is
     ``derive_seed(seed, i, name)`` (the module's seed rule), applied by
     whichever executor runs the campaign.
     """
-    specs = []
-    for mask, replacement, p_sent, p_recv, p_loss in PAPER_TABLE4:
-        config = control_symbol_swap(
-            _SYMBOLS[mask], _SYMBOLS[replacement], MatchMode.ON
-        )
-        specs.append(ExperimentSpec(
-            name=f"{mask}->{replacement}",
-            duration_ps=duration_ps,
-            plan=PlanSpec(
-                "duty_cycle", "RL", config, use_serial=False,
-                on_ps=duty_on_ps, off_ps=duty_off_ps,
-            ),
-            workload=OVERLOAD_WORKLOAD,
-            testbed=TestbedOptions(host_kwargs=dict(OVERLOAD_HOST_KWARGS)),
-            params={
-                "mask": mask,
-                "replacement": replacement,
-                "paper_sent": p_sent,
-                "paper_received": p_recv,
-                "paper_loss": p_loss,
-            },
-        ))
-    return CampaignSpec.build(
-        "Table 4 — control symbol corruption", specs, base_seed=seed
+    doc = dataclasses.replace(
+        load_scenario("paper-table4-full"),
+        seed=seed, duration_ms=duration_ps / MS,
+    )
+    doc = with_fault_windows(doc, duty_on_ps / US, duty_off_ps / US)
+    return dataclasses.replace(
+        compile_scenario(doc), name="Table 4 — control symbol corruption"
     )
 
 

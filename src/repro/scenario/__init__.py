@@ -31,6 +31,7 @@ from repro.scenario.model import (
     SweepSpec,
     TopologySpec,
     TrafficSpec,
+    with_fault_windows,
 )
 
 __all__ = [
@@ -48,4 +49,5 @@ __all__ = [
     "scenario_to_json",
     "list_scenarios",
     "load_scenario",
+    "with_fault_windows",
 ]

@@ -58,9 +58,10 @@ def _take(doc: Dict[str, Any], key: str, location: str,
           kind: type, default: Any = _MISSING,
           allow_none: bool = False) -> Any:
     """Fetch ``key`` with type enforcement and a pointered error."""
+    pointer = f"{location.rstrip('/')}/{key}"
     if key not in doc:
         if default is _MISSING:
-            raise ScenarioError(f"{location}/{key}", "is required")
+            raise ScenarioError(pointer, "is required")
         return default
     value = doc[key]
     if value is None and allow_none:
@@ -69,13 +70,10 @@ def _take(doc: Dict[str, Any], key: str, location: str,
             and not isinstance(value, bool):
         return float(value)
     if kind is not bool and isinstance(value, bool):
-        raise ScenarioError(
-            f"{location}/{key}",
-            f"expected {kind.__name__}, got bool"
-        )
+        raise ScenarioError(pointer, f"expected {kind.__name__}, got bool")
     if not isinstance(value, kind):
         raise ScenarioError(
-            f"{location}/{key}",
+            pointer,
             f"expected {kind.__name__}, got {type(value).__name__}"
         )
     return value
@@ -314,7 +312,7 @@ def scenario_from_json(doc: Any) -> ScenarioDoc:
         doc,
         ("scenario", "name", "description", "seed", "capture", "topology",
          "traffic", "duration_ms", "drain_ms", "settle_ms",
-         "experiments"),
+         "experiments", "host_rx_drain_factor"),
         "/",
     )
     version = _take(doc, "scenario", "/", int, default=SCENARIO_VERSION)
@@ -340,6 +338,13 @@ def scenario_from_json(doc: Any) -> ScenarioDoc:
     for key in ("duration_ms", "drain_ms", "settle_ms"):
         if key in doc:
             kwargs[key] = _take(doc, key, "/", float)
+    if "host_rx_drain_factor" in doc:
+        factor = _take(doc, "host_rx_drain_factor", "/", float)
+        if not factor > 0:
+            raise ScenarioError(
+                "/host_rx_drain_factor", f"must be > 0, got {factor!r}"
+            )
+        kwargs["host_rx_drain_factor"] = factor
     experiments = doc.get("experiments", [])
     if not isinstance(experiments, list) or not experiments:
         raise ScenarioError(
@@ -458,6 +463,8 @@ def scenario_to_json(doc: ScenarioDoc) -> Dict[str, Any]:
     out["duration_ms"] = doc.duration_ms
     out["drain_ms"] = doc.drain_ms
     out["settle_ms"] = doc.settle_ms
+    if doc.host_rx_drain_factor is not None:
+        out["host_rx_drain_factor"] = doc.host_rx_drain_factor
     out["experiments"] = [
         _encode_experiment(e) for e in doc.experiments
     ]

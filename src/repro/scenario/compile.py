@@ -308,6 +308,8 @@ def compile_scenario(
 
     device_kwargs: Dict[str, Any] = {}
     if doc.capture:
+        # ~96-byte wire packets must fit in the windows for the offline
+        # decoder to reassemble them whole.
         device_kwargs["monitor_config"] = MonitorConfig(
             enabled=True, pre_symbols=128, post_symbols=128
         )
@@ -356,6 +358,10 @@ def compile_scenario(
                 "settle_ps": _ps_ms(doc.settle_ms),
                 "device_kwargs": dict(device_kwargs),
             }
+            if doc.host_rx_drain_factor is not None:
+                testbed_kwargs["host_kwargs"] = {
+                    "rx_drain_factor": doc.host_rx_drain_factor,
+                }
             if fabric is not None:
                 testbed_kwargs["topology"] = fabric
                 # Fabric campaigns re-map often enough that experiments

@@ -17,6 +17,7 @@ canonical in-memory form both share.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -35,6 +36,7 @@ __all__ = [
     "SweepSpec",
     "ScenarioExperiment",
     "ScenarioDoc",
+    "with_fault_windows",
 ]
 
 #: Scenario document format version (the ``scenario:`` header field).
@@ -165,6 +167,23 @@ class ScenarioDoc:
     drain_ms: float = 5.0
     settle_ms: float = 5.0
     experiments: Tuple[ScenarioExperiment, ...] = ()
+    #: Hosts' receive drain period in link character periods (the
+    #: interface's ``rx_drain_factor``); ``None`` keeps its default.
+    host_rx_drain_factor: Optional[float] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "experiments", tuple(self.experiments))
+
+
+def with_fault_windows(doc: ScenarioDoc, on_us: float,
+                       off_us: float) -> ScenarioDoc:
+    """``doc`` with every fault's duty-cycle windows set to
+    ``on_us``/``off_us`` — how ``campaign`` and ``table4_spec`` run a
+    library document at a caller-chosen scale."""
+    return dataclasses.replace(doc, experiments=tuple(
+        dataclasses.replace(experiment, faults=tuple(
+            dataclasses.replace(fault, on_us=on_us, off_us=off_us)
+            for fault in experiment.faults
+        ))
+        for experiment in doc.experiments
+    ))

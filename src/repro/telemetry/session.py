@@ -32,7 +32,7 @@ from repro.telemetry.state import STATE
 
 __all__ = ["TelemetrySession", "ARTIFACT_NAMES"]
 
-#: File names dropped into ``--telemetry-dir``.
+#: File names dropped into ``--artifacts-dir``'s ``telemetry/``.
 ARTIFACT_NAMES = ("metrics.json", "spans.jsonl", "trace.json")
 
 

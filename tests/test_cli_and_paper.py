@@ -1,10 +1,19 @@
 """Tests for the CLI and smoke tests for the fast paper experiments."""
 
 import pathlib
+from argparse import Namespace
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import EXPERIMENTS, _campaign_spec, build_parser, main
+from repro.core.faults import control_symbol_swap
+from repro.core.monitor import MonitorConfig
+from repro.hw.registers import MatchMode
+from repro.myrinet.symbols import GAP, GO, IDLE, STOP
+from repro.nftape.paper import OVERLOAD_WORKLOAD, PAPER_TABLE4, table4_spec
+from repro.sim.timebase import MS, US
+
+SYMBOLS = {"IDLE": IDLE, "GAP": GAP, "STOP": STOP, "GO": GO}
 
 
 class TestCli:
@@ -46,10 +55,6 @@ class TestCli:
 
     def test_capture_parser_structure(self):
         parser = build_parser()
-        args = parser.parse_args(
-            ["campaign", "--capture-dir", "out/cap", "--no-progress"]
-        )
-        assert args.capture_dir == "out/cap"
         args = parser.parse_args(["capture", "decode", "--input", "x"])
         assert args.capture_command == "decode"
         assert args.input == "x"
@@ -79,43 +84,16 @@ class TestCli:
         assert main(["campaign", "--resume", "--no-progress"]) == 2
         assert "--artifacts-dir" in capsys.readouterr().err
 
-    def test_retired_flags_fail_with_pinned_hint(self, tmp_path, capsys):
-        """The PR-4 aliases are retired: exit 2, exact replacement hint.
-
-        The message text is pinned because migration tooling (and
-        humans) grep for it; change it deliberately or not at all.
-        """
-        with pytest.raises(SystemExit) as err:
-            main([
-                "campaign", "--telemetry-dir", str(tmp_path / "t"),
-                "--no-progress",
-            ])
-        assert err.value.code == 2
-        stderr = capsys.readouterr().err
-        assert stderr.startswith("DeprecationWarning: --telemetry-dir ")
-        assert (
-            "has been removed; use --artifacts-dir DIR "
-            "(writes DIR/telemetry/ and DIR/capture/ — see "
-            "docs/runtime.md)"
-        ) in stderr
-
-    def test_retired_flags_fail_together_naming_both(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as err:
-            main([
-                "campaign", "--telemetry-dir", str(tmp_path / "t"),
-                "--capture-dir", str(tmp_path / "c"), "--no-progress",
-            ])
-        assert err.value.code == 2
-        stderr = capsys.readouterr().err
-        assert "--telemetry-dir/--capture-dir" in stderr
-
-    def test_retired_flags_fail_on_run_too(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as err:
-            main([
-                "run", "sec434", "--capture-dir", str(tmp_path / "c"),
-            ])
-        assert err.value.code == 2
-        assert "DeprecationWarning" in capsys.readouterr().err
+    def test_retired_flags_are_unrecognized(self, capsys):
+        """--telemetry-dir/--capture-dir are gone: argparse rejects them."""
+        for argv in (
+            ["campaign", "--telemetry-dir", "x", "--no-progress"],
+            ["run", "sec434", "--capture-dir", "x"],
+        ):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_artifacts_dir_umbrella_on_run(self, tmp_path, capsys):
         root = tmp_path / "art"
@@ -150,6 +128,78 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Failure analysis" in out
         assert json_out.exists()
+
+
+class TestLibraryCampaignOverrides:
+    """``campaign`` and ``table4_spec`` compile library documents with
+    the caller's scale applied as overrides."""
+
+    DEMO_PAIRS = [
+        "IDLE->GAP", "GAP->IDLE", "STOP->GO", "GO->STOP",
+        "IDLE->STOP", "GAP->GO", "STOP->IDLE", "GO->GAP",
+    ]
+
+    @pytest.mark.parametrize("capture", [False, True])
+    @pytest.mark.parametrize("duration_ms", [1.0, 2.0, 3.0])
+    def test_cli_campaign_spec(self, duration_ms, capture):
+        spec = _campaign_spec(
+            Namespace(experiments=10, duration_ms=duration_ms, seed=3),
+            capture,
+        )
+        assert spec.name == "cli control-symbol campaign"
+        assert spec.base_seed == 3
+        names = [e.name for e in spec.experiments]
+        assert names == [self.DEMO_PAIRS[i % 8] for i in range(10)]
+        duration_ps = int(duration_ms * MS)
+        for experiment in spec.experiments:
+            source, target = experiment.name.split("->")
+            plan = experiment.plan
+            assert (plan.kind, plan.direction) == ("duty_cycle", "RL")
+            assert plan.config == control_symbol_swap(
+                SYMBOLS[source], SYMBOLS[target], MatchMode.ON)
+            assert experiment.duration_ps == duration_ps
+            assert plan.on_ps == duration_ps // 8
+            assert plan.off_ps == duration_ps // 2
+            monitor = experiment.testbed.device_kwargs.get("monitor_config")
+            if capture:
+                assert monitor == MonitorConfig(
+                    enabled=True, pre_symbols=128, post_symbols=128)
+            else:
+                assert monitor is None
+
+    def test_table4_spec_rows_carry_the_paper_numbers(self):
+        spec = table4_spec()
+        assert spec.name == "Table 4 — control symbol corruption"
+        assert [e.name for e in spec.experiments] == [
+            f"{mask}->{replacement}"
+            for mask, replacement, *_ in PAPER_TABLE4
+        ]
+        for experiment, row in zip(spec.experiments, PAPER_TABLE4):
+            params = experiment.params
+            assert (
+                params["mask"], params["replacement"],
+                params["paper_sent"], params["paper_received"],
+                params["paper_loss"],
+            ) == row
+            mask, replacement = row[:2]
+            assert experiment.plan.config == control_symbol_swap(
+                SYMBOLS[mask], SYMBOLS[replacement], MatchMode.ON)
+            assert experiment.testbed.host_kwargs == {
+                "rx_drain_factor": 2.0}
+            assert experiment.workload == OVERLOAD_WORKLOAD
+            assert experiment.duration_ps == 20 * MS
+            assert experiment.plan.on_ps == int(1.5 * MS)
+            assert experiment.plan.off_ps == int(8.5 * MS)
+
+    def test_table4_spec_overrides_reach_every_plan(self):
+        spec = table4_spec(duration_ps=3 * MS, duty_on_ps=250 * US + 3,
+                           duty_off_ps=777 * US, seed=11)
+        assert spec.base_seed == 11
+        assert len(spec.experiments) == len(PAPER_TABLE4)
+        for experiment in spec.experiments:
+            assert experiment.duration_ps == 3 * MS
+            assert experiment.plan.on_ps == 250 * US + 3
+            assert experiment.plan.off_ps == 777 * US
 
 
 class TestPaperExperimentsFast:

@@ -24,8 +24,9 @@ from repro.scenario import (
 from repro.scenario.yamlish import YamlishError, loads as yamlish_loads
 
 LIBRARY = [
-    "alert-storm", "dual-injector", "fabric-congestion",
-    "paper-sec35", "paper-table4", "seu-sweep",
+    "alert-storm", "control-symbol-demo", "dual-injector",
+    "fabric-congestion", "paper-sec35", "paper-table4",
+    "paper-table4-full", "seu-sweep",
 ]
 
 
@@ -125,6 +126,25 @@ class TestScenarioCodec:
         with pytest.raises(ScenarioError) as err:
             scenario_from_json(doc)
         assert err.value.location == "/experiments/0/faults/0/swap"
+
+    @pytest.mark.parametrize("value", [0, -1, "x"])
+    def test_host_rx_drain_factor_must_be_a_positive_number(self, value):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_json(minimal_doc(host_rx_drain_factor=value))
+        assert err.value.location == "/host_rx_drain_factor"
+
+    def test_host_rx_drain_factor_round_trips_and_compiles(self):
+        doc = scenario_from_json(minimal_doc(host_rx_drain_factor=2))
+        wire = scenario_to_json(doc)
+        assert wire["host_rx_drain_factor"] == 2.0
+        assert scenario_from_json(json.loads(json.dumps(wire))) == doc
+        testbed = compile_scenario(doc).experiments[0].testbed
+        assert testbed.host_kwargs == {"rx_drain_factor": 2.0}
+
+        unset = scenario_from_json(minimal_doc())
+        assert "host_rx_drain_factor" not in scenario_to_json(unset)
+        testbed = compile_scenario(unset).experiments[0].testbed
+        assert testbed.host_kwargs == {}
 
     def test_sweep_field_must_be_known(self):
         doc = minimal_doc()
@@ -251,7 +271,7 @@ def golden_dir():
 
 
 # ----------------------------------------------------------------------
-# the library — six named scenarios, all runnable
+# the library — eight named scenarios, all runnable
 # ----------------------------------------------------------------------
 
 class TestLibrary:

@@ -53,8 +53,8 @@ def shrunk(name):
 
 
 class TestGoldenCompileDigests:
-    def test_the_library_is_exactly_six_scenarios(self):
-        assert len(LIBRARY) == 6
+    def test_the_library_is_exactly_eight_scenarios(self):
+        assert len(LIBRARY) == 8
 
     @pytest.mark.parametrize("name", LIBRARY)
     def test_compile_digest_matches_the_committed_corpus(self, name):
