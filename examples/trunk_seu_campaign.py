@@ -5,9 +5,8 @@ Combines three of the paper's capabilities beyond the basic test bed:
 
 * a larger topology (two 8-port switches, five hosts) mapped entirely by
   the MCP protocol;
-* the *second-generation* device of footnote 1 — the injector core
-  behind a pluggable media adapter — spliced into the inter-switch
-  trunk, a vantage point no software injector can reach;
+* the in-path device spliced into the inter-switch trunk rather than a
+  host link, a vantage point no software injector can reach;
 * the §3.1 random-SEU fault class: exponentially-paced single-bit flips
   via the Inject-Now input, each with a freshly randomized corrupt
   vector.
@@ -15,7 +14,7 @@ Combines three of the paper's capabilities beyond the basic test bed:
 Run:  python examples/trunk_seu_campaign.py
 """
 
-from repro.core import MyrinetAdapter, SecondGenerationDevice
+from repro.core import FaultInjectorDevice
 from repro.hostsim import HostStack, MessageSink, UdpGenerator
 from repro.myrinet.network import MyrinetNetwork
 from repro.sim import Simulator
@@ -36,8 +35,8 @@ def main() -> None:
         network.add_host(name)
         network.connect(name, switch, port)
 
-    # The second-generation device guards the trunk between the switches.
-    device = SecondGenerationDevice(sim, MyrinetAdapter(), name="trunk-fi")
+    # The device guards the trunk between the switches.
+    device = FaultInjectorDevice(sim, name="trunk-fi")
     network.connect_switches("s1", 7, "s2", 7, device=device)
     network.settle(10 * MS)
 

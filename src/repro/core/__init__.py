@@ -4,8 +4,9 @@
 the complete in-path device of paper Figure 1: bi-directional FIFO
 injectors between PHY pairs, a CRC fix-up stage, monitoring capture into
 SDRAM, statistics gathering, and the RS-232 command interface.  The
-device is spliced into any link of a simulated network and is transparent
-except for its fixed pipeline latency.
+device is spliced into any Myrinet link (host link or inter-switch trunk)
+and is transparent except for its fixed pipeline latency; on Fibre
+Channel, :class:`repro.fc.tap.FcInjectorTap` wraps its injector core.
 
 :class:`InjectorSession` is the external-system side of the serial link —
 the paper's management host (NFTAPE) — offering a typed API over the
@@ -13,12 +14,6 @@ ASCII command protocol.  :mod:`repro.core.faults` provides the fault
 models of §3.1/§3.2 as pre-packaged injector configurations.
 """
 
-from repro.core.adapter import (
-    FibreChannelAdapter,
-    MediaAdapter,
-    MyrinetAdapter,
-    SecondGenerationDevice,
-)
 from repro.core.device import DeviceStats, FaultInjectorDevice
 from repro.core.faults import (
     bit_flip,
@@ -35,10 +30,6 @@ from repro.core.triggers import header_trigger, pattern_trigger
 
 __all__ = [
     "FaultInjectorDevice",
-    "SecondGenerationDevice",
-    "MediaAdapter",
-    "MyrinetAdapter",
-    "FibreChannelAdapter",
     "DeviceStats",
     "InjectorSession",
     "SessionError",

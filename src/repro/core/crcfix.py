@@ -37,10 +37,6 @@ class CrcFixupStage:
         """True when no frame is in flight (safe to bypass the stage)."""
         return self._held is None and not self._frame_dirty
 
-    def mark_dirty(self) -> None:
-        """Note that the current frame was modified by an injection."""
-        self._frame_dirty = True
-
     def feed(self, symbols: List[Symbol], enabled: bool,
              dirty: Union[bool, Sequence[int]] = False) -> List[Symbol]:
         """Run a burst through the stage.

@@ -79,13 +79,11 @@ class FaultInjectorDevice:
         serial_baud: int = DEFAULT_BAUD,
         monitor_config: Optional[MonitorConfig] = None,
         medium: str = "myrinet",
-        gather_statistics: bool = True,
     ) -> None:
         self._sim = sim
         self.name = name
         self.pipeline_depth = pipeline_depth
         self.medium = medium
-        self.gather_statistics = gather_statistics
 
         self._injectors: Dict[str, FifoInjector] = {
             d: FifoInjector(name=f"{name}:{d}", pipeline_depth=pipeline_depth)
@@ -248,8 +246,7 @@ class FaultInjectorDevice:
         if fixup_enabled or not crcfix.idle:
             output = crcfix.feed(output, fixup_enabled, rewrites)
 
-        if self.gather_statistics:
-            self._stats[direction].feed(output)
+        self._stats[direction].feed(output)
         monitor = self._monitors[direction]
         if monitor.config.enabled:
             monitor.observe(output)

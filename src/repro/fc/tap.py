@@ -11,7 +11,10 @@ the incoming 10-bit code groups (PHY receive), runs the characters
 through the device's :class:`~repro.hw.injector.FifoInjector`, optionally
 recomputes the frame's CRC-32 (the FC analogue of the Myrinet CRC fix-up),
 re-encodes with a fresh running disparity (PHY transmit), and
-retransmits on the opposite segment.
+retransmits on the opposite segment after the device's pipeline latency,
+clocked at the FC link's code period.  This is the split of paper
+footnote 1 (interface logic separated from injector logic) and the one
+Fibre Channel device: Myrinet links use the device directly.
 
 An injection that turns a character into an *undefined* control
 character cannot be encoded; the PHY then emits an invalid code group on
@@ -86,6 +89,9 @@ class FcInjectorTap:
             raise ConfigurationError(f"link side must be 'a' or 'b': {side!r}")
         self._tx[where] = tx
         self._channel_direction[id(rx)] = "R" if where == "left" else "L"
+        # The device never attaches to a link itself: clock its pipeline
+        # at the FC code period, as FaultInjectorDevice._attach does.
+        self._device._char_period_ps = link.char_period_ps
 
     # ------------------------------------------------------------------
     # data path

@@ -28,19 +28,6 @@ class TestDeviceStatsSurface:
         assert snapshot["R"]["crc_bad_frames"] == 0
         assert "symbols_processed" in snapshot["R"]
 
-    def test_statistics_can_be_disabled(self, sim):
-        device = FaultInjectorDevice(sim, gather_statistics=False)
-        network = build_paper_testbed(sim, device=device)
-        network.settle()
-        pc = network.host("pc").interface
-        sparc1 = network.host("sparc1").interface
-        received = []
-        sparc1.set_data_handler(lambda s, p: received.append(p))
-        pc.send_to(sparc1.mac, b"still delivered")
-        sim.run_for(2 * MS)
-        assert received == [b"still delivered"]
-        assert device.statistics("R").stats.frames == 0
-
     def test_monitor_summary_via_serial(self, sim):
         from repro.core.monitor import MonitorConfig
         device = FaultInjectorDevice(

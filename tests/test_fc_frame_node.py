@@ -1,13 +1,15 @@
 """Unit tests for FC CRC-32, frames, ordered sets, ports, and the tap."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import FaultInjectorDevice
 from repro.core.faults import replace_bytes
-from repro.errors import CrcError, ProtocolError
+from repro.errors import ConfigurationError, CrcError, ProtocolError
 from repro.fc.crc32 import crc32, verify32
 from repro.fc.frame import FcFrame, FcFrameHeader, MAX_PAYLOAD
-from repro.fc.node import FcPort, connect_fc
+from repro.fc.node import FC_CODE_PERIOD_PS, FcPort, connect_fc
 from repro.fc.ordered_sets import (
     ALL_ORDERED_SETS,
     EOF_N,
@@ -21,7 +23,9 @@ from repro.fc.ordered_sets import (
     is_sof,
 )
 from repro.fc.tap import FcInjectorTap
+from repro.hw.phy import DEFAULT_PHY_LATENCY_PS
 from repro.hw.registers import MatchMode
+from repro.myrinet.link import Link
 from repro.sim.timebase import MS
 
 
@@ -216,3 +220,39 @@ class TestFcInjectorTap:
         sim.run_for(2 * MS)
         assert got_b == [b"PING pong"]   # R direction corrupted
         assert got_a == [b"ping pong"]   # L direction clean
+
+    def test_pipeline_clocked_at_fc_code_period(self, sim):
+        device = FaultInjectorDevice(sim, medium="fibre-channel")
+        make_fc_pair(sim, tap=FcInjectorTap(sim, device))
+        assert device.pipeline_latency_ps == (
+            device.pipeline_depth * FC_CODE_PERIOD_PS
+            + 2 * DEFAULT_PHY_LATENCY_PS
+        )
+
+    def test_attachment_guards(self, sim):
+        device = FaultInjectorDevice(sim, medium="fibre-channel")
+        tap = FcInjectorTap(sim, device)
+        tap.attach_left(Link(sim, "l"), "a")
+        with pytest.raises(ConfigurationError):
+            tap.attach_left(Link(sim, "l2"), "a")
+        with pytest.raises(ConfigurationError):
+            tap.attach_right(Link(sim, "r"), "c")
+
+    def test_unencodable_injection_emits_invalid_code_group(self, sim):
+        """Forcing a data character's D/C bit to control yields an
+        undefined K character: the PHY puts an invalid code group on the
+        line and the receiving port counts a code error."""
+        device = FaultInjectorDevice(sim, medium="fibre-channel")
+        tap = FcInjectorTap(sim, device)
+        a, b = make_fc_pair(sim, tap=tap)
+        got = []
+        b.on_frame(lambda f: got.append(f.payload))
+        device.configure("R", replace(
+            replace_bytes(b"data", b"DATA", match_mode=MatchMode.ONCE),
+            corrupt_ctl=0, corrupt_ctl_mask=0b0001,
+        ))
+        a.send_frame(frame(b"fc data stream"))
+        sim.run_for(2 * MS)
+        assert tap.encode_failures == 1
+        assert b.stats["code_errors"] == 1
+        assert got == []

@@ -26,7 +26,7 @@ PUBLIC_MODULES = [
     "repro.hw.synthesis", "repro.hw.selftest",
     "repro.core", "repro.core.device", "repro.core.session",
     "repro.core.faults", "repro.core.triggers", "repro.core.crcfix",
-    "repro.core.monitor", "repro.core.stats", "repro.core.adapter",
+    "repro.core.monitor", "repro.core.stats",
     "repro.fc", "repro.fc.encoding", "repro.fc.ordered_sets",
     "repro.fc.crc32", "repro.fc.frame", "repro.fc.node", "repro.fc.tap",
     "repro.fc.sequence",
