@@ -24,8 +24,8 @@ from repro.core.monitor import MonitorConfig
 from repro.hw.registers import MatchMode
 from repro.myrinet.symbols import GAP, IDLE
 from repro.nftape.campaign import Campaign
-from repro.nftape.experiment import Experiment, TestbedOptions
-from repro.nftape.plan import DutyCyclePlan
+from repro.nftape.experiment import TestbedOptions
+from repro.runtime.spec import CampaignSpec, ExperimentSpec, PlanSpec
 from repro.sim.timebase import MS
 from repro.telemetry import TelemetrySession
 
@@ -36,27 +36,26 @@ BENCH_CAPTURE_PATH = (
 
 
 def _build_campaign(duration_ps: int) -> Campaign:
-    """The CLI demo campaign, fixed at two experiments and seed 0/1.
+    """The CLI demo campaign, fixed at two experiments and base seed 0.
 
     SDRAM monitors are enabled in *both* variants so the simulated work
     (and therefore the kernel event stream) is identical — the only
     difference between the runs is the flight recorder.
     """
-    campaign = Campaign("capture overhead campaign")
-    for index, (source, target) in enumerate([(IDLE, GAP), (GAP, IDLE)]):
-        plan = DutyCyclePlan(
-            "RL",
+    experiments = []
+    for source, target in [(IDLE, GAP), (GAP, IDLE)]:
+        plan = PlanSpec(
+            "duty_cycle", "RL",
             control_symbol_swap(source, target, MatchMode.ON),
             on_ps=duration_ps // 8,
             off_ps=duration_ps // 2,
             use_serial=False,
         )
-        campaign.add(Experiment(
+        experiments.append(ExperimentSpec(
             f"{source.name}->{target.name}",
             duration_ps=duration_ps,
             plan=plan,
-            testbed_options=TestbedOptions(
-                seed=index,
+            testbed=TestbedOptions(
                 device_kwargs={
                     "monitor_config": MonitorConfig(
                         enabled=True, pre_symbols=128, post_symbols=128
@@ -64,7 +63,8 @@ def _build_campaign(duration_ps: int) -> Campaign:
                 },
             ),
         ))
-    return campaign
+    return Campaign.from_spec(
+        CampaignSpec("capture overhead campaign", experiments))
 
 
 def _run_variant(duration_ps: int, with_capture: bool) -> dict:

@@ -10,45 +10,35 @@ from benchmarks.conftest import record_result, scaled_ps
 from repro.core.faults import control_symbol_swap
 from repro.hw.registers import MatchMode
 from repro.myrinet.symbols import GAP, GO, IDLE, STOP
-from repro.nftape import (
-    Campaign,
-    DutyCyclePlan,
-    Experiment,
-    FaultPlan,
-    WorkloadConfig,
-)
+from repro.nftape import Campaign, WorkloadConfig
 from repro.nftape.classify import FaultClass, classify_result
 from repro.nftape.experiment import TestbedOptions
+from repro.runtime.spec import CampaignSpec, ExperimentSpec, PlanSpec
 from repro.sim.timebase import MS, US
 
 WORKLOAD = WorkloadConfig(send_interval_ps=4 * US)
 OPTIONS = TestbedOptions(host_kwargs={"rx_drain_factor": 2.0})
 
 
+def _experiment(name, plan):
+    return ExperimentSpec(
+        name, duration_ps=scaled_ps(8 * MS), plan=plan,
+        workload=WORKLOAD, testbed=OPTIONS,
+    )
+
+
 def _campaign():
-    campaign = Campaign("§4.4 classification slice")
-    campaign.add(Experiment(
-        "stop-deletion",
-        duration_ps=scaled_ps(8 * MS),
-        plan=FaultPlan("RL", control_symbol_swap(STOP, IDLE, MatchMode.ON),
-                       use_serial=False),
-        workload_config=WORKLOAD, testbed_options=OPTIONS,
-    ))
-    campaign.add(Experiment(
-        "gap-merge",
-        duration_ps=scaled_ps(8 * MS),
-        plan=DutyCyclePlan("RL", control_symbol_swap(GAP, GO, MatchMode.ON),
-                           on_ps=1 * MS, off_ps=3 * MS, use_serial=False),
-        workload_config=WORKLOAD, testbed_options=OPTIONS,
-    ))
-    campaign.add(Experiment(
-        "go-stall",
-        duration_ps=scaled_ps(8 * MS),
-        plan=FaultPlan("RL", control_symbol_swap(GO, STOP, MatchMode.ON),
-                       use_serial=False),
-        workload_config=WORKLOAD, testbed_options=OPTIONS,
-    ))
-    return campaign
+    return Campaign.from_spec(CampaignSpec("§4.4 classification slice", [
+        _experiment("stop-deletion", PlanSpec(
+            "fault", "RL", control_symbol_swap(STOP, IDLE, MatchMode.ON),
+            use_serial=False)),
+        _experiment("gap-merge", PlanSpec(
+            "duty_cycle", "RL", control_symbol_swap(GAP, GO, MatchMode.ON),
+            on_ps=1 * MS, off_ps=3 * MS, use_serial=False)),
+        _experiment("go-stall", PlanSpec(
+            "fault", "RL", control_symbol_swap(GO, STOP, MatchMode.ON),
+            use_serial=False)),
+    ]))
 
 
 def test_sec44_all_observed_faults_are_passive(benchmark):

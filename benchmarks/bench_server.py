@@ -54,7 +54,7 @@ DEADLINE_S = 600.0
 
 def _bench_spec(index: int) -> CampaignSpec:
     duration_ps = max(1 * MS, scaled_ps(1 * MS))
-    return CampaignSpec.build(
+    return CampaignSpec(
         f"bench-{index:04d}",
         [ExperimentSpec("only", duration_ps)],
         base_seed=index,

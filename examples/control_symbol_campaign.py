@@ -14,9 +14,10 @@ Run:  python examples/control_symbol_campaign.py        (~1 minute)
 from repro.core.faults import control_symbol_swap
 from repro.hw.registers import MatchMode
 from repro.myrinet.symbols import GAP, GO, IDLE, STOP
-from repro.nftape import Campaign, DutyCyclePlan, Experiment, WorkloadConfig
+from repro.nftape import Campaign, WorkloadConfig
 from repro.nftape.classify import classify_result
 from repro.nftape.experiment import TestbedOptions
+from repro.runtime import CampaignSpec, ExperimentSpec, PlanSpec
 from repro.sim.timebase import MS, US
 
 ROWS = [
@@ -27,25 +28,26 @@ ROWS = [
 
 
 def main() -> None:
-    campaign = Campaign("mini Table 4",
-                        on_progress=lambda text: print(f"  ... {text}"))
+    experiments = []
     for mask_name, mask, repl_name, repl in ROWS:
-        plan = DutyCyclePlan(
-            "RL",
+        plan = PlanSpec(
+            "duty_cycle", "RL",
             control_symbol_swap(mask, repl, MatchMode.ON),
             on_ps=1 * MS,
             off_ps=5 * MS,
             use_serial=False,
         )
-        campaign.add(Experiment(
+        experiments.append(ExperimentSpec(
             f"{mask_name}->{repl_name}",
             duration_ps=12 * MS,
             plan=plan,
-            workload_config=WorkloadConfig(send_interval_ps=4 * US),
-            testbed_options=TestbedOptions(
-                host_kwargs={"rx_drain_factor": 2.0}
-            ),
+            workload=WorkloadConfig(send_interval_ps=4 * US),
+            testbed=TestbedOptions(host_kwargs={"rx_drain_factor": 2.0}),
         ))
+    campaign = Campaign.from_spec(
+        CampaignSpec("mini Table 4", experiments),
+        on_progress=lambda text: print(f"  ... {text}"),
+    )
 
     table = campaign.run()
     print()

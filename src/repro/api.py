@@ -56,7 +56,7 @@ from __future__ import annotations
 from typing import Any
 
 #: The public-surface contract version ("v<major>"); see docs/api.md.
-API_VERSION = "v3"
+API_VERSION = "v4"
 
 from repro.capture import CaptureSession
 from repro.core import FaultInjectorDevice, InjectorSession

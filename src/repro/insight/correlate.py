@@ -6,7 +6,9 @@ emits the byte-stable :class:`~repro.insight.model.IncidentReport`.
 
 **Layout.**  One artifact layout is read, the *engine* layout the
 campaign executors write: ``root/telemetry/metrics.json`` +
-``spans.jsonl``, ``root/capture/capture.rcap``, and ``root/spec.json``.
+``spans.jsonl``, ``root/capture/capture.rcap``, and ``root/spec.json``
+(the campaign's spec codec document, decoded back into a
+:class:`~repro.runtime.spec.CampaignSpec`).
 
 **The join.**  Each experiment marker in the capture file carries the
 ``span_id`` of the telemetry ``experiment`` span it ran under.  Span ids
@@ -42,6 +44,8 @@ from repro.insight.model import (
 )
 from repro.insight.rank import build_hypotheses
 from repro.myrinet.mapping import TopologyOracle, paper_oracle
+from repro.runtime.spec import CampaignSpec, ExperimentSpec
+from repro.runtime.spec_codec import spec_from_json
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.state import STATE
 
@@ -68,7 +72,7 @@ class CampaignArtifacts:
         self.capture: Optional[CaptureFileData] = None
         self.spans_rows: List[Dict[str, Any]] = []
         self.metrics_doc: Optional[Dict[str, Any]] = None
-        self.spec: Optional[Dict[str, Any]] = None
+        self.spec: Optional[CampaignSpec] = None
         self.degradations: List[str] = []
 
 
@@ -141,8 +145,8 @@ def load_artifacts(root: Union[str, Path]) -> CampaignArtifacts:
     spec_path = root / "spec.json"
     if spec_path.exists():
         try:
-            artifacts.spec = json.loads(spec_path.read_text())
-        except ValueError as exc:
+            artifacts.spec = spec_from_json(json.loads(spec_path.read_text()))
+        except Exception as exc:  # noqa: BLE001 - any decode failure degrades
             artifacts.degradations.append(f"spec.json unparsable: {exc}")
     return artifacts
 
@@ -231,31 +235,60 @@ def _join_span(
     return phases
 
 
+def _topology(
+    spec: Optional[CampaignSpec],
+) -> Tuple[str, str, TopologyOracle]:
+    """The instrumented host, the switch it hangs off, and the oracle.
+
+    A spec'd fabric supplies its own wiring; otherwise the campaign ran
+    on the paper test bed (one switch named ``switch``).  Raises
+    :class:`ConfigurationError` when the host is not in the topology.
+    """
+    experiments = spec.experiments if spec is not None else ()
+    testbed = next(
+        (e.testbed for e in experiments if e.testbed is not None), None
+    )
+    host = "pc" if testbed is None else testbed.instrumented_host
+    fabric = None if testbed is None else testbed.topology
+    if fabric is None:
+        return host, "switch", paper_oracle(host)
+    for linked_host, switch, _port in fabric.host_links:
+        if linked_host == host:
+            return host, switch, fabric.oracle()
+    raise ConfigurationError(
+        f"instrumented host {host!r} is not part of the fabric "
+        f"{fabric.hosts}"
+    )
+
+
 def _blast_radius(
     direction: str,
     instrumented_host: str,
     oracle: TopologyOracle,
+    switch: str = "switch",
 ) -> BlastRadius:
     """Host pairs whose conversations cross the instrumented segment.
 
     ``direction`` uses the injector's convention: ``R`` is the burst
     received on the *left* (host-facing) segment — host->switch traffic
-    — and ``L`` is switch->host.  ``RL`` covers both.
+    — and ``L`` is switch->host.  ``RL`` covers both.  ``switch`` names
+    the switch the instrumented host is attached to (the paper test
+    bed's one switch by default).
     """
-    switch_node = ("sw", "switch")
+    switch_node = ("sw", switch)
     radius = BlastRadius(segment={
         "host": instrumented_host,
-        "attached_to": "sw:switch",
+        "attached_to": f"sw:{switch}",
         "directions": sorted(set(direction)),
     })
     seen = set()
     for letter in sorted(set(direction)):
         if letter == "R":
             edge = (instrumented_host, switch_node)
-            rendered = f"{instrumented_host}->switch"
+            rendered = f"{instrumented_host}->{switch}"
         else:
             edge = (switch_node, instrumented_host)
-            rendered = f"switch->{instrumented_host}"
+            rendered = f"{switch}->{instrumented_host}"
         for src, dst in oracle.pairs_crossing(edge):
             key = (src, dst, rendered)
             if key in seen:
@@ -423,14 +456,13 @@ def analyze_artifacts(
     if artifacts.capture is not None:
         analysis = analyze_capture(artifacts.capture)
 
-    spec = artifacts.spec or {}
-    spec_experiments: Dict[int, Dict[str, Any]] = {
-        entry["index"]: entry
-        for entry in spec.get("experiments", [])
-        if isinstance(entry, dict) and isinstance(entry.get("index"), int)
-    }
+    spec = artifacts.spec
+    spec_experiments: Dict[int, ExperimentSpec] = dict(
+        enumerate(spec.experiments) if spec is not None else ()
+    )
+    spec_name = spec.name if spec is not None else None
 
-    campaign_label = label or spec.get("name") or (
+    campaign_label = label or spec_name or (
         analysis.meta.get("label") if analysis is not None else None
     ) or artifacts.root.name
 
@@ -440,8 +472,8 @@ def analyze_artifacts(
     report = IncidentReport(
         label=str(campaign_label),
         campaign={
-            "name": str(spec.get("name") or campaign_label),
-            "base_seed": spec.get("base_seed"),
+            "name": str(spec_name or campaign_label),
+            "base_seed": spec.base_seed if spec is not None else None,
             "source": "engine",
             "spec_present": artifacts.spec is not None,
             "capture_present": artifacts.capture is not None,
@@ -462,14 +494,8 @@ def analyze_artifacts(
         shard for (shard, _sid) in experiments if shard is not None
     )
 
-    instrumented_host = "pc"
-    for entry in spec_experiments.values():
-        testbed = entry.get("testbed") or {}
-        if testbed.get("instrumented_host"):
-            instrumented_host = str(testbed["instrumented_host"])
-            break
     try:
-        oracle: Optional[TopologyOracle] = paper_oracle(instrumented_host)
+        instrumented_host, switch, oracle = _topology(spec)
     except ConfigurationError as exc:
         oracle = None
         degradations.append(f"topology: {exc}")
@@ -477,15 +503,19 @@ def analyze_artifacts(
     matched_span_keys = set()
     for index in indices:
         experiment = decoded.get(index)
-        spec_entry = spec_experiments.get(index, {})
+        spec_entry = spec_experiments.get(index)
         marker = experiment.meta if experiment is not None else {}
         incident = Incident(
             index=index,
             name=str(
-                marker.get("name") or spec_entry.get("name")
+                marker.get("name")
+                or (spec_entry.name if spec_entry is not None else None)
                 or f"experiment-{index}"
             ),
-            seed=marker.get("seed", spec_entry.get("seed")),
+            seed=marker.get(
+                "seed",
+                spec.seed_for(index) if spec_entry is not None else None,
+            ),
             fault_class=str(marker.get("fault_class", "unknown")),
             evidence=[str(e) for e in (marker.get("evidence") or [])],
         )
@@ -566,7 +596,10 @@ def analyze_artifacts(
             incident.fault_class == "passive"
         )
 
-        plan = spec_entry.get("plan")
+        plan = None
+        if spec_entry is not None and spec_entry.plan is not None:
+            plan = {"kind": spec_entry.plan.kind,
+                    "direction": spec_entry.plan.direction}
         direction = (plan or {}).get("direction")
         if direction is None:
             observed = sorted({
@@ -578,7 +611,7 @@ def analyze_artifacts(
         )
         if oracle is not None and direction and fault_seen:
             incident.blast_radius = _blast_radius(
-                direction, instrumented_host, oracle
+                direction, instrumented_host, oracle, switch
             )
         else:
             incident.blast_radius = BlastRadius(

@@ -1,31 +1,27 @@
-"""Campaign runner: a sequence of experiments with collected results.
+"""Campaign runner: a campaign spec executed into one result table.
 
-Each experiment builds its own fresh :class:`~repro.nftape.experiment.Testbed`
-(the paper's known-good-state precondition), runs to completion, and its
-result row lands in a :class:`~repro.nftape.results.ResultTable`.
-
-A campaign comes in two flavours sharing one ``run()`` code path:
-
-* **live** — :meth:`Campaign.add` appends live ``Experiment`` objects;
-  execution is always in-process (the pre-engine behaviour);
-* **declarative** — :meth:`Campaign.from_spec` wraps a picklable
-  :class:`~repro.runtime.spec.CampaignSpec`; execution can then be
-  handed to any executor, including the sharded
-  :class:`~repro.runtime.executors.PooledExecutor`, and results remain
-  bit-identical regardless of worker count (per-experiment seeds are
-  derived, and the executor order-merges).
+A campaign *is* its :class:`~repro.runtime.spec.CampaignSpec` — picklable
+experiment descriptions plus a base seed.  Each experiment builds its
+own fresh :class:`~repro.nftape.experiment.Testbed` (the paper's
+known-good-state precondition), runs to completion, and its result row
+lands in a :class:`~repro.nftape.results.ResultTable`.  Execution can be
+handed to any executor, including the sharded
+:class:`~repro.runtime.executors.PooledExecutor`, and results remain
+bit-identical regardless of worker count (per-experiment seeds are
+derived, and the executor order-merges).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
-from repro.errors import CampaignError
 from repro.nftape.classify import classify_result
-from repro.nftape.experiment import Experiment
 from repro.nftape.results import ExperimentResult, ResultTable
 from repro.telemetry.spans import span
 from repro.telemetry.state import STATE as _TELEMETRY_STATE
+
+if TYPE_CHECKING:
+    from repro.runtime.spec import CampaignSpec
 
 #: Row builder: maps a finished result to the table columns.
 RowBuilder = Callable[[ExperimentResult], Dict[str, Any]]
@@ -44,56 +40,40 @@ def default_row(result: ExperimentResult) -> Dict[str, Any]:
 
 
 class Campaign:
-    """An ordered list of experiments producing one result table."""
+    """A :class:`~repro.runtime.spec.CampaignSpec` producing one result
+    table."""
 
     def __init__(
         self,
-        name: str,
+        spec: "CampaignSpec",
         row_builder: RowBuilder = default_row,
         on_progress: Optional[Callable[[str], None]] = None,
     ) -> None:
-        self.name = name
+        self.spec = spec
+        self.name = spec.name
         self._row_builder = row_builder
         self._on_progress = on_progress
-        self.experiments: List[Experiment] = []
         self.results: List[ExperimentResult] = []
-        #: The declarative description, when built via :meth:`from_spec`.
-        self.spec: Optional[Any] = None
 
     @classmethod
     def from_spec(
         cls,
-        spec: Any,
+        spec: "CampaignSpec",
         row_builder: RowBuilder = default_row,
         on_progress: Optional[Callable[[str], None]] = None,
     ) -> "Campaign":
-        """A declarative campaign from a
-        :class:`~repro.runtime.spec.CampaignSpec`.
+        """The campaign a :class:`~repro.runtime.spec.CampaignSpec`
+        describes.
 
         The spec carries the experiment list and the base seed;
         per-experiment seeds are derived by the
         :func:`~repro.runtime.seeding.derive_seed` rule at execution
         time, inside whichever process runs each experiment.
         """
-        campaign = cls(spec.name, row_builder=row_builder,
-                       on_progress=on_progress)
-        campaign.spec = spec
-        return campaign
+        return cls(spec, row_builder=row_builder, on_progress=on_progress)
 
     def __len__(self) -> int:
-        if self.spec is not None:
-            return len(self.spec.experiments)
-        return len(self.experiments)
-
-    def add(self, experiment: Experiment) -> "Campaign":
-        """Append a live experiment (chainable; live campaigns only)."""
-        if self.spec is not None:
-            raise CampaignError(
-                "declarative campaigns are immutable; extend the "
-                "CampaignSpec (spec.with_experiments(...)) and rebuild"
-            )
-        self.experiments.append(experiment)
-        return self
+        return len(self.spec)
 
     def run(self, executor: Optional[Any] = None) -> ResultTable:
         """Run every experiment on a fresh test bed; return the table.
@@ -101,11 +81,11 @@ class Campaign:
         ``executor`` selects *how* experiments run —
         :class:`~repro.runtime.executors.SerialExecutor` (the default)
         runs them in-process one at a time, while
-        :class:`~repro.runtime.executors.PooledExecutor` shards a
-        spec-based campaign across worker processes.  Whatever the
-        executor, results arrive here in experiment order, so the table
-        (and the telemetry outcome counters) are identical across
-        executors and worker counts.
+        :class:`~repro.runtime.executors.PooledExecutor` shards it
+        across worker processes.  Whatever the executor, results arrive
+        here in experiment order, so the table (and the telemetry
+        outcome counters) are identical across executors and worker
+        counts.
 
         With a telemetry session active the whole run is bracketed in a
         ``campaign`` span, in-process experiments land in nested spans
@@ -124,7 +104,7 @@ class Campaign:
         total = len(self)
         with span("campaign", name=self.name, experiments=total):
             for _index, result in executor.execute(
-                self, progress=self._on_progress
+                self.spec, progress=self._on_progress
             ):
                 self.results.append(result)
                 table.add(result, **self._row_builder(result))

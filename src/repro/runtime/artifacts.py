@@ -3,7 +3,7 @@
 A sharded campaign run with ``--artifacts-dir out/`` produces::
 
     out/
-      spec.json                           # campaign shape (insight)
+      spec.json                           # spec codec document (insight)
       results.sqlite                      # result store (resume)
       fabric/                             # pooled lease queue
       experiments/

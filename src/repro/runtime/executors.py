@@ -4,8 +4,7 @@
 ``execute()`` generator and consumes ``(index, result)`` pairs **in
 experiment order** — the executor decides *how* the experiments run:
 
-* :class:`SerialExecutor` — in-process, one at a time.  Runs live
-  ``Experiment`` objects for legacy campaigns, or spec jobs through the
+* :class:`SerialExecutor` — in-process, one at a time, through the
   same :func:`~repro.runtime.worker.execute_job` path the workers use.
 * :class:`PooledExecutor` — long-lived worker processes pulling leases
   from a file-backed work queue (:mod:`repro.runtime.fabric`), each
@@ -60,7 +59,8 @@ from repro.runtime.fabric import (
     run_fabric_worker,
     write_queue,
 )
-from repro.runtime.spec import CampaignSpec, spec_summary
+from repro.runtime.spec import CampaignSpec
+from repro.runtime.spec_codec import spec_to_json
 from repro.runtime.store import STORE_FILE_NAME, ResultStore
 from repro.runtime.worker import execute_job, job_for
 
@@ -72,8 +72,8 @@ __all__ = [
     "SPEC_FILE_NAME",
 ]
 
-#: File name of the campaign-shape summary written into the artifacts
-#: root (see :func:`repro.runtime.spec.spec_summary`).
+#: File name of the campaign's spec codec document written into the
+#: artifacts root (see :func:`repro.runtime.spec_codec.spec_to_json`).
 SPEC_FILE_NAME = "spec.json"
 
 #: Default per-experiment wall-clock timeout (generous: scaled paper
@@ -116,6 +116,10 @@ class _ExecutorBase:
         label: Optional[str] = None,
         events_label: Optional[str] = None,
     ) -> None:
+        if resume and artifacts_dir is None:
+            raise CampaignError(
+                "resume restores from the result store: pass artifacts_dir"
+            )
         self.resume = resume
         self.artifacts_dir = (
             None if artifacts_dir is None else Path(artifacts_dir)
@@ -141,16 +145,9 @@ class _ExecutorBase:
     # event emission (disabled-is-free: one slot read when no bus)
     # ------------------------------------------------------------------
 
-    def _events_key(self, campaign: Any,
-                    spec: Optional[CampaignSpec]) -> str:
+    def _events_key(self, spec: CampaignSpec) -> str:
         """The campaign key lifecycle events are published under."""
-        if self.events_label is not None:
-            return self.events_label
-        if self.label is not None:
-            return self.label
-        if spec is not None:
-            return spec.name
-        return getattr(campaign, "name", "campaign")
+        return self.events_label or self.label or spec.name
 
     def _emit(self, kind: str, **payload: Any) -> None:
         if not EVENTS.active or self._events_campaign is None:
@@ -206,14 +203,15 @@ class _ExecutorBase:
             raise
         return store, digest, restored
 
-    def _write_spec(self, spec: Optional[CampaignSpec]) -> None:
-        """Drop ``spec.json`` into the artifacts root (offline analyzers
-        — ``repro.insight`` — read the campaign's shape from it)."""
-        if self.artifacts_dir is None or spec is None:
+    def _write_spec(self, spec: CampaignSpec) -> None:
+        """Drop ``spec.json``, the spec codec document, into the
+        artifacts root (offline analyzers — ``repro.insight`` — decode
+        the campaign from it)."""
+        if self.artifacts_dir is None:
             return
         self.artifacts_dir.mkdir(parents=True, exist_ok=True)
         (self.artifacts_dir / SPEC_FILE_NAME).write_text(
-            json.dumps(spec_summary(spec), indent=2, sort_keys=True) + "\n"
+            json.dumps(spec_to_json(spec), indent=2, sort_keys=True) + "\n"
         )
 
     def _merge(self, spec: CampaignSpec) -> None:
@@ -238,43 +236,35 @@ class SerialExecutor(_ExecutorBase):
     """Run every experiment in-process, in order.
 
     ``Campaign.run()`` with no executor argument uses this with default
-    options — behaviourally identical to the pre-engine serial loop.
-    Spec-based campaigns with an ``artifacts_dir`` additionally get the
-    result store, resume, and per-experiment artifact shards (merged on
-    completion) through the exact same code path the pooled workers run.
+    options.  With an ``artifacts_dir`` it also keeps the result store,
+    resume, and per-experiment artifact shards (merged on completion)
+    through the exact same code path the pooled workers run.
     """
 
-    def execute(self, campaign: Any,
+    def execute(self, spec: CampaignSpec,
                 progress: Optional[Any] = None
                 ) -> Iterator[Tuple[int, ExperimentResult]]:
         """Yield ``(index, result)`` pairs in experiment order."""
-        spec: Optional[CampaignSpec] = getattr(campaign, "spec", None)
-        if self.resume and (spec is None or self.artifacts_dir is None):
-            raise CampaignError(
-                "resume restores from the result store: run a spec-based "
-                "campaign (Campaign.from_spec) with an artifacts_dir"
-            )
-        self._events_campaign = self._events_key(campaign, spec)
+        self._events_campaign = self._events_key(spec)
         store: Optional[ResultStore] = None
         digest = ""
         completed: Dict[int, ExperimentResult] = {}
-        if spec is not None and self.artifacts_dir is not None:
+        if self.artifacts_dir is not None:
             store, digest, completed = self._open_store(
                 self.artifacts_dir, spec)
         try:
-            yield from self._run(campaign, spec, store, digest, completed,
-                                 progress)
+            yield from self._run(spec, store, digest, completed, progress)
         finally:
             if store is not None:
                 store.close()
 
-    def _run(self, campaign: Any, spec: Optional[CampaignSpec],
+    def _run(self, spec: CampaignSpec,
              store: Optional[ResultStore], digest: str,
              completed: Dict[int, ExperimentResult],
              progress: Optional[Any]
              ) -> Iterator[Tuple[int, ExperimentResult]]:
         self._write_spec(spec)
-        total = len(campaign.experiments) if spec is None else len(spec)
+        total = len(spec)
         self._emit("campaign_started", executor="serial", experiments=total,
                    restored=len(completed))
         for index in range(total):
@@ -287,42 +277,31 @@ class SerialExecutor(_ExecutorBase):
                            name=completed[index].name)
                 yield index, completed[index]
                 continue
-            if spec is not None:
-                job = job_for(
-                    spec, index,
-                    artifacts_root=(
-                        None if self.artifacts_dir is None
-                        else str(self.artifacts_dir)
-                    ),
-                    label=self.label,
-                )
-                if progress is not None:
-                    progress(f"[{index + 1}/{total}] running {job.name}")
-                self._emit("experiment_started", index=index, name=job.name,
-                           seed=job.seed, attempt=0)
-                result = execute_job(job, in_process=True)
-                if store is not None:
-                    store.record(digest, index, job.name, job.seed, result)
-            else:
-                experiment = campaign.experiments[index]
-                if progress is not None:
-                    progress(
-                        f"[{index + 1}/{total}] running {experiment.name}"
-                    )
-                self._emit("experiment_started", index=index,
-                           name=experiment.name, attempt=0)
-                result = experiment.run()
+            job = job_for(
+                spec, index,
+                artifacts_root=(
+                    None if self.artifacts_dir is None
+                    else str(self.artifacts_dir)
+                ),
+                label=self.label,
+            )
+            if progress is not None:
+                progress(f"[{index + 1}/{total}] running {job.name}")
+            self._emit("experiment_started", index=index, name=job.name,
+                       seed=job.seed, attempt=0)
+            result = execute_job(job, in_process=True)
+            if store is not None:
+                store.record(digest, index, job.name, job.seed, result)
             self.executed.append(index)
             self._emit_finished(index, result.name, result)
             yield index, result
-        if spec is not None:
-            self._merge(spec)
+        self._merge(spec)
         self._emit("campaign_finished", experiments=total,
                    executed=len(self.executed), restored=len(self.skipped))
 
 
 class PooledExecutor(_ExecutorBase):
-    """Shard a spec-based campaign across lease-queue worker processes.
+    """Shard a campaign across lease-queue worker processes.
 
     ``Campaign.run(executor=PooledExecutor(workers=4, ...))`` yields
     ``(index, result)`` pairs in experiment order, byte-identical to a
@@ -369,28 +348,17 @@ class PooledExecutor(_ExecutorBase):
 
     # ------------------------------------------------------------------
 
-    def execute(self, campaign: Any,
+    def execute(self, spec: CampaignSpec,
                 progress: Optional[Any] = None
                 ) -> Iterator[Tuple[int, ExperimentResult]]:
         """Yield ``(index, result)`` in experiment order (order-merge)."""
-        spec: Optional[CampaignSpec] = getattr(campaign, "spec", None)
-        if spec is None:
-            raise CampaignError(
-                "PooledExecutor needs a declarative campaign: build it "
-                "with Campaign.from_spec(CampaignSpec(...)) so work items "
-                "can be published to worker processes"
-            )
         scratch: Optional[str] = None
         if self.artifacts_dir is not None:
             home = self.artifacts_dir
-        elif self.resume:
-            raise CampaignError(
-                "resume restores from the result store: pass artifacts_dir"
-            )
         else:
             scratch = tempfile.mkdtemp(prefix="repro-pool-")
             home = Path(scratch)
-        self._events_campaign = self._events_key(campaign, spec)
+        self._events_campaign = self._events_key(spec)
         processes: List[Any] = []
         store: Optional[ResultStore] = None
         try:
@@ -530,6 +498,8 @@ class PooledExecutor(_ExecutorBase):
                         holder.terminate()  # replaced in step 5
                         holder.join(timeout=5)
                 next_attempt = forfeit_lease(leases_dir, lease.index)
+                if next_attempt is None:
+                    continue  # released after recording: it completed
                 if next_attempt > MAX_RETRIES:
                     _fail(lease.index, name, reason, next_attempt)
                 self.retries[lease.index] = (

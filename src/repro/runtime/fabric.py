@@ -363,14 +363,15 @@ def release_lease(leases_dir: Union[str, Path], index: int) -> None:
         pass  # simlint: disable=ERR001 -- release is idempotent
 
 
-def forfeit_lease(leases_dir: Union[str, Path], index: int) -> int:
+def forfeit_lease(leases_dir: Union[str, Path],
+                  index: int) -> Optional[int]:
     """Rename an expired lease to its tombstone; returns next attempt.
 
     The rename is atomic: either the tombstone exists (forfeit
     happened, exactly once) or the lease file is still claimable.  A
-    concurrent release by the (actually alive) worker is tolerated —
-    the experiment then completed and re-issue is a no-op because the
-    result store keeps one winner regardless.
+    lease already gone was released by its worker after recording the
+    result — the experiment completed, nothing is forfeited, and the
+    return value is ``None`` (no re-issue, no retry to count).
     """
     generation = forfeit_count(leases_dir, index)
     try:
@@ -379,5 +380,5 @@ def forfeit_lease(leases_dir: Union[str, Path], index: int) -> int:
             str(_tombstone_path(leases_dir, index, generation)),
         )
     except FileNotFoundError:
-        return generation
+        return None
     return generation + 1

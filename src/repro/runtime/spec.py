@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.hw.registers import InjectorConfig
@@ -46,7 +46,6 @@ __all__ = [
     "ExperimentSpec",
     "CampaignSpec",
     "PLAN_KINDS",
-    "spec_summary",
 ]
 
 #: The plan shapes :class:`PlanSpec` can describe, mapped to the live
@@ -165,12 +164,6 @@ class ExperimentSpec:
                 "extra plan to `plan`"
             )
 
-    def all_plans(self) -> Tuple[PlanSpec, ...]:
-        """Primary plan plus extras, in install order."""
-        if self.plan is None:
-            return ()
-        return (self.plan,) + self.extra_plans
-
     def materialize(self, seed: Optional[int] = None) -> Experiment:
         """Build a live :class:`Experiment`, optionally forcing a seed.
 
@@ -226,104 +219,8 @@ class CampaignSpec:
     def __len__(self) -> int:
         return len(self.experiments)
 
-    def with_experiments(self, *specs: ExperimentSpec) -> "CampaignSpec":
-        """A new spec with ``specs`` appended (chainable)."""
-        return dataclasses.replace(
-            self, experiments=self.experiments + tuple(specs)
-        )
-
     def seed_for(self, index: int) -> int:
         """The derived seed of experiment ``index`` (see seeding rule)."""
         return derive_seed(
             self.base_seed, index, self.experiments[index].name
         )
-
-    def materialize(self, index: int) -> Experiment:
-        """Build experiment ``index`` with its derived seed."""
-        return self.experiments[index].materialize(seed=self.seed_for(index))
-
-    @staticmethod
-    def build(name: str, specs: Iterable[ExperimentSpec],
-              base_seed: int = 0) -> "CampaignSpec":
-        """Convenience constructor from any iterable of specs."""
-        return CampaignSpec(name, tuple(specs), base_seed=base_seed)
-
-
-def _json_safe(value: Any) -> Any:
-    """Recursively coerce a value into JSON-representable data."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [_json_safe(v) for v in value]
-    return str(value)
-
-
-def spec_summary(spec: CampaignSpec) -> Dict[str, Any]:
-    """A JSON-safe description of a campaign, for ``spec.json``.
-
-    The artifact engine drops this next to ``results.sqlite`` so offline
-    consumers — ``repro.insight`` foremost — can recover the campaign's
-    shape (experiment names, derived seeds, plan direction, topology
-    options) without unpickling live spec objects.  It is a *summary*:
-    enough to interpret the artifacts, not enough to re-run them.
-    """
-    experiments = []
-    for index, experiment in enumerate(spec.experiments):
-        entry: Dict[str, Any] = {
-            "index": index,
-            "name": experiment.name,
-            "seed": spec.seed_for(index),
-            "duration_ps": experiment.duration_ps,
-            "drain_ps": experiment.drain_ps,
-            "params": _json_safe(experiment.params),
-        }
-        def _plan_entry(plan: PlanSpec) -> Dict[str, Any]:
-            return {
-                "kind": plan.kind,
-                "direction": plan.direction,
-                "use_serial": plan.use_serial,
-                "rearm_interval_ps": plan.rearm_interval_ps,
-                "on_ps": plan.on_ps,
-                "off_ps": plan.off_ps,
-                "interval_ps": plan.interval_ps,
-                "mean_interval_ps": plan.mean_interval_ps,
-                "seed": plan.seed,
-                "flip_control_bit_probability": (
-                    plan.flip_control_bit_probability
-                ),
-                "config": (
-                    None if plan.config is None
-                    else plan.config.describe()
-                ),
-            }
-
-        if experiment.plan is not None:
-            entry["plan"] = _plan_entry(experiment.plan)
-        if experiment.extra_plans:
-            entry["extra_plans"] = [
-                _plan_entry(p) for p in experiment.extra_plans
-            ]
-        testbed = experiment.testbed
-        if testbed is not None:
-            entry["testbed"] = {
-                "seed": testbed.seed,
-                "instrumented_host": testbed.instrumented_host,
-                "with_device": testbed.with_device,
-            }
-            if testbed.topology is not None:
-                entry["testbed"]["topology"] = {
-                    "hosts": list(testbed.topology.hosts),
-                    "switches": [
-                        list(s) for s in testbed.topology.switches
-                    ],
-                }
-        experiments.append(entry)
-    return {
-        "generated_by": "repro.runtime",
-        "version": 1,
-        "name": spec.name,
-        "base_seed": spec.base_seed,
-        "experiments": experiments,
-    }

@@ -1,14 +1,16 @@
-"""Lossless JSON codec for campaign specs — the wire format of the
-monitoring service.
+"""Lossless JSON codec for campaign specs — the one JSON form of a
+campaign.
 
-:func:`repro.runtime.spec.spec_summary` is deliberately *not* enough to
-re-run a campaign; this module is.  ``spec_to_json`` serializes a
-:class:`~repro.runtime.spec.CampaignSpec` (plans, injector registers,
-workload, test-bed options) into plain JSON, and ``spec_from_json``
-reconstructs an **equal** spec — ``spec_from_json(spec_to_json(s)) ==
-s`` holds for every representable spec, which is what makes a campaign
-submitted over ``POST /campaigns`` byte-identical to the same spec run
-offline through :mod:`repro.api`.
+``spec_to_json`` serializes a :class:`~repro.runtime.spec.CampaignSpec`
+(plans, injector registers, workload, test-bed options, fabric wiring)
+into plain JSON, and ``spec_from_json`` reconstructs an **equal** spec —
+``spec_from_json(spec_to_json(s)) == s`` holds for every representable
+spec.  The same document is the wire format of the monitoring service
+(``POST /campaigns``), what ``scenario compile --json`` prints, what
+:func:`~repro.runtime.store.spec_digest` hashes, and the ``spec.json``
+the executors drop into an artifacts root for offline analyzers
+(``repro.insight``).  So a campaign submitted over HTTP runs
+byte-identically to the same spec run offline through :mod:`repro.api`.
 
 The codec is strict on decode: unknown keys, malformed enum values, or
 non-JSON-representable kwargs raise
@@ -495,6 +497,6 @@ def spec_from_json(doc: Any) -> CampaignSpec:
         for index, entry in enumerate(experiments)
     ]
     base_seed = _take_int(doc, "base_seed", "spec", default=0)
-    return CampaignSpec.build(
+    return CampaignSpec(
         str(doc["name"]), specs, base_seed=int(base_seed or 0)
     )

@@ -401,4 +401,4 @@ def compile_scenario(
                 params=params,
             ))
             experiment_index += 1
-    return CampaignSpec.build(doc.name, specs, base_seed=doc.seed)
+    return CampaignSpec(doc.name, specs, base_seed=doc.seed)

@@ -21,6 +21,7 @@ from repro.hostsim.udp import UdpDatagram
 from repro.myrinet.addresses import MacAddress
 from repro.myrinet.packet import PACKET_TYPE_DATA, MyrinetPacket
 from repro.myrinet.symbols import GAP, GO, IDLE, STOP, data_symbols
+from repro.runtime.seeding import derive_seed
 
 
 # ----------------------------------------------------------------------
@@ -249,8 +250,8 @@ def campaign_analysis(tmp_path_factory):
     from repro.myrinet.symbols import GAP as GAP_SYMBOL
     from repro.myrinet.symbols import IDLE as IDLE_SYMBOL
     from repro.nftape.campaign import Campaign
-    from repro.nftape.experiment import Experiment, TestbedOptions
-    from repro.nftape.plan import DutyCyclePlan
+    from repro.nftape.experiment import TestbedOptions
+    from repro.runtime.spec import CampaignSpec, ExperimentSpec, PlanSpec
     from repro.sim.timebase import MS
     from repro.telemetry import TelemetrySession
     from repro.telemetry.state import STATE
@@ -260,26 +261,26 @@ def campaign_analysis(tmp_path_factory):
     monitor_config = MonitorConfig(
         enabled=True, pre_symbols=128, post_symbols=128
     )
-    campaign = Campaign("capture e2e")
+    experiments = []
     for index, (source, target) in enumerate(
         [(IDLE_SYMBOL, GAP_SYMBOL), (GAP_SYMBOL, IDLE_SYMBOL)]
     ):
-        plan = DutyCyclePlan(
-            "RL",
+        plan = PlanSpec(
+            "duty_cycle", "RL",
             control_symbol_swap(source, target, MatchMode.ON),
             on_ps=duration_ps // 8,
             off_ps=duration_ps // 2,
             use_serial=False,
         )
-        campaign.add(Experiment(
+        experiments.append(ExperimentSpec(
             f"e2e-{index}",
             duration_ps=duration_ps,
             plan=plan,
-            testbed_options=TestbedOptions(
-                seed=index,
+            testbed=TestbedOptions(
                 device_kwargs={"monitor_config": monitor_config},
             ),
         ))
+    campaign = Campaign.from_spec(CampaignSpec("capture e2e", experiments))
 
     STATE.deactivate()
     with TelemetrySession(label="capture e2e"):
@@ -301,7 +302,8 @@ class TestEndToEndAcceptance:
                 "none", "passive", "active", "crash"
             )
             assert experiment.span_id is not None
-            assert experiment.meta["seed"] == experiment.index
+            assert experiment.meta["seed"] == derive_seed(
+                0, experiment.index, experiment.meta["name"])
             assert experiment.events > 0
             assert experiment.stage_counts.get("host_send", 0) > 0
 

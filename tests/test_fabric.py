@@ -23,6 +23,8 @@ its own harness in ``tests/chaos/``.
 """
 
 import json
+import os
+import time
 
 import pytest
 
@@ -40,9 +42,10 @@ from repro.runtime import (
     PooledExecutor,
     SerialExecutor,
 )
+from repro.runtime import executors
 from repro.runtime.artifacts import merged_metrics_path
 from repro.runtime.events import EVENT_KINDS
-from repro.runtime.fabric import read_queue, write_queue
+from repro.runtime.fabric import read_lease, read_queue, write_queue
 from repro.runtime.store import ResultStore, spec_digest
 from repro.runtime.worker import CRASH_AFTER_PARAM, HANG_PARAM, \
     HANG_UNTIL_PARAM
@@ -68,7 +71,7 @@ def fabric_spec(n=4, name="fabric campaign", per_index_params=None):
             plan=plan,
             params=dict(per_index_params.get(index, {})),
         ))
-    return CampaignSpec.build(name, specs, base_seed=0)
+    return CampaignSpec(name, specs, base_seed=0)
 
 
 def counter_series(metrics_path):
@@ -180,10 +183,6 @@ class TestWorkerCountIdentity:
             assert digest == spec_digest(tiny_spec())
             assert store.aggregate(digest)["experiments_done"] == 4
             assert store.aggregate(digest) == store.fold_aggregate(digest)
-
-    def test_fabric_requires_a_declarative_campaign(self):
-        with pytest.raises(CampaignError, match="declarative"):
-            list(PooledExecutor().execute(object()))
 
     def test_fabric_resume_without_a_home_is_an_error(self):
         with pytest.raises(CampaignError, match="resume"):
@@ -333,3 +332,47 @@ class TestNoDoubleCount:
         clean = Campaign.from_spec(fabric_spec()).run(
             executor=SerialExecutor())
         assert table.render() == clean.render()
+
+
+# ----------------------------------------------------------------------
+# a lease released by its finished worker is not a retry
+# ----------------------------------------------------------------------
+
+class TestReleasedLeaseIsNotARetry:
+    @pytest.mark.skipif(not hasattr(os, "waitid"),
+                        reason="waiting without reaping needs os.waitid")
+    def test_holder_exiting_after_release_is_not_a_retry(
+        self, tmp_path, monkeypatch
+    ):
+        """The worker records its result, releases the lease and exits
+        between the coordinator's lease read and its liveness check: the
+        experiment completed, so nothing is forfeited or retried."""
+        observed = []
+
+        def read_then_await_holder_exit(path):
+            lease = read_lease(path)
+            if lease is not None and not observed:
+                observed.append(lease)
+                # Wait for the holder to exit, without reaping it.
+                deadline = time.monotonic() + 60
+                while os.waitid(os.P_PID, lease.pid, os.WEXITED
+                                | os.WNOWAIT | os.WNOHANG) is None:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+            return lease
+
+        monkeypatch.setattr(executors, "read_lease",
+                            read_then_await_holder_exit)
+        spec = CampaignSpec("release race", [ExperimentSpec(
+            "only", duration_ps=1 * MS, params={HANG_PARAM: 0.2},
+        )])
+        bus = EventBus()
+        executor = PooledExecutor(workers=1, timeout_s=None,
+                                  artifacts_dir=tmp_path / "run",
+                                  events_label="release race")
+        with EventBusSession(bus):
+            Campaign.from_spec(spec).run(executor=executor)
+        assert observed, "the coordinator never saw the lease"
+        assert executor.retries == {}
+        assert not [e for e in bus.history("release race")
+                    if e.kind == "experiment_retried"]

@@ -22,7 +22,10 @@ import pytest
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.insight import analyze_artifacts, load_artifacts
+from repro.nftape.campaign import Campaign
+from repro.runtime import SerialExecutor
 from repro.telemetry import TelemetrySession
+from tests.test_scenario_fabric import shrunk
 
 EXPECTED_RL_PAIRS = [
     ("pc", "sparc1"), ("pc", "sparc2"),
@@ -50,6 +53,15 @@ def engine_root_serial(tmp_path_factory):
         "--workers", "1", "--artifacts-dir", str(root), "--no-progress",
     ]) == 0
     return root
+
+
+@pytest.fixture(scope="module")
+def fabric_root(tmp_path_factory):
+    """``fabric-congestion`` (durations shrunk) run with artifacts."""
+    root = tmp_path_factory.mktemp("insight") / "fabric"
+    spec = shrunk("fabric-congestion")
+    Campaign.from_spec(spec).run(executor=SerialExecutor(artifacts_dir=root))
+    return root, spec
 
 
 def _mutable_copy(source, tmp_path, name):
@@ -99,6 +111,37 @@ class TestHappyPath:
         text = analyze_artifacts(engine_root).canonical_json()
         assert "wall_ns" not in text
         assert "wall_s" not in text
+
+
+class TestFabricBlastRadius:
+    """Fabric campaigns get their blast radius from the spec'd wiring."""
+
+    def test_fabric_topology_is_known(self, fabric_root):
+        root, _spec = fabric_root
+        report = analyze_artifacts(root)
+        assert not [d for d in report.degradations
+                    if d.startswith("topology:")]
+
+    def test_corrupted_host_link_crosses_every_pair_of_its_host(
+        self, fabric_root
+    ):
+        root, spec = fabric_root
+        testbed = spec.experiments[1].testbed
+        host = testbed.instrumented_host
+        (switch,) = [sw for h, sw, _port in testbed.topology.host_links
+                     if h == host]
+        others = [h for h in testbed.topology.hosts if h != host]
+        report = analyze_artifacts(root)
+        (incident,) = [i for i in report.incidents
+                       if i.name == "flow-control-corruption"]
+        assert incident.features["injections"] > 0
+        radius = incident.blast_radius
+        assert radius.segment["attached_to"] == f"sw:{switch}"
+        assert radius.pairs
+        assert {(p["src"], p["dst"]) for p in radius.pairs} == (
+            {(host, other) for other in others}
+            | {(other, host) for other in others}
+        )
 
 
 class TestByteStability:
@@ -225,6 +268,25 @@ class TestDegradedInputs:
             "metrics.json unparsable" in d for d in report.degradations
         )
         assert report.campaign["features"] == {}
+
+    def test_spec_json_that_is_not_a_codec_document_degrades(
+        self, engine_root, tmp_path
+    ):
+        """An older summary-format spec.json (valid JSON, not the spec
+        codec's document) degrades; the capture still names incidents."""
+        root = _mutable_copy(engine_root, tmp_path, "old-spec")
+        (root / "spec.json").write_text(json.dumps({
+            "generated_by": "repro.runtime", "version": 1, "name": "old",
+            "experiments": [{"index": 0, "name": "IDLE->GAP", "seed": 1}],
+        }))
+        report = analyze_artifacts(root)
+        assert any(
+            d.startswith("spec.json unparsable") for d in report.degradations
+        )
+        assert report.campaign["spec_present"] is False
+        assert [i.name for i in report.incidents] == [
+            "IDLE->GAP", "GAP->IDLE", "STOP->GO",
+        ]
 
 
 class TestReportShape:

@@ -22,6 +22,7 @@ from repro.nftape import (
 )
 from repro.nftape.experiment import TestbedOptions
 from repro.nftape.workload import WORKLOAD_PORT
+from repro.runtime.spec import CampaignSpec, ExperimentSpec
 from repro.sim.timebase import MS, US
 
 
@@ -300,13 +301,14 @@ class TestExperimentAndCampaign:
         assert classify_result(result).fault_class is FaultClass.PASSIVE
 
     def test_campaign_runs_all_and_tabulates(self):
-        campaign = Campaign("mini")
-        for name in ("one", "two"):
-            campaign.add(Experiment(
+        campaign = Campaign.from_spec(CampaignSpec("mini", [
+            ExperimentSpec(
                 name, duration_ps=2 * MS,
-                workload_config=WorkloadConfig(send_interval_ps=500 * US,
-                                               flood_ping=False),
-            ))
+                workload=WorkloadConfig(send_interval_ps=500 * US,
+                                        flood_ping=False),
+            )
+            for name in ("one", "two")
+        ]))
         table = campaign.run()
         assert len(table.rows) == 2
         assert len(campaign.results) == 2

@@ -102,9 +102,11 @@ class TestApiSurface:
         # v2 removed the data-path pipeline selectors and the
         # ``pipeline=`` option of FaultInjectorDevice/TestbedOptions;
         # v3 removed FabricExecutor (PooledExecutor is the lease queue)
-        # and the executors' journal/retry/start-method options.
+        # and the executors' journal/retry/start-method options;
+        # v4 removed the live campaign flavour (Campaign(name).add) and
+        # the CampaignSpec build/append/materialize helpers.
         import repro.api as api
-        assert api.API_VERSION == "v3"
+        assert api.API_VERSION == "v4"
 
 
 @pytest.mark.parametrize("name", PUBLIC_MODULES)

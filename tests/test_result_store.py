@@ -38,7 +38,7 @@ from tests.strategies import run_property
 
 def small_spec(n=4, name="store campaign", base_seed=3):
     """A spec the store can register; never actually executed here."""
-    return CampaignSpec.build(
+    return CampaignSpec(
         name,
         [ExperimentSpec(name=f"run-{index}", duration_ps=1 * MS)
          for index in range(n)],

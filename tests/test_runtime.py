@@ -23,7 +23,7 @@ from repro.hw.registers import MatchMode
 from repro.core.faults import control_symbol_swap
 from repro.myrinet.symbols import GAP, STOP
 from repro.nftape.campaign import Campaign
-from repro.nftape.experiment import Experiment, TestbedOptions
+from repro.nftape.experiment import TestbedOptions
 from repro.runtime import (
     CampaignSpec,
     ExperimentSpec,
@@ -34,6 +34,7 @@ from repro.runtime import (
 )
 from repro.runtime.executors import MAX_RETRIES
 from repro.runtime.seeding import SEED_MASK
+from repro.runtime.spec_codec import spec_from_json
 from repro.runtime.store import ResultStore, spec_digest
 from repro.runtime.worker import CRASH_PARAM, HANG_PARAM
 from repro.sim.timebase import MS
@@ -56,7 +57,7 @@ def tiny_spec(n=4, base_seed=0, name="unit campaign", extra_params=None):
             plan=plan,
             params=dict(extra_params or {}),
         ))
-    return CampaignSpec.build(name, specs, base_seed=base_seed)
+    return CampaignSpec(name, specs, base_seed=base_seed)
 
 
 # ----------------------------------------------------------------------
@@ -111,25 +112,6 @@ class TestSpecs:
         assert options.host_kwargs["rx_drain_factor"] == 2.0
         assert live.testbed_options.seed == 7
 
-    def test_with_experiments_is_immutable_append(self):
-        spec = tiny_spec(n=2)
-        extended = spec.with_experiments(
-            ExperimentSpec("extra", duration_ps=1 * MS)
-        )
-        assert len(spec) == 2
-        assert len(extended) == 3
-        assert extended.experiments[:2] == spec.experiments
-
-    def test_declarative_campaign_rejects_add(self):
-        campaign = Campaign.from_spec(tiny_spec(n=1))
-        with pytest.raises(CampaignError, match="immutable"):
-            campaign.add(Experiment("x", duration_ps=1 * MS))
-
-    def test_pooled_executor_rejects_live_campaigns(self):
-        campaign = Campaign("live").add(Experiment("x", duration_ps=1 * MS))
-        with pytest.raises(CampaignError, match="declarative"):
-            campaign.run(executor=PooledExecutor(workers=2))
-
 
 # ----------------------------------------------------------------------
 # determinism under parallelism — the engine's core guarantee
@@ -168,18 +150,13 @@ class TestParallelDeterminism:
         assert deterministic_series(tmp_path / "serial") == \
             deterministic_series(tmp_path / "pooled")
 
-        # Both executors describe the campaign in spec.json, byte-equal
-        # (the insight engine reads it to name faults and directions).
+        # Both executors write the campaign's spec codec document to
+        # spec.json, byte-equal (the insight engine decodes it to name
+        # faults, directions, and the topology).
         serial_doc = (tmp_path / "serial" / "spec.json").read_text()
         pooled_doc = (tmp_path / "pooled" / "spec.json").read_text()
         assert serial_doc == pooled_doc
-        parsed = json.loads(serial_doc)
-        assert parsed["name"] == spec.name
-        assert len(parsed["experiments"]) == 8
-        entry = parsed["experiments"][1]
-        assert entry["seed"] == spec.seed_for(1)
-        assert entry["plan"]["kind"] == "fault"
-        assert entry["plan"]["direction"] == "RL"
+        assert spec_from_json(json.loads(serial_doc)) == spec
 
         # Merged span rows are stamped with their campaign-global shard.
         spans_text = (
@@ -319,7 +296,7 @@ class TestRobustness:
     def test_deterministic_worker_exception_is_not_retried(self):
         """A ValueError inside the experiment is the campaign's bug, not
         the infrastructure's — fail immediately, report the traceback."""
-        spec = CampaignSpec.build("bad", [
+        spec = CampaignSpec("bad", [
             ExperimentSpec("negative-duration", duration_ps=-5)
         ])
         executor = PooledExecutor(workers=1)

@@ -39,7 +39,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("spec", [
         tiny_spec(n=3, base_seed=9, name="roundtrip"),
         table4_spec(duration_ps=2 * MS),
-        CampaignSpec.build("bare", [ExperimentSpec("only", 1 * MS)]),
+        CampaignSpec("bare", [ExperimentSpec("only", 1 * MS)]),
     ], ids=["tiny", "table4", "bare"])
     def test_spec_survives_the_codec(self, spec):
         assert spec_from_json(spec_to_json(spec)) == spec
@@ -56,7 +56,7 @@ class TestRoundTrip:
         assert monitor.enabled and monitor.pre_symbols == 128
 
     def test_workload_and_testbed_details_survive(self):
-        spec = CampaignSpec.build("detail", [ExperimentSpec(
+        spec = CampaignSpec("detail", [ExperimentSpec(
             "loaded", 1 * MS,
             workload=WorkloadConfig(payload_size=96, flood_ping=True,
                                     forbidden_bytes={3, 1, 2}),
@@ -73,7 +73,7 @@ class TestRoundTrip:
         assert document["version"] == SPEC_CODEC_VERSION
 
     def test_retired_pipeline_key_still_decodes(self):
-        spec = CampaignSpec.build("pl", [ExperimentSpec(
+        spec = CampaignSpec("pl", [ExperimentSpec(
             "x", 1 * MS, testbed=TestbedOptions(seed=3),
         )])
         document = spec_to_json(spec)
@@ -132,7 +132,7 @@ class TestStrictDecode:
             spec_from_json(doc)
 
     def test_non_scalar_kwarg_fails_encode_with_path(self):
-        spec = CampaignSpec.build("bad", [ExperimentSpec(
+        spec = CampaignSpec("bad", [ExperimentSpec(
             "x", 1 * MS,
             testbed=TestbedOptions(host_kwargs={"hook": object()}),
         )])
