@@ -39,6 +39,10 @@ import serves the ways of using the repository:
   (:func:`spec_to_json` / :func:`spec_from_json`) or scenario documents
   over HTTP and streams events as NDJSON/SSE (see docs/server.md).
 
+The insight and server names load on first access, so importing this
+module to run a campaign does not start up ``asyncio`` or the capture
+decoder.
+
 Example::
 
     from repro.api import (
@@ -53,7 +57,8 @@ Example::
 
 from __future__ import annotations
 
-from typing import Any
+import importlib
+from typing import Any, List
 
 #: The public-surface contract version ("v<major>"); see docs/api.md.
 API_VERSION = "v4"
@@ -62,7 +67,6 @@ from repro.capture import CaptureSession
 from repro.core import FaultInjectorDevice, InjectorSession
 from repro.core.faults import control_symbol_swap, replace_bytes
 from repro.hw.registers import CorruptMode, InjectorConfig, MatchMode
-from repro.insight import IncidentReport, InsightStore, analyze_artifacts
 from repro.myrinet import build_paper_testbed
 from repro.myrinet.mapping import paper_oracle
 from repro.nftape.campaign import Campaign, default_row
@@ -107,7 +111,6 @@ from repro.scenario import (
     scenario_from_json,
     scenario_to_json,
 )
-from repro.server import MonitorServer
 from repro.sim import DeterministicRng, Simulator
 from repro.telemetry import TelemetrySession
 
@@ -196,3 +199,27 @@ def build_testbed(**options: Any) -> Testbed:
         testbed.settle()
     """
     return Testbed(TestbedOptions(**options))
+
+
+#: Names whose implementation is imported on first access: the insight
+#: engine (which decodes captures) and the asyncio server are not on a
+#: campaign's path, so ``import repro.api`` does not pay for them.
+_LAZY = {
+    "analyze_artifacts": "repro.insight",
+    "IncidentReport": "repro.insight",
+    "InsightStore": "repro.insight",
+    "MonitorServer": "repro.server",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_LAZY))

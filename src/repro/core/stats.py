@@ -66,13 +66,10 @@ class StatisticsGatherer:
         """Account for a burst of symbols (does not modify them)."""
         stats = self.stats
         stats.symbols += len(symbols)
-        data_count = 0
-        for symbol in symbols:
-            if symbol.is_data:
-                data_count += 1
-            else:
-                stats.control_symbols[symbol.name] += 1
-        stats.data_symbols += data_count
+        controls = [symbol.name for symbol in symbols if not symbol.is_data]
+        stats.data_symbols += len(symbols) - len(controls)
+        if controls:
+            stats.control_symbols.update(controls)
         self._assembler.push_burst(symbols)
 
     def _on_control(self, symbol: Symbol) -> None:

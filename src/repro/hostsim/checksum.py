@@ -10,18 +10,19 @@ the checksum unchanged.  That is how "Have a lot of fun" became
 from __future__ import annotations
 
 
-
 def ones_complement_sum(data: bytes) -> int:
-    """16-bit one's-complement sum of ``data`` (odd length zero-padded)."""
+    """16-bit one's-complement sum of ``data`` (odd length zero-padded).
+
+    Closed form of the RFC 1071 end-around-carry loop: read as one
+    big-endian integer, the data is the sum of its 16-bit words times
+    powers of 2**16, and 2**16 == 1 (mod 0xFFFF), so the folded sum is
+    that integer's residue mod 0xFFFF, taken in 1..0xFFFF unless every
+    word is zero.
+    """
     if len(data) % 2:
         data = data + b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-        total = (total & 0xFFFF) + (total >> 16)
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
+    n = int.from_bytes(data, "big")
+    return 0 if n == 0 else (n - 1) % 0xFFFF + 1
 
 
 def internet_checksum(data: bytes) -> int:

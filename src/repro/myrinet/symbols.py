@@ -39,7 +39,7 @@ class Symbol:
     streams of long campaigns allocation-free.
     """
 
-    __slots__ = ("is_data", "value", "pair")
+    __slots__ = ("is_data", "value", "pair", "name")
 
     _data_cache: List["Symbol"] = []
     _control_cache: Dict[int, "Symbol"] = {}
@@ -52,6 +52,12 @@ class Symbol:
         # Precomputed (D/C flag, value) byte pair: joining these gives a
         # burst's wire image in one C-level pass (stream digests, tests).
         object.__setattr__(self, "pair", bytes((1 if is_data else 0, value)))
+        # Symbolic name for control symbols, hex for everything else.
+        object.__setattr__(self, "name", (
+            _CONTROL_NAMES[value]
+            if not is_data and value in _CONTROL_NAMES
+            else f"{value:#04x}"
+        ))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Symbol instances are immutable")
@@ -67,15 +73,7 @@ class Symbol:
     def __repr__(self) -> str:
         if self.is_data:
             return f"D({self.value:#04x})"
-        name = _CONTROL_NAMES.get(self.value)
-        return f"C({name})" if name else f"C({self.value:#04x})"
-
-    @property
-    def name(self) -> str:
-        """Symbolic name for control symbols, hex for everything else."""
-        if not self.is_data and self.value in _CONTROL_NAMES:
-            return _CONTROL_NAMES[self.value]
-        return f"{self.value:#04x}"
+        return f"C({self.name})"
 
 
 def data_symbol(value: int) -> Symbol:

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import shutil
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -85,10 +85,10 @@ DEFAULT_TIMEOUT_S = 900.0
 MAX_RETRIES = 2
 
 #: ``multiprocessing`` start method of the pooled workers: ``fork``
-#: where the platform offers it (fast), else ``spawn``.
-START_METHOD = (
-    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-)
+#: where the platform offers it (fast), else ``spawn`` — the rule
+#: ``multiprocessing.get_all_start_methods()`` follows, decided without
+#: importing ``multiprocessing`` until a pooled campaign runs.
+START_METHOD = "spawn" if sys.platform == "win32" else "fork"
 
 #: Minimum wall seconds between the pooled executor's heartbeat events
 #: (only emitted while an event bus is installed — see
@@ -395,6 +395,8 @@ class PooledExecutor(_ExecutorBase):
         for index in self.skipped:
             self._emit("experiment_restored", index=index,
                        name=ready[index].name)
+
+        import multiprocessing
 
         context = multiprocessing.get_context(START_METHOD)
         lease_s = math.inf if self.timeout_s is None else self.timeout_s

@@ -24,7 +24,44 @@ from repro.myrinet.network import build_paper_testbed
 from repro.sim.timebase import MS, US
 
 
+def _rfc1071_sum(data: bytes) -> int:
+    """Reference: RFC 1071's word loop with end-around carry."""
+    if len(data) % 2:
+        data = data + b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+        total = (total & 0xFFFF) + (total >> 16)
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
+
+
+_checksum_inputs = st.one_of(
+    st.binary(max_size=200),
+    st.integers(0, 64).map(lambda n: b"\x00" * n),
+    st.integers(0, 64).map(lambda n: b"\xff" * n),
+)
+
+
 class TestChecksum:
+    @given(_checksum_inputs)
+    def test_closed_form_matches_rfc1071_loop(self, data):
+        assert ones_complement_sum(data) == _rfc1071_sum(data)
+
+    @given(st.binary(min_size=2, max_size=100),
+           st.integers(min_value=0), st.integers(min_value=0))
+    def test_closed_form_matches_loop_after_word_swap(self, data, i, j):
+        """The §4.3.4 swap of two aligned 16-bit words, checked against
+        the reference loop on both sides of the swap."""
+        words = [data[k:k + 2] for k in range(0, len(data) - 1, 2)]
+        i %= len(words)
+        j %= len(words)
+        words[i], words[j] = words[j], words[i]
+        swapped = b"".join(words) + data[2 * len(words):]
+        assert ones_complement_sum(swapped) == _rfc1071_sum(swapped)
+        assert ones_complement_sum(swapped) == ones_complement_sum(data)
+
     def test_rfc1071_example(self):
         # RFC 1071 example: 00 01 f2 03 f4 f5 f6 f7 -> sum 0xddf2.
         data = bytes([0x00, 0x01, 0xF2, 0x03, 0xF4, 0xF5, 0xF6, 0xF7])

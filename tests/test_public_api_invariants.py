@@ -2,6 +2,11 @@
 
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +112,53 @@ class TestApiSurface:
         # the CampaignSpec build/append/materialize helpers.
         import repro.api as api
         assert api.API_VERSION == "v4"
+
+
+#: Modules a campaign never touches; ``import repro.api`` must not load
+#: them (the insight and server names resolve on first access).
+DEFERRED_MODULES = ("asyncio", "multiprocessing", "repro.insight",
+                    "repro.server")
+
+_FRESH_IMPORT_PROBE = """
+import json, sys
+import repro.api as api
+loaded = sorted(m for m in {deferred!r} if m in sys.modules)
+star = {{}}
+exec("from repro.api import *", star)
+from repro.insight import IncidentReport, InsightStore, analyze_artifacts
+from repro.server import MonitorServer
+print(json.dumps({{
+    "loaded": loaded,
+    "resolved": {{
+        "analyze_artifacts": api.analyze_artifacts is analyze_artifacts,
+        "IncidentReport": api.IncidentReport is IncidentReport,
+        "InsightStore": api.InsightStore is InsightStore,
+        "MonitorServer": api.MonitorServer is MonitorServer,
+    }},
+    "dir": sorted(dir(api)),
+    "star": sorted(star),
+}}))
+"""
+
+
+def test_import_defers_modules_a_campaign_does_not_use():
+    """A fresh ``import repro.api`` loads neither the insight engine,
+    the asyncio server nor ``multiprocessing``, and the lazy names still
+    resolve to the implementation objects (star import included)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = _FRESH_IMPORT_PROBE.format(deferred=DEFERRED_MODULES)
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    report = json.loads(out)
+    assert report["loaded"] == []
+    assert report["resolved"] == dict.fromkeys(
+        ("analyze_artifacts", "IncidentReport", "InsightStore",
+         "MonitorServer"), True)
+    assert API_NAMES <= set(report["dir"])
+    assert API_NAMES <= set(report["star"])
 
 
 @pytest.mark.parametrize("name", PUBLIC_MODULES)

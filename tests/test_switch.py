@@ -239,3 +239,17 @@ def test_control_symbols_not_forwarded(sim):
     assert eps[1].symbols == []
     assert eps[2].symbols == []
     assert switch.port_flow(0).tx_state.stops_received == 2
+
+
+def test_crc_zero_pow_rows_match_per_byte_construction():
+    """Every row of the zero-byte power table is the per-byte fold of
+    the row before it through the CRC-8 table."""
+    from repro.myrinet.crc8 import _TABLE
+    from repro.myrinet.switch import _CRC_ZERO_POW
+
+    row = bytes(range(256))
+    assert len(_CRC_ZERO_POW) == 127
+    for n, built in enumerate(_CRC_ZERO_POW):
+        assert built == row, n
+        row = bytes(_TABLE[c] for c in row)
+    assert row == bytes(range(256))  # the permutation has order 127
