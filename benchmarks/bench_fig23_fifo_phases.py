@@ -10,9 +10,10 @@ from repro.core.faults import replace_bytes
 from repro.hw.clock import ClockPhase
 from repro.hw.injector import FifoInjector
 from repro.hw.registers import MatchMode
-from repro.myrinet.symbols import data_symbols, symbol_bytes
+from repro.myrinet.symbols import Burst, data_symbols
 
 STREAM = data_symbols(bytes(range(256)) * 16)  # 4096 symbols
+BURST = Burst.from_symbols(STREAM)
 
 
 def test_fig2_odd_cycle_push_and_pull(benchmark):
@@ -52,13 +53,13 @@ def test_fig3_even_cycle_injects_in_fifo(benchmark):
         injector.configure(replace_bytes(b"\x18\x18", b"\x19\x18",
                                          match_mode=MatchMode.ON))
         out = injector.process_burst(
-            data_symbols(b"\x00\x18\x18\x00" * 64)
+            Burst.from_symbols(data_symbols(b"\x00\x18\x18\x00" * 64))
         )
         return injector, out
 
     injector, out = benchmark.pedantic(run, rounds=1, iterations=1)
     assert injector.fifo.in_place_rewrites == 64
-    assert symbol_bytes(out).count(b"\x19\x18") == 64
+    assert out.values.count(b"\x19\x18") == 64
 
 
 def test_throughput_cycle_accurate(benchmark):
@@ -78,9 +79,9 @@ def test_throughput_fused_path(benchmark):
     injector = FifoInjector()
     injector.configure(replace_bytes(b"\xde\xad", b"\xbe\xef",
                                      match_mode=MatchMode.ON))
-    benchmark(lambda: injector.process_burst(STREAM))
+    benchmark(lambda: injector.process_burst(BURST))
 
 
 def test_throughput_disarmed_fast_path(benchmark):
     injector = FifoInjector()
-    benchmark(lambda: injector.process_burst(STREAM))
+    benchmark(lambda: injector.process_burst(BURST))

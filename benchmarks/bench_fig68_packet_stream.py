@@ -9,7 +9,7 @@ from benchmarks.conftest import record_result
 from repro.myrinet.crc8 import crc8
 from repro.myrinet.frames import FrameAssembler
 from repro.myrinet.packet import MyrinetPacket, PACKET_TYPE_DATA
-from repro.myrinet.symbols import GAP, GO, STOP, data_symbols
+from repro.myrinet.symbols import GAP, GO, STOP, Burst, data_symbols
 
 PACKETS = [
     MyrinetPacket.for_route([i % 8], PACKET_TYPE_DATA,
@@ -56,12 +56,13 @@ def test_fig6_packet_parse(benchmark):
 
 def test_fig8_stream_assembly(benchmark):
     stream = _stream()
+    burst = Burst.from_symbols(stream)
 
     def run():
         frames = []
         controls = []
         assembler = FrameAssembler(frames.append, controls.append)
-        assembler.push_burst(stream)
+        assembler.push_burst(burst)
         return frames, controls
 
     frames, controls = benchmark(run)

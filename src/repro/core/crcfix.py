@@ -16,17 +16,17 @@ laundered accidentally.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from repro.myrinet.crc8 import crc8_update
-from repro.myrinet.symbols import GAP, Symbol, data_symbol, decode_control
+from repro.myrinet.crc8 import crc8, crc8_update
+from repro.myrinet.symbols import _DECODED_CONTROL, GAP, Burst
 
 
 class CrcFixupStage:
     """One direction's CRC fix-up pipeline stage."""
 
     def __init__(self) -> None:
-        self._held: Optional[Symbol] = None
+        self._held: Optional[int] = None
         self._crc = 0
         self._frame_dirty = False
         self.frames_fixed = 0
@@ -37,8 +37,8 @@ class CrcFixupStage:
         """True when no frame is in flight (safe to bypass the stage)."""
         return self._held is None and not self._frame_dirty
 
-    def feed(self, symbols: List[Symbol], enabled: bool,
-             dirty: Union[bool, Sequence[int]] = False) -> List[Symbol]:
+    def feed(self, burst: Burst, enabled: bool,
+             dirty: Union[bool, Sequence[int]] = False) -> Burst:
         """Run a burst through the stage.
 
         ``enabled`` is the injector's crc_fixup register.  ``dirty``
@@ -55,54 +55,68 @@ class CrcFixupStage:
         With the stage disabled and idle (and no positions to latch)
         the burst passes through untouched.
         """
+        values = burst.values
+        flags = burst.flags
+        length = len(values)
         positions: Sequence[int] = ()
         if dirty is True:
             self._frame_dirty = True
         elif dirty:
-            positions = dirty if isinstance(dirty, (set, frozenset)) \
-                else frozenset(dirty)
-        if not enabled and self.idle and not positions:
-            return symbols
-        out: List[Symbol] = []
-        idx = 0
-        for symbol in symbols:
-            if idx in positions:
-                # The injector rewrote this position: whatever frame it
-                # belongs to carries the damage.
+            positions = sorted({p for p in dirty if 0 <= p < length})
+        if not enabled and self.idle and not dirty:
+            return burst
+        out_values = bytearray()
+        out_flags = bytearray()
+        next_position = 0
+        index = 0
+        while index < length:
+            # One data run, then the control symbol that ends it.
+            end = flags.find(0, index)
+            if end < 0:
+                end = length
+            # The injector rewrote a position in this stretch: the frame
+            # it belongs to carries the damage.
+            while (next_position < len(positions)
+                   and positions[next_position] <= end):
                 self._frame_dirty = True
-            idx += 1
-            if symbol.is_data:
+                next_position += 1
+            if end > index:
                 if self._held is not None:
-                    out.append(self._held)
-                    self._crc = crc8_update(self._crc, self._held.value)
-                self._held = symbol
-                continue
-            if decode_control(symbol.value) is GAP:
-                self._close_frame(out, enabled)
-                out.append(symbol)
-            else:
+                    out_values.append(self._held)
+                    out_flags.append(1)
+                    self._crc = crc8_update(self._crc, self._held)
+                out_values += values[index:end - 1]
+                out_flags += flags[index:end - 1]
+                self._crc = crc8(values[index:end - 1], self._crc)
+                self._held = values[end - 1]
+            if end < length:
+                value = values[end]
+                if _DECODED_CONTROL[value] is GAP:
+                    self._close_frame(out_values, out_flags, enabled)
                 # STOP/GO/IDLE pass through without disturbing the frame.
-                out.append(symbol)
-        return out
+                out_values.append(value)
+                out_flags.append(0)
+            index = end + 1
+        return Burst(bytes(out_values), bytes(out_flags))
 
-    def _close_frame(self, out: List[Symbol], enabled: bool) -> None:
+    def _close_frame(self, out_values: bytearray, out_flags: bytearray,
+                     enabled: bool) -> None:
         if self._held is not None:
             if enabled and self._frame_dirty:
-                out.append(data_symbol(self._crc))
+                out_values.append(self._crc)
                 self.frames_fixed += 1
             else:
-                out.append(self._held)
+                out_values.append(self._held)
                 self.frames_passed += 1
+            out_flags.append(1)
         self._held = None
         self._crc = 0
         self._frame_dirty = False
 
-    def flush(self) -> List[Symbol]:
+    def flush(self) -> Burst:
         """Emit any held symbol unchanged (device reset)."""
-        out: List[Symbol] = []
-        if self._held is not None:
-            out.append(self._held)
+        held = b"" if self._held is None else bytes((self._held,))
         self._held = None
         self._crc = 0
         self._frame_dirty = False
-        return out
+        return Burst(held, b"\x01" * len(held))

@@ -25,7 +25,7 @@ chip → SPI → communications handler → command decoder.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.hw.comm import CommunicationsHandler
@@ -38,7 +38,7 @@ from repro.core.crcfix import CrcFixupStage
 from repro.core.monitor import InjectionMonitor, MonitorConfig
 from repro.core.stats import StatisticsGatherer
 from repro.myrinet.link import Channel, Link
-from repro.myrinet.symbols import Symbol
+from repro.myrinet.symbols import Burst
 from repro.sim.kernel import Simulator
 from repro.capture import instrument as _capture
 from repro.capture.state import CAPTURE as _CAPTURE
@@ -220,7 +220,7 @@ class FaultInjectorDevice:
         if _CAPTURE.active:
             _capture.injection(self._sim.now, self.name, direction, event)
 
-    def on_burst(self, burst: List[Symbol], channel: Channel) -> None:
+    def on_burst(self, burst: Burst, channel: Channel) -> None:
         """Intercept a burst from one segment, retransmit on the other."""
         direction = self._channel_direction.get(id(channel))
         if direction is None:
@@ -233,7 +233,8 @@ class FaultInjectorDevice:
 
         in_phy = self.phy_left if direction == "R" else self.phy_right
         out_phy = self.phy_right if direction == "R" else self.phy_left
-        in_phy.receive(len(burst))
+        received = len(burst.values)
+        in_phy.receive(received)
 
         injector = self._injectors[direction]
         output = injector.process_burst(burst)
@@ -251,18 +252,19 @@ class FaultInjectorDevice:
         if monitor.config.enabled:
             monitor.observe(output)
 
-        out_phy.drive(len(output))
+        sent = len(output.values)
+        out_phy.drive(sent)
         self.bursts_forwarded += 1
         # One guarded call per burst (not per symbol): occupancy gauges,
         # throughput counters, and the added-latency histogram against
         # the paper's ~250 ns pipeline claim.
         if _TELEMETRY_STATE.active:
-            _telemetry.device_burst(self, direction, len(burst), len(output))
+            _telemetry.device_burst(self, direction, received, sent)
         if _CAPTURE.active:
             _capture.device_transit(
-                self._sim.now, self.name, direction, len(burst), len(output)
+                self._sim.now, self.name, direction, received, sent
             )
-        if output:
+        if sent:
             latency = self.pipeline_latency_ps
             self._sim.schedule(
                 latency,

@@ -22,7 +22,7 @@ from repro.capture import instrument as _capture
 from repro.capture.state import CAPTURE as _CAPTURE
 from repro.hw.injector import InjectionEvent
 from repro.hw.sdram import SdramBuffer
-from repro.myrinet.symbols import Symbol
+from repro.myrinet.symbols import Burst, Symbol
 
 
 @dataclass
@@ -77,22 +77,31 @@ class InjectionMonitor:
         self.config = config
         self._window = deque(self._window, maxlen=max(1, config.pre_symbols))
 
-    def observe(self, symbols: List[Symbol]) -> None:
-        """Feed the post-injection output stream past the monitor."""
+    def observe(self, burst: Burst) -> None:
+        """Feed the post-injection output stream past the monitor.
+
+        Each open capture takes the symbols it still lacks (at least
+        one) from the head of the burst; captures complete in the order
+        they were opened, as symbol-by-symbol collection would.
+        """
         if not self.config.enabled:
             return
-        post = self.config.post_symbols
-        for symbol in symbols:
-            if self._open:
-                still_open = []
-                for record in self._open:
-                    record.after.append(symbol)
-                    if len(record.after) >= post:
-                        self._finish(record)
-                    else:
-                        still_open.append(record)
-                self._open = still_open
-            self._window.append(symbol)
+        symbols = burst.symbols()
+        if not symbols:
+            return
+        if self._open:
+            post = self.config.post_symbols
+            still_open = []
+            for record in self._open:
+                record.after.extend(
+                    symbols[:max(1, post - len(record.after))]
+                )
+                if len(record.after) >= post:
+                    self._finish(record)
+                else:
+                    still_open.append(record)
+            self._open = still_open
+        self._window.extend(symbols)
 
     def on_injection(self, time_ps: int, event: InjectionEvent) -> None:
         """Injector callback: open a capture around this event."""

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import List
-
 from repro.myrinet.addresses import MacAddress
 from repro.myrinet.crc8 import crc8
 from repro.myrinet.frames import FrameAssembler
@@ -26,7 +24,7 @@ from repro.myrinet.packet import (
     TYPE_FIELD_LEN,
     is_route_byte,
 )
-from repro.myrinet.symbols import Symbol
+from repro.myrinet.symbols import CONTROL_NAMES, Burst, Symbol
 
 
 @dataclass
@@ -62,15 +60,22 @@ class StatisticsGatherer:
         self.stats = DirectionStats()
         self._assembler = FrameAssembler(self._on_frame, self._on_control)
 
-    def feed(self, symbols: List[Symbol]) -> None:
+    def feed(self, burst: Burst) -> None:
         """Account for a burst of symbols (does not modify them)."""
         stats = self.stats
-        stats.symbols += len(symbols)
-        controls = [symbol.name for symbol in symbols if not symbol.is_data]
-        stats.data_symbols += len(symbols) - len(controls)
+        values = burst.values
+        flags = burst.flags
+        controls = flags.count(0)
+        stats.symbols += len(values)
+        stats.data_symbols += len(values) - controls
         if controls:
-            stats.control_symbols.update(controls)
-        self._assembler.push_burst(symbols)
+            names = []
+            index = flags.find(0)
+            while index >= 0:
+                names.append(CONTROL_NAMES[values[index]])
+                index = flags.find(0, index + 1)
+            stats.control_symbols.update(names)
+        self._assembler.push_burst(burst)
 
     def _on_control(self, symbol: Symbol) -> None:
         # Counted in feed(); the assembler callback exists so STOP/GO do
@@ -98,9 +103,9 @@ class StatisticsGatherer:
         payload = frame[offset + TYPE_FIELD_LEN:-1]
         if len(payload) < 12:
             return
-        dst = MacAddress.from_bytes(payload[:6])
-        src = MacAddress.from_bytes(payload[6:12])
-        stats.packets_by_pair[(str(src), str(dst))] += 1
+        # The hex form is str(MacAddress) without building addresses.
+        stats.packets_by_pair[(payload[6:12].hex(":"),
+                               payload[:6].hex(":"))] += 1
 
     def publish(self, registry=None, **labels) -> None:
         """Bridge the current counters into a telemetry registry."""

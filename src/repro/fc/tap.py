@@ -32,7 +32,7 @@ from repro.fc.encoding import Decoder8b10b, Encoder8b10b
 from repro.fc.ordered_sets import classify_word, is_eof, is_sof
 from repro.core.device import FaultInjectorDevice
 from repro.myrinet.link import Channel, Link
-from repro.myrinet.symbols import Symbol, control_symbol, data_symbol
+from repro.myrinet.symbols import Burst, Symbol, control_symbol, data_symbol
 from repro.sim.kernel import Simulator
 
 #: An intentionally invalid 10-bit code group (run of six ones).
@@ -110,21 +110,21 @@ class FcInjectorTap:
         injector = self._device.injector(direction)
 
         # PHY receive: 10b -> (value, D/C) characters.
-        symbols: List[Symbol] = []
+        values = bytearray()
+        flags = bytearray()
         for code in burst:
             decoded = state.decoder.decode(code)
             if decoded is None:
                 continue  # invalid group: character lost on the line
             value, is_k = decoded
-            symbols.append(
-                control_symbol(value) if is_k else data_symbol(value)
-            )
+            values.append(value)
+            flags.append(0 if is_k else 1)
 
         events_before = injector.injections
-        processed = injector.process_burst(symbols)
+        processed = injector.process_burst(Burst(bytes(values), bytes(flags)))
         dirty = injector.injections > events_before
 
-        output = self._crc_fixup(state, processed, dirty,
+        output = self._crc_fixup(state, processed.symbols(), dirty,
                                  injector.config.crc_fixup)
 
         # PHY transmit: characters -> 10b code groups.

@@ -49,6 +49,7 @@ from repro.hw.registers import CorruptMode, InjectorConfig, MatchMode
 from repro.myrinet.link import Channel, Link
 from repro.myrinet.symbols import (
     GAP,
+    Burst,
     GO,
     IDLE,
     STOP,
@@ -138,9 +139,14 @@ class _StreamTap:
         self._hash = hashlib.blake2b(digest_size=16)
         self.symbols = 0
 
-    def on_burst(self, burst: List[Symbol], channel: Channel) -> None:
-        self.symbols += len(burst)
-        self._hash.update(b"".join([s.pair for s in burst]))
+    def on_burst(self, burst: Burst, channel: Channel) -> None:
+        # The wire image: each symbol's (D/C flag, value) byte pair.
+        count = len(burst.values)
+        image = bytearray(2 * count)
+        image[0::2] = burst.flags
+        image[1::2] = burst.values
+        self.symbols += count
+        self._hash.update(image)
 
     def digest(self) -> str:
         return f"{self._hash.hexdigest()}:{self.symbols}"
@@ -170,8 +176,9 @@ class _DeviceHarness:
         self.tx_l = right.attach_b(self.tap_r)
         self.session = InjectorSession(self.sim, self.device)
 
-    def send(self, direction: str, burst: List[Symbol], at_ps: int) -> None:
+    def send(self, direction: str, symbols: List[Symbol], at_ps: int) -> None:
         channel = self.tx_r if direction == "R" else self.tx_l
+        burst = Burst.from_symbols(symbols)
         self.sim.schedule_at(at_ps, lambda: channel.send(burst), "conf-drive")
 
     def artifacts(self) -> RunArtifacts:
@@ -325,7 +332,7 @@ def _drive_back_to_back() -> _DeviceHarness:
     wall = [data_symbol(0xAA)] * 256
     t = 0
     for _ in range(6):
-        harness.send("R", list(wall), t)
+        harness.send("R", wall, t)
         t += 256 * 12_500  # back-to-back: next burst queues immediately
     # Phase 2: matches every 8th symbol, first at position 7.
     comb = []
@@ -342,7 +349,7 @@ def _drive_back_to_back() -> _DeviceHarness:
         corrupt_mask=0x0000_00FF,
     )), "conf-reconfig")
     for _ in range(4):
-        harness.send("R", list(comb), t)
+        harness.send("R", comb, t)
         t += 512 * 12_500
     harness.sim.run()
     return harness

@@ -21,7 +21,7 @@ many lanes were out of reach.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.hw.clock import ClockPhase, TwoPhaseClock
 from repro.hw.compare import CompareUnit
@@ -32,7 +32,7 @@ from repro.hw.registers import (
     InjectorConfig,
     MatchMode,
 )
-from repro.myrinet.symbols import Symbol, control_symbol, data_symbol
+from repro.myrinet.symbols import Burst, Symbol, control_symbol, data_symbol
 from repro.telemetry import instrument as _telemetry
 from repro.telemetry.state import STATE as _TELEMETRY_STATE
 
@@ -258,7 +258,7 @@ class FifoInjector:
         if self._on_injection is not None:
             self._on_injection(event)
 
-    def process_burst(self, burst: List[Symbol]) -> List[Symbol]:
+    def process_burst(self, burst: Burst) -> Burst:
         """Run a whole traffic burst through the pipeline and flush it.
 
         The pipeline drains at the end of each burst — in hardware the
@@ -267,31 +267,33 @@ class FifoInjector:
         instead (see :mod:`repro.core.device`).
 
         Because the FIFO is empty at every burst boundary, the burst is
-        processed with a fused equivalent of :meth:`step` (one tight
-        loop, a local list standing in for the drained-empty FIFO); the
-        per-phase semantics are identical and are cross-checked against
-        the explicit two-phase path by the unit tests.
+        processed with a fused equivalent of :meth:`step`: one tight
+        loop over the value and flag lanes, whose output is the input
+        with the rewritten positions patched.  The per-phase semantics
+        are identical and are cross-checked against the explicit
+        two-phase path by the unit tests.
         """
         self.last_burst_rewrites = []
         self._rewrite_origin = self._segment_index - self.fifo.occupancy
         if not self.armed and self.fifo.empty:
             # A disarmed injector is a transparent pipe.
-            self.symbols_processed += len(burst)
-            self._segment_index += len(burst)
-            return list(burst)
+            count = len(burst.values)
+            self.symbols_processed += count
+            self._segment_index += count
+            return burst
         if not self.fifo.empty:
             # step() was used directly before this burst; stay on the
             # exact cycle-accurate path to preserve FIFO contents.
             output: List[Symbol] = []
-            for symbol in burst:
+            for symbol in burst.symbols():
                 out = self.step(symbol)
                 if out is not None:
                     output.append(out)
             output.extend(self.fifo.drain())
-            return output
+            return Burst.from_symbols(output)
         return self._process_burst_fused(burst)
 
-    def _process_burst_fused(self, burst: List[Symbol]) -> List[Symbol]:
+    def _process_burst_fused(self, burst: Burst) -> Burst:
         config = self.config
         window, ctl = self.compare.snapshot()
         filled = self.compare._filled
@@ -301,24 +303,18 @@ class FifoInjector:
         cm = config.compare_mask
         cc = config.compare_ctl
         ccm = config.compare_ctl_mask
-        pipeline: List[Symbol] = []
-        output: List[Symbol] = []
-        out_append = output.append
-        pipe_append = pipeline.append
         depth = self.pipeline_depth
         segment = self._segment_index
         matches = 0
         evaluations = 0
-        pop_at = 0  # index of next symbol to leave the pipeline
+        # The drained pipeline's contents, patched in place by any
+        # corruption; created on the first trigger.
+        patched: Optional[Tuple[bytearray, bytearray]] = None
 
-        for symbol in burst:
+        for index, (value, flag) in enumerate(zip(burst.values, burst.flags)):
             # --- odd cycle: push, pop, shift -----------------------------
-            pipe_append(symbol)
-            if len(pipeline) - pop_at > depth:
-                out_append(pipeline[pop_at])
-                pop_at += 1
-            window = ((window << 8) | symbol.value) & 0xFFFF_FFFF
-            ctl = ((ctl << 1) | (1 if symbol.is_data else 0)) & 0xF
+            window = ((window << 8) | value) & 0xFFFF_FFFF
+            ctl = ((ctl << 1) | flag) & 0xF
             if filled < SEGMENT_LANES:
                 filled += 1
             segment += 1
@@ -340,17 +336,19 @@ class FifoInjector:
                 continue
             if mode_once and not forced:
                 self._once_fired = True
-            # Corruption rewrites the queued FIFO entries; the compare
-            # registers keep holding the as-received stream, exactly as
-            # in the per-step path.
+            if patched is None:
+                patched = (bytearray(burst.values), bytearray(burst.flags))
+            # Corruption rewrites the queued FIFO entries (the last
+            # ``depth`` symbols pushed); the compare registers keep
+            # holding the as-received stream, exactly as in the
+            # per-step path.
             self._corrupt_pipeline_tail(
-                pipeline, pop_at, window, ctl, forced, segment
+                patched, index, min(index + 1, depth), window, ctl,
+                forced, segment,
             )
 
-        # flush the pipeline
-        output.extend(pipeline[pop_at:])
         # bulk-update the bookkeeping the per-step path maintains
-        count = len(burst)
+        count = len(burst.values)
         self.symbols_processed += count
         self._segment_index = segment
         self.clock._cycles += 2 * count
@@ -366,18 +364,26 @@ class FifoInjector:
         # transiently reaches depth + 1 (the FIFO holds depth + 1 words);
         # mirror that in the watermark, not the post-pop steady state.
         self.fifo.note_occupancy(min(count, depth + 1))
-        return output
+        if patched is None:
+            return burst
+        return Burst(bytes(patched[0]), bytes(patched[1]))
 
     def _corrupt_pipeline_tail(
         self,
-        pipeline: List[Symbol],
-        pop_at: int,
+        patched: Tuple[bytearray, bytearray],
+        newest: int,
+        occupancy: int,
         window: int,
         ctl: int,
         forced: bool,
         segment: int,
     ) -> None:
-        """Corrupt the window's lanes inside the fused-path pipeline."""
+        """Corrupt the window's lanes inside the fused-path pipeline.
+
+        ``newest`` is the burst index of the symbol just pushed and
+        ``occupancy`` the number of symbols the FIFO still holds, the
+        newest included.
+        """
         config = self.config
         if config.corrupt_mode is CorruptMode.TOGGLE:
             window_after = window ^ config.corrupt_data
@@ -390,9 +396,9 @@ class FifoInjector:
             (ctl & ~config.corrupt_ctl_mask)
             | (config.corrupt_ctl & config.corrupt_ctl_mask)
         ) & 0xF
+        values, flags = patched
         lanes_rewritten = 0
         lanes_unreachable = 0
-        occupancy = len(pipeline) - pop_at
         for lane in range(SEGMENT_LANES):
             old_byte = (window >> (8 * lane)) & 0xFF
             new_byte = (window_after >> (8 * lane)) & 0xFF
@@ -403,10 +409,8 @@ class FifoInjector:
             if lane >= occupancy:
                 lanes_unreachable += 1
                 continue
-            replacement = (
-                data_symbol(new_byte) if new_ctl else control_symbol(new_byte)
-            )
-            pipeline[len(pipeline) - 1 - lane] = replacement
+            values[newest - lane] = new_byte
+            flags[newest - lane] = new_ctl
             lanes_rewritten += 1
             self.fifo.in_place_rewrites += 1
             self.last_burst_rewrites.append(

@@ -23,7 +23,7 @@ from repro.hw.compare import CompareUnit
 from repro.hw.fifo import DualPortRam, RamFifo
 from repro.hw.injector import FifoInjector
 from repro.hw.registers import CorruptMode, InjectorConfig, MatchMode
-from repro.myrinet.symbols import data_symbol, data_symbols, symbol_bytes
+from repro.myrinet.symbols import Burst, data_symbol
 
 
 @dataclass
@@ -101,13 +101,14 @@ def _test_inject(report: SelfTestReport) -> None:
         corrupt_mode=CorruptMode.REPLACE, corrupt_data=0x19,
         corrupt_mask=0xFF,
     ))
-    replaced = symbol_bytes(replace.process_burst(data_symbols(b"\x18\x20")))
+    stream = Burst(b"\x18\x20", b"\x01\x01")
+    replaced = replace.process_burst(stream).values
     toggle = FifoInjector(pipeline_depth=8)
     toggle.configure(InjectorConfig(
         match_mode=MatchMode.ON, compare_data=0x18, compare_mask=0xFF,
         corrupt_mode=CorruptMode.TOGGLE, corrupt_data=0x01,
     ))
-    toggled = symbol_bytes(toggle.process_burst(data_symbols(b"\x18\x20")))
+    toggled = toggle.process_burst(stream).values
     report.record("inj",
                   replaced == b"\x19\x20" and toggled == b"\x19\x20",
                   "replace + toggle micro-pipeline")

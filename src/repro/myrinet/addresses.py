@@ -65,9 +65,7 @@ class _IntAddress:
         return f"{type(self).__name__}({str(self)!r})"
 
     def __str__(self) -> str:
-        width = self.BITS // 8
-        raw = self.value.to_bytes(width, "big")
-        return self.SEPARATOR.join(f"{b:02x}" for b in raw)
+        return self.to_bytes().hex(self.SEPARATOR)
 
     def to_bytes(self) -> bytes:
         """Big-endian wire encoding."""

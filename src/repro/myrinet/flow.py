@@ -26,7 +26,7 @@ from typing import Callable, List, Optional
 from repro.errors import ConfigurationError
 from repro.sim.kernel import Event, Simulator
 from repro.myrinet.link import Channel
-from repro.myrinet.symbols import GO, STOP, Symbol
+from repro.myrinet.symbols import GO, GO_VALUE, STOP, STOP_VALUE, Burst, Symbol
 
 #: Short-period timeout: 16 character periods (paper §4.3.1).
 SHORT_TIMEOUT_PERIODS = 16
@@ -42,6 +42,9 @@ LONG_TIMEOUT_PERIODS = 4_000_000
 #: the burst at the short-timeout length.  Back-to-back bursts then hold
 #: the sender stopped continuously at one scheduler event per burst.
 STOP_REFRESH_BURST = SHORT_TIMEOUT_PERIODS
+
+#: The single GO that releases a stopped sender.
+_GO_BURST = Burst(bytes([GO_VALUE]), b"\x00")
 
 
 class TxFlowState:
@@ -172,7 +175,8 @@ class StopRefresher:
             raise ConfigurationError("STOP refresh burst must be >= 1 symbol")
         self._sim = sim
         self._channel = channel
-        self._burst = [STOP] * burst_length
+        self._burst = Burst(bytes([STOP_VALUE]) * burst_length,
+                            bytes(burst_length))
         self._period_ps = burst_length * channel.char_period_ps
         self._event: Optional[Event] = None
         self._active = False
@@ -198,7 +202,7 @@ class StopRefresher:
         if self._event is not None:
             self._event.cancel()
             self._event = None
-        self._channel.send([GO])
+        self._channel.send(_GO_BURST)
         self.gos_sent += 1
 
     def _send_burst(self) -> None:

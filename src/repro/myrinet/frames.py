@@ -14,16 +14,19 @@ real interface's maximum-packet guard.
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
-from repro.myrinet.symbols import GAP, IDLE, Symbol, decode_control
+from repro.myrinet.symbols import (
+    _DECODED_CONTROL,
+    GAP,
+    IDLE,
+    Burst,
+    Symbol,
+    decode_control,
+)
 
 #: Default maximum frame size in bytes (route + type + payload + CRC).
 DEFAULT_MAX_FRAME = 4096
-
-_is_data = attrgetter("is_data")
-_value = attrgetter("value")
 
 
 class FrameAssembler:
@@ -38,7 +41,7 @@ class FrameAssembler:
         self._on_frame = on_frame
         self._on_control = on_control
         self._max_frame = max_frame
-        self._current: List[int] = []
+        self._current = bytearray()
         self._overflowed = False
         self.frames_emitted = 0
         self.oversize_frames = 0
@@ -56,51 +59,47 @@ class FrameAssembler:
                 return
             self._current.append(symbol.value)
             return
-        decoded = decode_control(symbol.value)
-        if decoded is None:
-            self.undecodable_controls += 1
-            return
-        if decoded is GAP:
-            self._close_frame()
-        elif decoded is IDLE:
-            return
-        elif self._on_control is not None:
-            self._on_control(decoded)
+        self._push_control(decode_control(symbol.value))
 
-    def push_burst(self, burst: List[Symbol]) -> None:
-        """Feed a burst of symbols, one maximal data run at a time.
+    def push_burst(self, burst: Burst) -> None:
+        """Feed a burst, one maximal data run at a time.
 
-        Byte-exact equivalent of calling :meth:`push` per symbol: data
-        runs extend the open frame in one C-level pass, and control
-        symbols go through :meth:`push` singly.  ``max_frame`` overflow
-        is exact: a run is accepted up to the limit and overflow fires
-        on the *next* data byte, as in :meth:`push`.
+        Byte-exact equivalent of calling :meth:`push` per symbol: each
+        data run extends the open frame with one slice of the value
+        lane, and each control symbol is decoded singly.  ``max_frame``
+        overflow is exact: a run is accepted up to the limit and
+        overflow fires on the *next* data byte, as in :meth:`push`.
         """
-        flags = list(map(_is_data, burst))
-        length = len(burst)
+        values = burst.values
+        flags = burst.flags
+        length = len(values)
         current = self._current
         index = 0
         while index < length:
-            if not flags[index]:
-                self.push(burst[index])
-                index += 1
-                continue
-            try:
-                end = flags.index(False, index)
-            except ValueError:
+            end = flags.find(0, index)
+            if end < 0:
                 end = length
-            if not self._overflowed:
+            if end > index and not self._overflowed:
                 space = self._max_frame - len(current)
                 if end - index <= space:
-                    current.extend(map(_value, burst[index:end]))
+                    current += values[index:end]
                 else:
                     # Fill to the limit; the next data byte trips the
                     # overflow guard exactly as in push().
-                    current.extend(map(_value, burst[index:index + space]))
                     self._overflowed = True
                     self.oversize_frames += 1
                     current.clear()
-            index = end
+            if end < length:
+                self._push_control(_DECODED_CONTROL[values[end]])
+            index = end + 1
+
+    def _push_control(self, decoded: Optional[Symbol]) -> None:
+        if decoded is None:
+            self.undecodable_controls += 1
+        elif decoded is GAP:
+            self._close_frame()
+        elif decoded is not IDLE and self._on_control is not None:
+            self._on_control(decoded)
 
     def _close_frame(self) -> None:
         if self._overflowed:

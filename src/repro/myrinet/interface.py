@@ -38,7 +38,7 @@ from repro.myrinet.slack import (
     DEFAULT_LOW_WATER,
     RateDrainedSlackBuffer,
 )
-from repro.myrinet.symbols import GAP, Symbol, data_symbols
+from repro.myrinet.symbols import GAP_VALUE, Burst, Symbol
 from repro.sim.kernel import Simulator
 
 #: Length of the address header inside a data packet's payload:
@@ -47,6 +47,9 @@ DATA_HEADER_LEN = 12
 
 #: Default transmit queue depth in packets.
 DEFAULT_TX_QUEUE = 256
+
+_GAP_BYTE = bytes([GAP_VALUE])
+_BROADCAST_BYTES = MacAddress.broadcast().to_bytes()
 
 
 class HostInterface:
@@ -69,6 +72,7 @@ class HostInterface:
         self._sim = sim
         self.name = name
         self.mac = mac
+        self._mac_bytes = mac.to_bytes()
         self.mcp_address = mcp_address
         self._tx_queue_depth = tx_queue_depth
         self._rx_drain_factor = rx_drain_factor
@@ -250,9 +254,10 @@ class HostInterface:
                                   label=f"{self.name}:tx-wait")
             return
         raw, _enqueued = self._tx_queue.popleft()
-        burst = data_symbols(raw)
-        burst.append(GAP)
-        self._tx_channel.send(burst)
+        # The packet's data symbols, then the terminating GAP.
+        self._tx_channel.send(
+            Burst(raw + _GAP_BYTE, b"\x01" * len(raw) + b"\x00")
+        )
         self.packets_sent += 1
         if self._tx_queue:
             self._pump_scheduled = True
@@ -270,17 +275,18 @@ class HostInterface:
     # receive path
     # ------------------------------------------------------------------
 
-    def on_burst(self, burst: List[Symbol], channel: Channel) -> None:
+    def on_burst(self, burst: Burst, channel: Channel) -> None:
         """Deliver symbols arriving from the fabric."""
         assert self._rx_slack is not None
         if self._flow is not None:
             # Any received symbol re-arms the short-timeout counter.
             self._flow.tx_state.note_activity()
-        accepted = self._rx_slack.push_burst(len(burst))
-        if accepted < len(burst):
+        length = len(burst.values)
+        accepted = self._rx_slack.push_burst(length)
+        if accepted < length:
             # Overflow drops the tail of the burst — data and GAP symbols
             # alike, which is how overload corrupts packet framing.
-            burst = burst[:accepted]
+            burst = Burst(burst.values[:accepted], burst.flags[:accepted])
             self.truncated_frames += 1
         self._assembler.push_burst(burst)
 
@@ -346,9 +352,8 @@ class HostInterface:
                     self._sim.now, self.name, "truncated_payload", packet
                 )
             return
-        dest = MacAddress.from_bytes(packet.payload[:6])
-        src = MacAddress.from_bytes(packet.payload[6:12])
-        if dest != self.mac and dest != MacAddress.broadcast():
+        dest = packet.payload[:6]
+        if dest != self._mac_bytes and dest != _BROADCAST_BYTES:
             # "the node drops incoming packets that are misaddressed"
             # (paper §4.3.3).
             self.misaddressed_drops += 1
@@ -361,7 +366,8 @@ class HostInterface:
         if _CAPTURE.active:
             _capture.packet_deliver(self._sim.now, self.name, packet)
         if self._data_handler is not None:
-            self._data_handler(src, packet.payload[DATA_HEADER_LEN:])
+            self._data_handler(MacAddress.from_bytes(packet.payload[6:12]),
+                               packet.payload[DATA_HEADER_LEN:])
 
     # ------------------------------------------------------------------
     # introspection

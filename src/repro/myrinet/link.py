@@ -1,10 +1,13 @@
 """Point-to-point Myrinet links.
 
 A :class:`Link` is full-duplex: two independent :class:`Channel` objects,
-one per direction.  Channels carry *bursts* (lists of symbols).  A burst
-is serialized at the channel's character rate and delivered to the far
-endpoint after the propagation delay; back-to-back bursts queue behind
-each other, so the wire is never overdriven.
+one per direction.  Channels carry *bursts*: a Myrinet burst is a
+:class:`~repro.myrinet.symbols.Burst` (a value lane plus a D/C flag
+lane); a Fibre Channel link carries lists of 10-bit code groups on the
+same channels.  A burst is serialized at the channel's character rate
+and delivered to the far endpoint after the propagation delay;
+back-to-back bursts queue behind each other, so the wire is never
+overdriven.
 
 This chunked transport is the performance substitution documented in
 DESIGN.md: symbol pacing, occupancy, and flow-control timing are still
@@ -14,12 +17,12 @@ event per burst instead of one per symbol.
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence
+from typing import Optional, Protocol
 
 from repro.errors import ConfigurationError
 from repro.sim.kernel import Simulator
 from repro.sim.timebase import from_ns
-from repro.myrinet.symbols import Symbol
+from repro.myrinet.symbols import Burst
 
 #: Default character period: 12.5 ns (80 MB/s, the paper's campaign rate).
 DEFAULT_CHAR_PERIOD_PS = 12_500
@@ -31,7 +34,7 @@ DEFAULT_PROPAGATION_PS = from_ns(15.0)
 class SymbolSink(Protocol):
     """Anything that can terminate a channel (switch port, host, injector)."""
 
-    def on_burst(self, burst: List[Symbol], channel: "Channel") -> None:
+    def on_burst(self, burst: Burst, channel: "Channel") -> None:
         """Handle a burst of symbols delivered by ``channel``."""
 
 
@@ -75,29 +78,31 @@ class Channel:
         """Earliest time a new burst could begin transmitting."""
         return max(self._sim.now, self._busy_until)
 
-    def send(self, burst: Sequence[Symbol]) -> int:
+    def send(self, burst: Burst) -> int:
         """Queue a burst for transmission.
 
         The burst begins serializing when the wire frees up, takes one
         character period per symbol, and arrives in full after the
-        propagation delay.  Returns the delivery completion time.
+        propagation delay.  Returns the delivery completion time.  The
+        burst is delivered as the same object: senders hand over bursts
+        they no longer change.
         """
         if self._sink is None:
             raise ConfigurationError(f"channel {self.name} has no sink connected")
-        if not burst:
+        length = len(burst)
+        if not length:
             return self._sim.now
-        symbols = list(burst)
         start = self.free_at()
-        end_of_serialization = start + len(symbols) * self.char_period_ps
+        end_of_serialization = start + length * self.char_period_ps
         self._busy_until = end_of_serialization
         delivery = end_of_serialization + self.propagation_ps
         sink = self._sink
         self._sim.schedule_at(
             delivery,
-            lambda: sink.on_burst(symbols, self),
+            lambda: sink.on_burst(burst, self),
             label=f"deliver:{self.name}",
         )
-        self.symbols_carried += len(symbols)
+        self.symbols_carried += length
         self.bursts_carried += 1
         return delivery
 

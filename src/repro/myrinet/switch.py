@@ -28,7 +28,6 @@ of the inbound frame, and releases the output port to any waiters.
 from __future__ import annotations
 
 from collections import deque
-from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.capture import instrument as _capture
@@ -41,7 +40,13 @@ from repro.myrinet.flow import LONG_TIMEOUT_PERIODS, PortFlowControl, long_timeo
 from repro.myrinet.link import Channel, Link
 from repro.myrinet.packet import ROUTE_PORT_MASK
 from repro.myrinet.slack import DEFAULT_CAPACITY, DEFAULT_HIGH_WATER, DEFAULT_LOW_WATER
-from repro.myrinet.symbols import GAP, IDLE, Symbol, data_symbol, decode_control
+from repro.myrinet.symbols import (
+    _DECODED_CONTROL,
+    GAP,
+    GAP_VALUE,
+    IDLE,
+    Burst,
+)
 
 
 def _build_crc_zero_pow() -> Tuple[bytes, ...]:
@@ -59,7 +64,6 @@ def _build_crc_zero_pow() -> Tuple[bytes, ...]:
 
 
 _CRC_ZERO_POW = _build_crc_zero_pow()
-_is_data = attrgetter("is_data")
 
 #: Largest symbol burst an output port puts on the wire in one piece.
 FLUSH_QUANTUM = 128
@@ -69,6 +73,16 @@ _MODE_FORWARDING = "forwarding"
 _MODE_WAITING = "waiting"
 _MODE_DRAINING = "draining"
 _MODE_DISCARDING = "discarding"
+
+
+class _Lanes:
+    """A growable symbol queue: value and D/C flag lanes side by side."""
+
+    __slots__ = ("values", "flags")
+
+    def __init__(self) -> None:
+        self.values = bytearray()
+        self.flags = bytearray()
 
 
 class _Port:
@@ -85,7 +99,8 @@ class _Port:
         self.claim_id = 0
         self.held: Optional[int] = None
         self.contrib = 0
-        self.buffer: Deque[Symbol] = deque()
+        # Slack buffer: data symbols and the canonical GAP only.
+        self.buffer = _Lanes()
         self.wait_output: Optional[int] = None
         self.pending_route = 0
         self.timeout_event: Optional[Event] = None
@@ -93,7 +108,7 @@ class _Port:
         # --- output (TX) side ------------------------------------------
         self.claimed_by: Optional[int] = None
         self.waiters: Deque[int] = deque()
-        self.outbox: List[Symbol] = []
+        self.outbox = _Lanes()
         self.retry_event: Optional[Event] = None
         # --- counters ---------------------------------------------------
         self.frames_forwarded = 0
@@ -119,12 +134,12 @@ class _Port:
         semantics; the mechanism behind the paper's path-blocking
         results).
         """
-        total = len(self.buffer)
+        total = len(self.buffer.values)
         if (
             self.mode in (_MODE_FORWARDING, _MODE_DRAINING)
             and self.claim_output is not None
         ):
-            total += len(ports[self.claim_output].outbox)
+            total += len(ports[self.claim_output].outbox.values)
         return total
 
 
@@ -218,7 +233,7 @@ class MyrinetSwitch:
     # symbol reception
     # ------------------------------------------------------------------
 
-    def on_burst(self, burst: List[Symbol], channel: Channel) -> None:
+    def on_burst(self, burst: Burst, channel: Channel) -> None:
         """Deliver a burst arriving on one of our input ports."""
         port = self._channel_to_port.get(id(channel))
         if port is None:
@@ -230,7 +245,7 @@ class MyrinetSwitch:
         if state.flow is not None:
             # Any received symbol re-arms the short-timeout counter.
             state.flow.tx_state.note_activity()
-        self._consume(port, burst, touched)
+        self._consume(port, burst.values, burst.flags, touched)
         self._drain_grants(touched)
         for out in sorted(touched):
             self._flush_output(out)
@@ -240,27 +255,27 @@ class MyrinetSwitch:
     # input state machine
     # ------------------------------------------------------------------
 
-    def _consume(self, i: int, symbols: List[Symbol], touched: set) -> None:
-        """Run ``symbols`` through input ``i``'s FSM one data run at a time.
+    def _consume(self, i: int, values: bytes, flags: bytes,
+                 touched: set) -> None:
+        """Run a burst's lanes through input ``i``'s FSM one data run at a time.
 
         Control symbols and route bytes go through :meth:`_process_symbol`
         singly; every other maximal run of data symbols is forwarded,
-        slack-buffered or discarded whole.  The mode is re-read after each
-        step: a GO can unblock an output whose flush grants this input.
+        slack-buffered or discarded whole, as one slice of each lane.
+        The mode is re-read after each step: a GO can unblock an output
+        whose flush grants this input.
         """
         state = self._ports[i]
-        flags = list(map(_is_data, symbols))
-        length = len(symbols)
+        length = len(values)
         index = 0
         while index < length:
             mode = state.mode
             if not flags[index] or mode == _MODE_IDLE:
-                self._process_symbol(i, symbols[index], touched)
+                self._process_symbol(i, flags[index], values[index], touched)
                 index += 1
                 continue
-            try:
-                end = flags.index(False, index)
-            except ValueError:
+            end = flags.find(0, index)
+            if end < 0:
                 end = length
             if mode == _MODE_FORWARDING:
                 # Cut-through with a one-byte holdback: the last byte of
@@ -268,35 +283,45 @@ class MyrinetSwitch:
                 out = state.claim_output
                 assert out is not None
                 outbox = self._ports[out].outbox
-                run = symbols[index:end - 1]
-                if state.held is not None:
-                    run.insert(0, data_symbol(state.held))
-                state.held = symbols[end - 1].value
-                state.contrib = _CRC_ZERO_POW[len(run) % 127][state.contrib]
-                keep = max(0, min(len(run),
-                                  self._outbox_capacity - len(outbox)))
-                state.symbols_dropped += len(run) - keep
-                state.outbox_drops += len(run) - keep
-                del run[keep:]
-                outbox.extend(run)
+                held = state.held
+                # The run leaving now: the previously held byte, then
+                # all but the last byte of this data run.
+                run = end - 1 - index + (held is not None)
+                state.held = values[end - 1]
+                state.contrib = _CRC_ZERO_POW[run % 127][state.contrib]
+                keep = max(0, min(run, self._outbox_capacity
+                                  - len(outbox.values)))
+                state.symbols_dropped += run - keep
+                state.outbox_drops += run - keep
+                if keep:
+                    if held is not None:
+                        outbox.values.append(held)
+                        outbox.flags.append(1)
+                        keep -= 1
+                    outbox.values += values[index:index + keep]
+                    outbox.flags += flags[index:index + keep]
                 touched.add(out)
             elif mode == _MODE_DISCARDING:
                 state.symbols_dropped += end - index
                 state.discard_drops += end - index
             else:  # waiting or draining: park the run in the slack buffer
-                keep = min(end - index, self._slack_capacity - len(state.buffer))
-                state.buffer.extend(symbols[index:index + keep])
+                buffer = state.buffer
+                keep = min(end - index,
+                           self._slack_capacity - len(buffer.values))
+                buffer.values += values[index:index + keep]
+                buffer.flags += flags[index:index + keep]
                 state.symbols_dropped += end - index - keep
                 state.waitbuf_drops += end - index - keep
             index = end
 
-    def _process_symbol(self, i: int, symbol: Symbol, touched: set) -> None:
+    def _process_symbol(self, i: int, is_data: int, value: int,
+                        touched: set) -> None:
         """One control symbol, or the route byte of an idle input."""
         state = self._ports[i]
-        if symbol.is_data:
-            self._on_route_byte(i, symbol.value, touched)
+        if is_data:
+            self._on_route_byte(i, value, touched)
             return
-        decoded = decode_control(symbol.value)
+        decoded = _DECODED_CONTROL[value]
         if decoded is None:
             state.undecodable_controls += 1
         elif decoded is GAP:
@@ -341,11 +366,14 @@ class MyrinetSwitch:
             out = state.claim_output
             assert out is not None
             output = self._ports[out]
+            outbox = output.outbox
             if state.held is not None:
                 # The held-back byte is the frame's CRC: patch out the
                 # contribution of the stripped route byte.
-                output.outbox.append(data_symbol(state.held ^ state.contrib))
-            output.outbox.append(GAP)
+                outbox.values.append(state.held ^ state.contrib)
+                outbox.flags.append(1)
+            outbox.values.append(GAP_VALUE)
+            outbox.flags.append(0)
             touched.add(out)
             state.frames_forwarded += 1
             if _CAPTURE.active:
@@ -356,11 +384,13 @@ class MyrinetSwitch:
             # The path stays claimed until the tail drains onto the wire
             # (wormhole semantics); new arrivals buffer meanwhile.
             state.mode = _MODE_DRAINING
-            if not output.outbox:
+            if not outbox.values:
                 self._release_claim(i)
         elif state.mode in (_MODE_WAITING, _MODE_DRAINING):
-            if len(state.buffer) < self._slack_capacity:
-                state.buffer.append(GAP)
+            if len(state.buffer.values) < self._slack_capacity:
+                # Any GAP that decoded, faulted or not, parks canonical.
+                state.buffer.values.append(GAP_VALUE)
+                state.buffer.flags.append(0)
             else:
                 state.symbols_dropped += 1
                 state.waitbuf_drops += 1
@@ -406,10 +436,11 @@ class MyrinetSwitch:
         draining) lands, in order, in the emptied buffer.
         """
         state = self._ports[j]
-        if state.buffer:
-            symbols = list(state.buffer)
-            state.buffer.clear()
-            self._consume(j, symbols, touched)
+        buffer = state.buffer
+        if buffer.values:
+            values, flags = bytes(buffer.values), bytes(buffer.flags)
+            del buffer.values[:], buffer.flags[:]
+            self._consume(j, values, flags, touched)
         self._update_backpressure(j)
 
     def _arm_timeout(self, i: int, waiting: bool) -> None:
@@ -447,9 +478,9 @@ class MyrinetSwitch:
                 out = state.claim_output
                 assert out is not None
                 output = self._ports[out]
-                state.symbols_dropped += len(output.outbox)
-                state.outbox_drops += len(output.outbox)
-                output.outbox = []
+                state.symbols_dropped += len(output.outbox.values)
+                state.outbox_drops += len(output.outbox.values)
+                del output.outbox.values[:], output.outbox.flags[:]
                 self._release_claim(i)
                 self._replay_buffer(i, touched)
             elif state.mode == _MODE_FORWARDING:
@@ -457,7 +488,9 @@ class MyrinetSwitch:
                 out = state.claim_output
                 assert out is not None
                 # Terminate the partial packet downstream, free the path.
-                self._ports[out].outbox.append(GAP)
+                outbox = self._ports[out].outbox
+                outbox.values.append(GAP_VALUE)
+                outbox.flags.append(0)
                 touched.add(out)
                 self._release_claim(i)
                 state.mode = _MODE_DISCARDING
@@ -472,19 +505,19 @@ class MyrinetSwitch:
         """Drop the head frame of a timed-out waiting input, then resume."""
         state = self._ports[i]
         state.wait_output = None
-        dropped_gap = False
-        while state.buffer:
-            symbol = state.buffer.popleft()
-            state.symbols_dropped += 1
-            # The buffer holds data symbols and the canonical GAP only.
-            if symbol is GAP:
-                dropped_gap = True
-                break
-        if dropped_gap:
+        buffer = state.buffer
+        # The buffer holds data symbols and the canonical GAP only, so
+        # its first control symbol ends the head frame.
+        gap = buffer.flags.find(0)
+        if gap >= 0:
+            state.symbols_dropped += gap + 1
+            del buffer.values[:gap + 1], buffer.flags[:gap + 1]
             state.mode = _MODE_IDLE
             self._replay_buffer(i, touched)
         else:
             # Frame tail has not arrived yet: consume it as it comes.
+            state.symbols_dropped += len(buffer.values)
+            del buffer.values[:], buffer.flags[:]
             state.mode = _MODE_DISCARDING
 
     # ------------------------------------------------------------------
@@ -493,7 +526,7 @@ class MyrinetSwitch:
 
     def _flush_output(self, out: int) -> None:
         output = self._ports[out]
-        if not output.outbox or output.tx_channel is None:
+        if not output.outbox.values or output.tx_channel is None:
             return
         assert output.flow is not None
         now = self._sim.now
@@ -516,22 +549,23 @@ class MyrinetSwitch:
         # between quanta — flushing an arbitrarily deep outbox in one
         # delivery would overrun the remote slack buffer before flow
         # control had any chance to act.
-        if len(output.outbox) > FLUSH_QUANTUM:
-            burst = output.outbox[:FLUSH_QUANTUM]
-            output.outbox = output.outbox[FLUSH_QUANTUM:]
-            output.tx_channel.send(burst)
+        outbox = output.outbox
+        if len(outbox.values) > FLUSH_QUANTUM:
+            output.tx_channel.send(Burst(bytes(outbox.values[:FLUSH_QUANTUM]),
+                                         bytes(outbox.flags[:FLUSH_QUANTUM])))
+            del outbox.values[:FLUSH_QUANTUM], outbox.flags[:FLUSH_QUANTUM]
             self._schedule_retry(out, output.tx_channel.busy_until,
                                  "flush-quantum")
         else:
-            burst = output.outbox
-            output.outbox = []
-            output.tx_channel.send(burst)
+            output.tx_channel.send(Burst(bytes(outbox.values),
+                                         bytes(outbox.flags)))
+            del outbox.values[:], outbox.flags[:]
         holder = output.claimed_by
         if holder is not None:
             self._update_backpressure(holder)
             holder_state = self._ports[holder]
             if (
-                not output.outbox
+                not output.outbox.values
                 and holder_state.mode == _MODE_DRAINING
                 and holder_state.claim_output == out
             ):

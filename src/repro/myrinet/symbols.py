@@ -11,10 +11,16 @@ The encodings keep a pairwise Hamming distance of at least two
 preserves the property.  Symbols suffering a single 1→0 fault decode to
 their unique parent control symbol; see :func:`_decode_control_rule` for
 the paper-erratum discussion.
+
+On the wire symbols travel in a :class:`Burst`: a value lane and a D/C
+flag lane, two ``bytes`` of equal length.  :class:`Symbol` remains the
+unit wherever the model works one symbol at a time — the injector's
+FIFO and compare registers, monitor captures, flow control.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Control symbol encodings (8-bit value carried with D/C = 0).
@@ -50,7 +56,7 @@ class Symbol:
         object.__setattr__(self, "is_data", is_data)
         object.__setattr__(self, "value", value)
         # Precomputed (D/C flag, value) byte pair: joining these gives a
-        # burst's wire image in one C-level pass (stream digests, tests).
+        # symbol list's wire image in one C-level pass.
         object.__setattr__(self, "pair", bytes((1 if is_data else 0, value)))
         # Symbolic name for control symbols, hex for everything else.
         object.__setattr__(self, "name", (
@@ -97,6 +103,70 @@ STOP = control_symbol(STOP_VALUE)
 GO = control_symbol(GO_VALUE)
 GAP = control_symbol(GAP_VALUE)
 IDLE = control_symbol(IDLE_VALUE)
+
+
+#: Each byte value's control-symbol name (``Symbol.name`` of the control
+#: symbol carrying it), for counting controls straight off a flag lane.
+CONTROL_NAMES: Tuple[str, ...] = tuple(
+    control_symbol(value).name for value in range(256)
+)
+
+
+class Burst:
+    """A run of symbols on the wire, held as two byte lanes.
+
+    ``values`` carries each symbol's eight payload bits and ``flags`` its
+    D/C bit (1 = data, 0 = control) at the same index — the ninth lane
+    the FPGA carries beside its data path (paper §3.3).  Data runs are
+    plain ``bytes`` slices, and a consumer finds the next control symbol
+    with ``flags.find(0, i)`` instead of inspecting symbol objects.
+    Instances are immutable.
+    """
+
+    __slots__ = ("values", "flags")
+
+    # ``len(burst)`` stays in C: ``len()`` reads this property, which
+    # returns the value lane's bound ``__len__``, and calls that.  A
+    # Python ``__len__`` would add a function call to every length read.
+    __len__ = property(attrgetter("values.__len__"))
+
+    def __init__(self, values: bytes, flags: bytes) -> None:
+        if len(values) != len(flags):
+            raise ValueError(
+                f"burst lanes differ in length: {len(values)} values, "
+                f"{len(flags)} flags"
+            )
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "flags", flags)
+
+    @classmethod
+    def from_symbols(cls, symbols: Iterable[Symbol]) -> "Burst":
+        """The burst carrying ``symbols`` in order."""
+        symbols = list(symbols)
+        return cls(bytes([s.value for s in symbols]),
+                   bytes([s.is_data for s in symbols]))
+
+    def symbols(self) -> List[Symbol]:
+        """The interned symbols of this burst, in order."""
+        data = Symbol._data_cache
+        return [
+            data[value] if flag else control_symbol(value)
+            for value, flag in zip(self.values, self.flags)
+        ]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Burst instances are immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Burst):
+            return NotImplemented
+        return self.values == other.values and self.flags == other.flags
+
+    def __hash__(self) -> int:
+        return hash((self.values, self.flags))
+
+    def __repr__(self) -> str:
+        return f"Burst({self.symbols()!r})"
 
 
 def is_data(symbol: Symbol) -> bool:

@@ -11,13 +11,11 @@ component.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List
-
 import pytest
 
 from repro.golden import compute_digests, read_digest_file
 from repro.hw.injector import FifoInjector
-from repro.myrinet.symbols import Symbol
+from repro.myrinet.symbols import Burst
 
 GOLDEN_DIR = Path(__file__).parent.parent / "golden"
 
@@ -26,11 +24,12 @@ DEVICE_SCENARIOS = ("fuzz_soup_1", "fuzz_soup_2", "fuzz_soup_3",
 PAPER_SCENARIOS = ("sec431", "sec432", "sec433", "sec434")
 
 
-def _step_burst(self: FifoInjector, burst: List[Symbol]) -> List[Symbol]:
+def _step_burst(self: FifoInjector, burst: Burst) -> Burst:
     """The reference data path: one explicit two-phase step per symbol."""
-    output = [out for out in map(self.step, burst) if out is not None]
+    output = [out for out in map(self.step, burst.symbols())
+              if out is not None]
     output.extend(self.fifo.drain())
-    return output
+    return Burst.from_symbols(output)
 
 
 @pytest.fixture

@@ -26,6 +26,12 @@ class TestAddresses:
         assert MacAddress.parse(str(mac)) == mac
         assert MacAddress.from_bytes(mac.to_bytes()) == mac
 
+    @given(raw=st.binary(min_size=6, max_size=6))
+    def test_mac_text_is_the_hex_of_its_bytes(self, raw):
+        """The statistics gatherer keys packet pairs with ``hex(":")`` of
+        the header bytes; it must equal the address's own text form."""
+        assert raw.hex(":") == str(MacAddress.from_bytes(raw))
+
     def test_mcp_is_64_bit(self):
         mcp = McpAddress(0x1234_5678_9ABC_DEF0)
         assert len(mcp.to_bytes()) == 8

@@ -8,7 +8,9 @@ from repro.core.monitor import MonitorConfig
 from repro.core.session import SessionError, config_commands
 from repro.errors import ConfigurationError
 from repro.hw.registers import CorruptMode, InjectorConfig, MatchMode
+from repro.myrinet.link import Link
 from repro.myrinet.network import build_paper_testbed
+from repro.myrinet.symbols import Burst
 from repro.sim.timebase import MS, US
 
 
@@ -36,6 +38,27 @@ class TestDeviceDataPath:
         device, network = make_testbed(sim)
         assert deliver(sim, network, b"hello") == [b"hello"]
         assert device.bursts_forwarded > 0
+
+    def test_disarmed_device_forwards_the_burst_object(self, sim):
+        """A disarmed direction copies nothing: the burst that arrives
+        on one segment is the object sent on the other."""
+        device = FaultInjectorDevice(sim)
+        left, right = Link(sim, "left"), Link(sim, "right")
+        device.attach_left(left, "b")
+        device.attach_right(right, "a")
+        delivered = []
+
+        class _Sink:
+            def on_burst(self, burst, channel):
+                delivered.append(burst)
+
+        tx = left.attach_a(_Sink())
+        right.attach_b(_Sink())
+        burst = Burst(b"\x01\x02\x0c", b"\x01\x01\x00")
+        tx.send(burst)
+        sim.run()
+        assert len(delivered) == 1 and delivered[0] is burst
+        assert device.statistics("R").stats.frames == 1
 
     def test_pipeline_latency_matches_paper_ballpark(self, sim):
         """Paper footnote 5: ~250 ns of pipeline at 12.5 ns characters."""

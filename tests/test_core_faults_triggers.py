@@ -15,13 +15,15 @@ from repro.errors import ConfigurationError
 from repro.hw.injector import FifoInjector
 from repro.hw.registers import CorruptMode, MatchMode
 from repro.myrinet.packet import PACKET_TYPE_MAPPING
-from repro.myrinet.symbols import GAP, GO, STOP, data_symbol, data_symbols, symbol_bytes
+from repro.myrinet.symbols import (
+    GAP, GO, STOP, Burst, data_symbol,
+)
 
 
 def apply(config, data):
     injector = FifoInjector()
     injector.configure(config)
-    return symbol_bytes(injector.process_burst(data_symbols(data)))
+    return injector.process_burst(Burst(data, b"\x01" * len(data))).values
 
 
 class TestFaultModels:
@@ -61,7 +63,7 @@ class TestFaultModels:
         injector = FifoInjector()
         injector.configure(config)
         stream = [data_symbol(GAP.value), GAP, data_symbol(1)]
-        out = injector.process_burst(stream)
+        out = injector.process_burst(Burst.from_symbols(stream)).symbols()
         assert out[0] == data_symbol(GAP.value)  # data byte untouched
         assert out[1] == GO                       # control corrupted
         assert out[2] == data_symbol(1)

@@ -121,7 +121,7 @@ class _Sink:
         self.symbols = []
 
     def on_burst(self, burst, channel):
-        self.symbols.extend(burst)
+        self.symbols.extend(burst.symbols())
 
 
 class TestStopRefresher:

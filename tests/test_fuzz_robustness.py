@@ -16,7 +16,7 @@ from repro.myrinet.interface import HostInterface
 from repro.myrinet.addresses import MacAddress, McpAddress
 from repro.myrinet.link import Link
 from repro.myrinet.switch import MyrinetSwitch
-from repro.myrinet.symbols import Symbol, control_symbol, data_symbol
+from repro.myrinet.symbols import Burst, Symbol, control_symbol, data_symbol
 from repro.sim import Simulator
 
 symbols_strategy = st.lists(
@@ -72,7 +72,7 @@ def test_switch_survives_arbitrary_symbol_streams(stream):
         link = Link(sim, f"l{port}", char_period_ps=12_500, propagation_ps=0)
         link.attach_a(_Sink())
         switch.attach_link(port, link, "b", flow_transport="symbols")
-    switch._ports[0].link.a_to_b.send(stream)
+    switch._ports[0].link.a_to_b.send(Burst.from_symbols(stream))
     sim.run()
     # Conservation of accounting: drops and forwards are non-negative and
     # every received data symbol is accounted for somewhere.
@@ -94,7 +94,7 @@ def test_host_interface_survives_arbitrary_symbol_streams(stream):
             pass
 
     link.attach_a(_Sink())
-    link.a_to_b.send(stream)
+    link.a_to_b.send(Burst.from_symbols(stream))
     sim.run()
     stats = interface.stats
     assert stats["frames_received"] >= 0
@@ -141,5 +141,5 @@ def test_injector_preserves_symbol_count_under_any_config(stream, config):
     it may rewrite symbols but never creates or destroys them."""
     injector = FifoInjector()
     injector.configure(config)
-    out = injector.process_burst(stream)
+    out = injector.process_burst(Burst.from_symbols(stream)).symbols()
     assert len(out) == len(stream)

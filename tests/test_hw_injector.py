@@ -8,6 +8,7 @@ from repro.hw.injector import DEFAULT_PIPELINE_DEPTH, FifoInjector
 from repro.hw.registers import CorruptMode, InjectorConfig, MatchMode
 from repro.core.faults import replace_bytes, toggle_bits
 from repro.myrinet.symbols import (
+    Burst,
     GAP,
     STOP,
     Symbol,
@@ -185,7 +186,7 @@ class TestProcessBurst:
     def test_fast_path_when_disarmed(self):
         injector = FifoInjector()
         burst = data_symbols(b"fast path burst")
-        out = injector.process_burst(burst)
+        out = injector.process_burst(Burst.from_symbols(burst)).symbols()
         assert out == burst
         assert injector.clock.cycles == 0  # disarmed bypass skips the pipeline
 
@@ -194,7 +195,7 @@ class TestProcessBurst:
         injector.configure(replace_bytes(b"abc", b"xyz",
                                          match_mode=MatchMode.ON))
         burst = data_symbols(b"...abc...abc.")
-        out = injector.process_burst(burst)
+        out = injector.process_burst(Burst.from_symbols(burst)).symbols()
         assert symbol_bytes(out) == b"...xyz...xyz."
 
     @settings(max_examples=60, deadline=None)
@@ -224,7 +225,7 @@ class TestProcessBurst:
 
         fused = FifoInjector()
         fused.configure(config)
-        actual = fused.process_burst(stream)
+        actual = fused.process_burst(Burst.from_symbols(stream)).symbols()
 
         assert actual == expected
         assert fused.injections == stepped.injections
@@ -251,7 +252,7 @@ class TestProcessBurst:
 
         fused = FifoInjector()
         fused.configure(config)
-        actual = fused.process_burst(stream)
+        actual = fused.process_burst(Burst.from_symbols(stream)).symbols()
         assert actual == expected
         assert fused.injections == stepped.injections
 
@@ -261,7 +262,8 @@ class TestProcessBurst:
         injector.configure(replace_bytes(b"\xde\xad", b"\xbe\xef",
                                          match_mode=MatchMode.ON))
         data = bytes(range(256))
-        out = injector.process_burst(data_symbols(data))
+        out = injector.process_burst(
+            Burst.from_symbols(data_symbols(data))).symbols()
         assert len(out) == len(data)
         mismatches = [
             i for i, (a, b) in enumerate(zip(symbol_bytes(out), data))

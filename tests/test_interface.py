@@ -12,7 +12,7 @@ from repro.myrinet.packet import (
     MyrinetPacket,
     route_byte,
 )
-from repro.myrinet.symbols import GAP, data_symbols
+from repro.myrinet.symbols import GAP, Burst, data_symbols
 
 CHAR = 12_500
 
@@ -101,7 +101,7 @@ def test_crc_error_dropped_and_counted(sim):
     raw[8] ^= 0x10
     burst = data_symbols(bytes(raw))
     burst.append(GAP)
-    a._tx_channel.send(burst)
+    a._tx_channel.send(Burst.from_symbols(burst))
     sim.run()
     assert b.crc_errors == 1
     assert b.packets_received == 0

@@ -28,7 +28,7 @@ from repro.core.faults import replace_bytes
 from repro.hw.injector import FifoInjector
 from repro.hw.registers import MatchMode
 from repro.myrinet.crc8 import crc8, verify
-from repro.myrinet.symbols import GAP, Symbol, data_symbol
+from repro.myrinet.symbols import GAP, Burst, Symbol, data_symbol
 
 PIPELINE_DEPTH = 8
 
@@ -80,7 +80,7 @@ def test_watermark_fused_matches_per_step() -> None:
 
     fused = FifoInjector(name="fused", pipeline_depth=PIPELINE_DEPTH)
     fused.configure(NEVER_MATCHING)
-    out_fused = fused.process_burst(list(burst))
+    out_fused = fused.process_burst(Burst.from_symbols(burst)).symbols()
 
     assert [s.pair for s in out_stepped] == [s.pair for s in out_fused]
     assert stepped.stats == fused.stats
@@ -97,7 +97,7 @@ def test_watermark_short_burst_stays_below_transient() -> None:
         injector = FifoInjector(name="short", pipeline_depth=PIPELINE_DEPTH)
         injector.configure(NEVER_MATCHING)
         if use_fused:
-            injector.process_burst(list(burst))
+            injector.process_burst(Burst.from_symbols(burst))
         else:
             for symbol in burst:
                 injector.step(symbol)
@@ -130,7 +130,7 @@ def _two_frame_run() -> tuple:
     injector.configure(
         replace_bytes(b"\x18", b"\x19", match_mode=MatchMode.ON)
     )
-    output = injector.process_burst(list(burst))
+    output = injector.process_burst(Burst.from_symbols(burst)).symbols()
     assert injector.injections == 1
     return burst, output, injector, len(frame1)
 
@@ -155,7 +155,8 @@ def test_crc_fixup_positional_dirty_fixes_the_right_frame() -> None:
     burst, output, injector, split = _two_frame_run()
 
     stage = CrcFixupStage()
-    delivered = stage.feed(list(output), True, injector.last_burst_rewrites)
+    delivered = stage.feed(Burst.from_symbols(output), True,
+                           injector.last_burst_rewrites).symbols()
 
     frame1, frame2 = delivered[:split], delivered[split:]
     # Frame 1 is byte-identical to what entered the injector.
@@ -179,7 +180,8 @@ def test_crc_fixup_legacy_burst_dirty_reproduces_the_bug() -> None:
     burst, output, injector, split = _two_frame_run()
 
     stage = CrcFixupStage()
-    delivered = stage.feed(list(output), True, dirty=True)
+    delivered = stage.feed(Burst.from_symbols(output), True,
+                           dirty=True).symbols()
 
     frame2 = delivered[split:]
     assert frame2[1].value == 0x19          # corruption went through...
@@ -200,11 +202,12 @@ def test_crc_fixup_both_frames_dirty_both_fixed() -> None:
     injector.configure(
         replace_bytes(b"\x18", b"\x19", match_mode=MatchMode.ON)
     )
-    output = injector.process_burst(list(burst))
+    output = injector.process_burst(Burst.from_symbols(burst)).symbols()
     assert injector.injections == 2
 
     stage = CrcFixupStage()
-    delivered = stage.feed(list(output), True, injector.last_burst_rewrites)
+    delivered = stage.feed(Burst.from_symbols(output), True,
+                           injector.last_burst_rewrites).symbols()
     first, second = delivered[: len(frame_a)], delivered[len(frame_a):]
     assert _frame_ok(first)
     assert _frame_ok(second)

@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.hw.injector import FifoInjector
 from repro.hw.registers import InjectorConfig, MatchMode
-from repro.myrinet.symbols import Symbol, data_symbol, symbol_bytes
+from repro.myrinet.symbols import Burst, Symbol, data_symbol, symbol_bytes
 
 from tests.strategies import (
     Bursts,
@@ -37,7 +37,7 @@ Front = Callable[[FifoInjector, List[Symbol]], List[Symbol]]
 
 
 def _fused(injector: FifoInjector, burst: List[Symbol]) -> List[Symbol]:
-    return injector.process_burst(burst)
+    return injector.process_burst(Burst.from_symbols(burst)).symbols()
 
 
 def _stepped(injector: FifoInjector, burst: List[Symbol]) -> List[Symbol]:
@@ -46,7 +46,7 @@ def _stepped(injector: FifoInjector, burst: List[Symbol]) -> List[Symbol]:
     reference.  The disarmed bypass is shared, since a disarmed
     injector never clocks its compare registers."""
     if not injector.armed and injector.fifo.empty:
-        return injector.process_burst(burst)
+        return injector.process_burst(Burst.from_symbols(burst)).symbols()
     injector.last_burst_rewrites = []
     injector._rewrite_origin = (
         injector._segment_index - injector.fifo.occupancy
@@ -190,7 +190,8 @@ def test_property_disarmed_is_identity() -> None:
     def prop(rng: random.Random) -> None:
         injector = FifoInjector(name="p", pipeline_depth=PIPELINE_DEPTH)
         for burst in gen_bursts(rng, max_bursts=5):
-            output = injector.process_burst(list(burst))
+            output = injector.process_burst(
+                Burst.from_symbols(burst)).symbols()
             assert [s.pair for s in output] == [s.pair for s in burst]
             assert injector.injections == 0
     run_property(prop, rounds=30, name="disarmed_identity")

@@ -213,7 +213,7 @@ class TestSwitchSyndromePreservation:
         from repro.myrinet.link import Link
         from repro.myrinet.packet import MyrinetPacket, PACKET_TYPE_DATA
         from repro.myrinet.switch import MyrinetSwitch
-        from repro.myrinet.symbols import GAP, data_symbols
+        from repro.myrinet.symbols import GAP, Burst, data_symbols
         from repro.sim import Simulator
 
         sim = Simulator()
@@ -223,7 +223,7 @@ class TestSwitchSyndromePreservation:
         class _Sink:
             def on_burst(self, burst, channel):
                 current = []
-                for symbol in burst:
+                for symbol in burst.symbols():
                     if symbol.is_data:
                         current.append(symbol.value)
                     elif symbol == GAP and current:
@@ -244,7 +244,7 @@ class TestSwitchSyndromePreservation:
         raw[index] ^= flip
         burst = data_symbols(bytes(raw))
         burst.append(GAP)
-        links[0].a_to_b.send(burst)
+        links[0].a_to_b.send(Burst.from_symbols(burst))
         sim.run()
         assert len(frames) == 1
         assert crc8(frames[0]) != 0  # syndrome preserved across the hop

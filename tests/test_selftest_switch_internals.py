@@ -6,7 +6,7 @@ from repro.myrinet.crc8 import crc8
 from repro.myrinet.link import Link
 from repro.myrinet.packet import MyrinetPacket, PACKET_TYPE_DATA
 from repro.myrinet.switch import MyrinetSwitch
-from repro.myrinet.symbols import GAP, data_symbols
+from repro.myrinet.symbols import GAP, Burst, data_symbols
 
 CHAR = 12_500
 
@@ -57,7 +57,7 @@ class _Endpoint:
         self.tx = None
 
     def on_burst(self, burst, channel):
-        for symbol in burst:
+        for symbol in burst.symbols():
             if symbol.is_data:
                 self._current.append(symbol.value)
             elif symbol == GAP and self._current:
@@ -68,7 +68,7 @@ class _Endpoint:
         burst = data_symbols(packet.to_bytes())
         if with_gap:
             burst.append(GAP)
-        self.tx.send(burst)
+        self.tx.send(Burst.from_symbols(burst))
 
 
 def build_switch(sim, ports=4, **kwargs):
@@ -143,7 +143,7 @@ class TestSwitchInternals:
 
     def test_idle_gaps_between_packets_are_free(self, sim):
         switch, eps = build_switch(sim)
-        eps[0].tx.send([GAP, GAP, GAP])
+        eps[0].tx.send(Burst.from_symbols([GAP, GAP, GAP]))
         eps[0].send_packet(MyrinetPacket.for_route(
             [1], PACKET_TYPE_DATA, b"after idle gaps"))
         sim.run()

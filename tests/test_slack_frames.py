@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.myrinet.frames import FrameAssembler
 from repro.myrinet.slack import QueueSlackBuffer, RateDrainedSlackBuffer
-from repro.myrinet.symbols import GAP, GO, IDLE, STOP, control_symbol, data_symbol
+from repro.myrinet.symbols import (
+    GAP, GO, IDLE, STOP, Burst, control_symbol, data_symbol,
+)
 
 
 class TestQueueSlackBuffer:
@@ -99,6 +101,10 @@ class TestFrameAssembler:
                                    max_frame=max_frame)
         return assembler, frames, controls
 
+    @staticmethod
+    def _push(assembler, symbols):
+        assembler.push_burst(Burst.from_symbols(symbols))
+
     def test_frames_split_on_gap(self):
         assembler, frames, _ = self._assembler()
         for byte in b"abc":
@@ -113,14 +119,14 @@ class TestFrameAssembler:
     def test_multiple_gaps_between_packets(self):
         """Paper: any positive number of GAPs may separate packets."""
         assembler, frames, _ = self._assembler()
-        assembler.push_burst([data_symbol(1), GAP, GAP, GAP, data_symbol(2),
-                              GAP])
+        self._push(assembler, [data_symbol(1), GAP, GAP, GAP,
+                               data_symbol(2), GAP])
         assert frames == [b"\x01", b"\x02"]
 
     def test_control_symbols_do_not_break_frames(self):
         """Paper Fig. 8: control symbols interleave with packet data."""
         assembler, frames, controls = self._assembler()
-        assembler.push_burst([
+        self._push(assembler, [
             data_symbol(1), STOP, data_symbol(2), GO, data_symbol(3), GAP,
         ])
         assert frames == [b"\x01\x02\x03"]
@@ -128,28 +134,28 @@ class TestFrameAssembler:
 
     def test_idle_ignored(self):
         assembler, frames, controls = self._assembler()
-        assembler.push_burst([IDLE, data_symbol(9), IDLE, GAP])
+        self._push(assembler, [IDLE, data_symbol(9), IDLE, GAP])
         assert frames == [b"\x09"]
         assert controls == []
 
     def test_undecodable_control_dropped_and_counted(self):
         assembler, frames, _ = self._assembler()
-        assembler.push_burst([data_symbol(1), control_symbol(0xFF), GAP])
+        self._push(assembler, [data_symbol(1), control_symbol(0xFF), GAP])
         assert frames == [b"\x01"]
         assert assembler.undecodable_controls == 1
 
     def test_oversize_frame_discarded(self):
         assembler, frames, _ = self._assembler(max_frame=4)
-        assembler.push_burst([data_symbol(0)] * 10 + [GAP])
+        self._push(assembler, [data_symbol(0)] * 10 + [GAP])
         assert frames == []
         assert assembler.oversize_frames == 1
         # The assembler recovers for the next frame.
-        assembler.push_burst([data_symbol(1), GAP])
+        self._push(assembler, [data_symbol(1), GAP])
         assert frames == [b"\x01"]
 
     def test_partial_length_and_reset(self):
         assembler, frames, _ = self._assembler()
-        assembler.push_burst([data_symbol(1), data_symbol(2)])
+        self._push(assembler, [data_symbol(1), data_symbol(2)])
         assert assembler.partial_length == 2
         assembler.reset()
         assembler.push(GAP)
@@ -161,7 +167,7 @@ class TestFrameAssembler:
                   + [control_symbol(0xAA), GAP, IDLE])
         a1, f1, c1 = self._assembler()
         a2, f2, c2 = self._assembler()
-        a1.push_burst(stream)
+        a1.push_burst(Burst.from_symbols(stream))
         for symbol in stream:
             a2.push(symbol)
         assert f1 == f2
@@ -189,7 +195,7 @@ class TestFrameAssembler:
         a2, f2, c2 = self._assembler(max_frame)
         bounds = [0] + sorted(min(cut, len(stream)) for cut in cuts)
         for start, end in zip(bounds, bounds[1:] + [len(stream)]):
-            a1.push_burst(stream[start:end])
+            a1.push_burst(Burst.from_symbols(stream[start:end]))
         for symbol in stream:
             a2.push(symbol)
         assert (f1, c1) == (f2, c2)

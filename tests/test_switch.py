@@ -7,7 +7,9 @@ from repro.myrinet.crc8 import crc8
 from repro.myrinet.link import Link
 from repro.myrinet.packet import MyrinetPacket, PACKET_TYPE_DATA, route_byte
 from repro.myrinet.switch import FLUSH_QUANTUM, MyrinetSwitch
-from repro.myrinet.symbols import GAP, GO, STOP, data_symbols, symbol_bytes
+from repro.myrinet.symbols import (
+    GAP, GO, STOP, Burst, data_symbols, symbol_bytes,
+)
 
 CHAR = 12_500
 
@@ -20,7 +22,7 @@ class _Endpoint:
         self.tx = None
 
     def on_burst(self, burst, channel):
-        self.symbols.extend(burst)
+        self.symbols.extend(burst.symbols())
 
     def frames(self):
         """Split collected symbols into frames on GAPs."""
@@ -36,10 +38,10 @@ class _Endpoint:
     def send_packet(self, packet):
         burst = data_symbols(packet.to_bytes())
         burst.append(GAP)
-        self.tx.send(burst)
+        self.tx.send(Burst.from_symbols(burst))
 
     def send_symbols(self, symbols):
-        self.tx.send(symbols)
+        self.tx.send(Burst.from_symbols(symbols))
 
 
 def build_switch(sim, ports=3, **kwargs):

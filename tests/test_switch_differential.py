@@ -1,9 +1,12 @@
 """Differential oracle: the run-batched switch against its per-symbol form.
 
 ``tests/fixtures/switch_prechange.py`` is the switch as it stood before
-forwarding, slack buffering and replay were batched into data runs.  Both
-switches are driven with identical traffic and must deliver identical
-per-port output streams (burst boundaries and delivery times included),
+forwarding, slack buffering and replay were batched into data runs, when
+it still took bursts as lists of ``Symbol`` objects.  Both switches are
+driven with identical traffic — the old one as symbol lists, the shipped
+one as :class:`~repro.myrinet.symbols.Burst` lanes — and must deliver
+identical per-port output streams (burst boundaries and delivery times
+included, each symbol compared as its ``(is_data, value)`` pair),
 identical ``port_stats()`` and the same number of simulator events.
 
 Traffic is a seeded soup of frames: mostly valid routes with some bad
@@ -25,7 +28,7 @@ from repro.myrinet.flow import TxFlowState
 from repro.myrinet.link import Link
 from repro.myrinet.switch import _CRC_ZERO_POW, MyrinetSwitch
 from repro.myrinet.symbols import (
-    GAP, GAP_VALUE, GO_VALUE, IDLE_VALUE, STOP_VALUE, control_symbol,
+    GAP_VALUE, GO_VALUE, IDLE_VALUE, STOP_VALUE, Burst, control_symbol,
     data_symbol,
 )
 from repro.sim import Simulator
@@ -82,14 +85,21 @@ def _symbol(is_data, value):
     return data_symbol(value) if is_data else control_symbol(value)
 
 
+def _pairs(burst):
+    """A delivered burst as ``(is_data, value)`` pairs.  The old switch
+    sends symbol lists; flow control, shared by both, sends lanes."""
+    if isinstance(burst, Burst):
+        return tuple(zip(map(bool, burst.flags), burst.values))
+    return tuple((s.is_data, s.value) for s in burst)
+
+
 class _Recorder:
     def __init__(self, sim):
         self._sim = sim
         self.bursts = []
 
     def on_burst(self, burst, channel):
-        self.bursts.append(
-            (self._sim.now, tuple((s.is_data, s.value) for s in burst)))
+        self.bursts.append((self._sim.now, _pairs(burst)))
 
 
 def _run(switch_cls, config, events):
@@ -110,7 +120,11 @@ def _run(switch_cls, config, events):
 
     def send(port, bursts):
         for burst in bursts:
-            txs[port].send([_symbol(*pair) for pair in burst])
+            symbols = [_symbol(*pair) for pair in burst]
+            if switch_cls is MyrinetSwitch:
+                txs[port].send(Burst.from_symbols(symbols))
+            else:
+                txs[port].send(symbols)
 
     for kind, at, port, arg in events:
         if kind == "send":
@@ -174,8 +188,9 @@ def test_crc_zero_power_table_matches_iterated_update():
 
 
 def test_buffer_holds_only_data_and_canonical_gap():
-    """``_drop_buffered_head_frame`` tests ``symbol is GAP``: a faulted
-    GAP (0x08) must be parked in the slack buffer as the canonical GAP."""
+    """``_drop_buffered_head_frame`` ends the head frame at the buffer's
+    first control symbol: a faulted GAP (0x08) must be parked in the
+    slack buffer as the canonical GAP."""
     sim = Simulator()
     switch = MyrinetSwitch(sim, num_ports=PORTS, long_timeout_periods=10**6)
     recorders, txs = [], []
@@ -185,11 +200,11 @@ def test_buffer_holds_only_data_and_canonical_gap():
         txs.append(link.attach_a(recorders[-1]))
         switch.attach_link(port, link, "b", flow_transport="symbols")
     # Port 0 claims output 2 and never ends its frame; port 1 then waits.
-    txs[0].send([data_symbol(2)] + [data_symbol(7)] * 4)
+    txs[0].send(Burst.from_symbols([data_symbol(2)] + [data_symbol(7)] * 4))
     sim.run_for(10 * CHAR)
-    txs[1].send([data_symbol(2), data_symbol(9), control_symbol(0x08),
-                 data_symbol(2)])
+    txs[1].send(Burst.from_symbols([data_symbol(2), data_symbol(9),
+                                    control_symbol(0x08), data_symbol(2)]))
     sim.run_for(50 * CHAR)
-    parked = list(switch._ports[1].buffer)
-    assert parked == [data_symbol(9), GAP, data_symbol(2)]
-    assert parked[1] is GAP
+    parked = switch._ports[1].buffer
+    assert parked.values == bytes([9, GAP_VALUE, 2])
+    assert parked.flags == b"\x01\x00\x01"

@@ -7,7 +7,7 @@ from repro.myrinet.crc8 import crc8
 from repro.myrinet.link import Link
 from repro.myrinet.packet import MyrinetPacket, PACKET_TYPE_DATA
 from repro.myrinet.switch import MyrinetSwitch
-from repro.myrinet.symbols import GAP, data_symbols
+from repro.myrinet.symbols import GAP, Burst, data_symbols
 from repro.sim import Simulator
 
 
@@ -18,7 +18,7 @@ class _Endpoint:
         self.tx = None
 
     def on_burst(self, burst, channel):
-        for symbol in burst:
+        for symbol in burst.symbols():
             if symbol.is_data:
                 self._current.append(symbol.value)
             elif symbol == GAP and self._current:
@@ -28,7 +28,7 @@ class _Endpoint:
     def send_packet(self, packet):
         burst = data_symbols(packet.to_bytes())
         burst.append(GAP)
-        self.tx.send(burst)
+        self.tx.send(Burst.from_symbols(burst))
 
 
 def _build(sim, ports):

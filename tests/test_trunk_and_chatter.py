@@ -11,7 +11,7 @@ from repro.hw.registers import MatchMode
 from repro.myrinet.crc8 import crc8
 from repro.myrinet.network import MyrinetNetwork, build_paper_testbed
 from repro.myrinet.packet import PACKET_TYPE_DATA, PACKET_TYPE_MAPPING, MyrinetPacket
-from repro.myrinet.symbols import GAP, data_symbols, symbol_bytes
+from repro.myrinet.symbols import GAP, Burst, data_symbols, symbol_bytes
 from repro.sim.rng import DeterministicRng
 from repro.sim.timebase import MS
 
@@ -144,5 +144,6 @@ class TestCrcFixupProperty:
         stage = CrcFixupStage()
         burst = data_symbols(bytes(raw))
         burst.append(GAP)
-        out = stage.feed(burst, enabled=True, dirty=True)
+        out = stage.feed(Burst.from_symbols(burst), enabled=True,
+                         dirty=True).symbols()
         assert crc8(symbol_bytes(out)) == 0
