@@ -49,7 +49,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def host_send(time_ps: int, interface_name: str, packet: Any) -> None:
+def host_send(
+    time_ps: int,
+    interface_name: str,
+    packet_type: int,
+    payload: bytes,
+    route_len: int,
+    wire_length: int,
+) -> None:
     """One packet entering a host interface's transmit queue.
 
     Assigns the packet's correlation id and registers its
@@ -59,16 +66,16 @@ def host_send(time_ps: int, interface_name: str, packet: Any) -> None:
     if recorder is None:  # pragma: no cover - defensive
         return
     corr = recorder.next_corr_id()
-    recorder.register_key(packet_key(packet.packet_type, packet.payload), corr)
+    recorder.register_key(packet_key(packet_type, payload), corr)
     recorder.record(
         time_ps,
         Stage.HOST_SEND,
         interface_name,
         "tx",
         corr,
-        packet_type=packet.packet_type,
-        wire_length=packet.wire_length,
-        route_len=len(packet.route),
+        packet_type=packet_type,
+        wire_length=wire_length,
+        route_len=route_len,
     )
 
 
@@ -185,35 +192,37 @@ def host_frame_drop(
     )
 
 
-def packet_deliver(time_ps: int, interface_name: str, packet: Any) -> None:
+def packet_deliver(
+    time_ps: int, interface_name: str, packet_type: int, payload: bytes
+) -> None:
     """A parsed data packet accepted by the receiving interface."""
     recorder = CAPTURE.recorder
     if recorder is None:  # pragma: no cover - defensive
         return
-    corr = recorder.lookup_key(
-        packet_key(packet.packet_type, packet.payload)
-    )
+    corr = recorder.lookup_key(packet_key(packet_type, payload))
     recorder.record(
         time_ps,
         Stage.DELIVER,
         interface_name,
         "rx",
         corr,
-        packet_type=packet.packet_type,
+        packet_type=packet_type,
         matched=corr is not None,
     )
 
 
 def packet_drop(
-    time_ps: int, interface_name: str, reason: str, packet: Any
+    time_ps: int,
+    interface_name: str,
+    reason: str,
+    packet_type: int,
+    payload: bytes,
 ) -> None:
     """A parsed packet dropped by the receive dispatch (misaddressed...)."""
     recorder = CAPTURE.recorder
     if recorder is None:  # pragma: no cover - defensive
         return
-    corr = recorder.lookup_key(
-        packet_key(packet.packet_type, packet.payload)
-    )
+    corr = recorder.lookup_key(packet_key(packet_type, payload))
     recorder.record(
         time_ps,
         Stage.DROP,
@@ -221,7 +230,7 @@ def packet_drop(
         "rx",
         corr,
         reason=reason,
-        packet_type=packet.packet_type,
+        packet_type=packet_type,
         matched=corr is not None,
     )
 

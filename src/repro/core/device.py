@@ -100,6 +100,7 @@ class FaultInjectorDevice:
             d: InjectionMonitor(d, self.sdram, monitor_config)
             for d in DIRECTIONS
         }
+        self._out_labels = {d: f"{name}:{d}:out" for d in DIRECTIONS}
         for direction in DIRECTIONS:
             self._injectors[direction].on_injection(
                 lambda event, d=direction: self._on_injection_event(d, event)
@@ -269,5 +270,5 @@ class FaultInjectorDevice:
             self._sim.schedule(
                 latency,
                 lambda: out_channel.send(output),
-                label=f"{self.name}:{direction}:out",
+                label=self._out_labels[direction],
             )

@@ -19,8 +19,14 @@ from repro.capture import instrument as _capture
 from repro.capture.state import CAPTURE as _CAPTURE
 from repro.errors import ChecksumError, ProtocolError
 from repro.hostsim.ip import HEADER_LEN as IP_HEADER_LEN
-from repro.hostsim.ip import IpAddress, IpLiteHeader, PROTO_UDP
-from repro.hostsim.udp import UdpDatagram
+from repro.hostsim.ip import (
+    PROTO_UDP,
+    IpAddress,
+    address_for_mac,
+    decode_ip,
+    encode_ip,
+)
+from repro.hostsim.udp import decode_udp, encode_udp
 from repro.myrinet.addresses import MacAddress
 from repro.myrinet.interface import HostInterface
 from repro.sim.kernel import Simulator
@@ -74,6 +80,9 @@ class HostStack:
             else timer_phase_ps
         )
         self.ip = IpAddress.for_mac(interface.mac)
+        self._ip_bytes = self.ip.to_bytes()
+        self._send_label = f"{interface.name}:udp-send"
+        self._recv_label = f"{interface.name}:udp-recv"
         self._bindings: Dict[int, UdpHandler] = {}
         interface.set_data_handler(self._on_data)
 
@@ -109,7 +118,7 @@ class HostStack:
         self._sim.schedule(
             delay,
             lambda: self._transmit(dest_mac, dst_port, payload, src_port),
-            label=f"{self.interface.name}:udp-send",
+            label=self._send_label,
         )
 
     def timestamp(self) -> int:
@@ -131,12 +140,12 @@ class HostStack:
 
     def _transmit(self, dest_mac: MacAddress, dst_port: int,
                   payload: bytes, src_port: int) -> None:
-        datagram = UdpDatagram(src_port=src_port, dst_port=dst_port,
-                               payload=payload)
-        ip = IpLiteHeader(src=self.ip, dst=IpAddress.for_mac(dest_mac))
-        udp_bytes = datagram.to_bytes(ip)
-        ip.total_length = IP_HEADER_LEN + len(udp_bytes)
-        if self.interface.send_to(dest_mac, ip.to_bytes() + udp_bytes):
+        dst_ip = address_for_mac(dest_mac)
+        udp = encode_udp(src_port, dst_port, payload, self._ip_bytes, dst_ip)
+        header = encode_ip(
+            self._ip_bytes, dst_ip, PROTO_UDP, IP_HEADER_LEN + len(udp)
+        )
+        if self.interface.send_to(dest_mac, header + udp):
             self.udp_sent += 1
             self.udp_sent_by_port[dst_port] += 1
         else:
@@ -148,21 +157,23 @@ class HostStack:
         self._sim.schedule(
             delay,
             lambda: self._deliver(src_mac, payload),
-            label=f"{self.interface.name}:udp-recv",
+            label=self._recv_label,
         )
 
     def _deliver(self, src_mac: MacAddress, payload: bytes) -> None:
         try:
-            ip = IpLiteHeader.from_bytes(payload[:IP_HEADER_LEN])
+            src_ip, dst_ip, protocol, _total_length = decode_ip(payload)
         except ProtocolError:
             self.parse_drops += 1
             return
-        if ip.protocol != PROTO_UDP:
+        if protocol != PROTO_UDP:
             self.parse_drops += 1
             return
         raw_udp = payload[IP_HEADER_LEN:]
         try:
-            datagram = UdpDatagram.from_bytes(raw_udp, ip)
+            src_port, dst_port, data = decode_udp(
+                raw_udp, src_ip, dst_ip, protocol
+            )
         except ChecksumError:
             # "When the corruption did not satisfy the checksum, the
             # packets were dropped." (paper §4.3.4)
@@ -175,16 +186,13 @@ class HostStack:
         except ProtocolError:
             self.parse_drops += 1
             return
-        handler = self._bindings.get(datagram.dst_port)
+        handler = self._bindings.get(dst_port)
         if handler is None:
             self.unbound_drops += 1
             return
         self.udp_delivered += 1
         if _CAPTURE.active:
             _capture.udp_deliver(
-                self._sim.now,
-                self.interface.name,
-                datagram.dst_port,
-                len(datagram.payload),
+                self._sim.now, self.interface.name, dst_port, len(data)
             )
-        handler(src_mac, ip.src, datagram.src_port, datagram.payload)
+        handler(src_mac, IpAddress.from_bytes(src_ip), src_port, data)

@@ -29,8 +29,11 @@ from repro.myrinet.link import Channel, Link
 from repro.myrinet.packet import (
     PACKET_TYPE_DATA,
     PACKET_TYPE_MAPPING,
+    ROUTE_MSB,
     MyrinetPacket,
-    is_route_byte,
+    decode_frame,
+    encode_frame,
+    encode_route,
 )
 from repro.myrinet.slack import (
     DEFAULT_CAPACITY,
@@ -91,6 +94,10 @@ class HostInterface:
         )
         self._tx_queue: Deque[Tuple[bytes, int]] = deque()
         self._pump_scheduled = False
+        self._pump_label = f"{name}:tx-pump"
+        self._resume_label = f"{name}:tx-resume"
+        self._wait_label = f"{name}:tx-wait"
+        self._next_label = f"{name}:tx-next"
 
         self.routing_table: Dict[MacAddress, List[int]] = {}
         self._data_handler: Optional[Callable[[MacAddress, bytes], None]] = None
@@ -182,16 +189,8 @@ class HostInterface:
 
     def send_packet(self, packet: MyrinetPacket) -> bool:
         """Queue a fully-routed packet.  Returns False if the queue is full."""
-        if len(self._tx_queue) >= self._tx_queue_depth:
-            self.tx_queue_rejects += 1
-            return False
-        self._tx_queue.append((packet.to_bytes(), self._sim.now))
-        if _CAPTURE.active:
-            # Correlation id assigned at transmit-queue entry; the
-            # fingerprint lets the far end recognise this packet again.
-            _capture.host_send(self._sim.now, self.name, packet)
-        self._schedule_pump()
-        return True
+        return self._enqueue(bytes(packet.route), packet.packet_type,
+                             packet.payload)
 
     def send_to(self, dest: MacAddress, payload: bytes) -> bool:
         """Send a data packet to ``dest`` using the installed routing table.
@@ -204,17 +203,31 @@ class HostInterface:
         if route is None:
             self.no_route_drops += 1
             return False
-        packet = MyrinetPacket.for_route(
-            route,
+        return self._enqueue(
+            encode_route(route),
             PACKET_TYPE_DATA,
-            dest.to_bytes() + self.mac.to_bytes() + payload,
+            dest.to_bytes() + self._mac_bytes + payload,
         )
-        return self.send_packet(packet)
 
     def send_mapping(self, route: Sequence[int], payload: bytes) -> bool:
         """Send a mapping packet along an explicit route."""
-        packet = MyrinetPacket.for_route(route, PACKET_TYPE_MAPPING, payload)
-        return self.send_packet(packet)
+        return self._enqueue(encode_route(route), PACKET_TYPE_MAPPING,
+                             bytes(payload))
+
+    def _enqueue(self, route: bytes, packet_type: int, payload: bytes) -> bool:
+        if len(self._tx_queue) >= self._tx_queue_depth:
+            self.tx_queue_rejects += 1
+            return False
+        frame = encode_frame(route, packet_type, payload)
+        now = self._sim.now
+        self._tx_queue.append((frame, now))
+        if _CAPTURE.active:
+            # Correlation id assigned at transmit-queue entry; the
+            # fingerprint lets the far end recognise this packet again.
+            _capture.host_send(now, self.name, packet_type, payload,
+                               len(route), len(frame))
+        self._schedule_pump()
+        return True
 
     @property
     def tx_queue_length(self) -> int:
@@ -224,7 +237,7 @@ class HostInterface:
         if self._pump_scheduled or not self._tx_queue:
             return
         self._pump_scheduled = True
-        self._sim.schedule(0, self._pump, label=f"{self.name}:tx-pump")
+        self._sim.schedule(0, self._pump, label=self._pump_label)
 
     def _pump(self) -> None:
         self._pump_scheduled = False
@@ -244,14 +257,14 @@ class HostInterface:
             if resume is not None and resume > now:
                 self._pump_scheduled = True
                 self._sim.schedule_at(resume, self._unpump,
-                                      label=f"{self.name}:tx-resume")
+                                      label=self._resume_label)
             # Direct holds wake us through the unblock callback.
             return
         free_at = self._tx_channel.free_at()
         if free_at > now:
             self._pump_scheduled = True
             self._sim.schedule_at(free_at, self._unpump,
-                                  label=f"{self.name}:tx-wait")
+                                  label=self._wait_label)
             return
         raw, _enqueued = self._tx_queue.popleft()
         # The packet's data symbols, then the terminating GAP.
@@ -264,7 +277,7 @@ class HostInterface:
             self._sim.schedule_at(
                 self._tx_channel.busy_until,
                 self._unpump,
-                label=f"{self.name}:tx-next",
+                label=self._next_label,
             )
 
     def _unpump(self) -> None:
@@ -300,7 +313,7 @@ class HostInterface:
 
     def _on_frame(self, frame: bytes) -> None:
         self.frames_received += 1
-        if is_route_byte(frame[0]):
+        if frame[0] & ROUTE_MSB:
             # Source route not exhausted: "consumed and handled as an
             # error" (paper §4.3.2).
             self.consume_errors += 1
@@ -310,7 +323,7 @@ class HostInterface:
                 )
             return
         try:
-            packet = MyrinetPacket.from_bytes(frame, route_len=0)
+            _route, packet_type, payload = decode_frame(frame)
         except CrcError:
             self.crc_errors += 1
             if _CAPTURE.active:
@@ -327,47 +340,54 @@ class HostInterface:
                     self._sim.now, self.name, "truncated", len(frame)
                 )
             return
-        self._dispatch(packet)
+        self._dispatch(packet_type, payload)
 
-    def _dispatch(self, packet: MyrinetPacket) -> None:
-        if packet.packet_type == PACKET_TYPE_MAPPING:
+    def _dispatch(self, packet_type: int, payload: bytes) -> None:
+        if packet_type == PACKET_TYPE_MAPPING:
             if _CAPTURE.active:
-                _capture.packet_deliver(self._sim.now, self.name, packet)
+                _capture.packet_deliver(
+                    self._sim.now, self.name, packet_type, payload
+                )
             if self._mapping_handler is not None:
-                self._mapping_handler(packet.payload)
+                self._mapping_handler(payload)
             return
-        if packet.packet_type != PACKET_TYPE_DATA:
+        if packet_type != PACKET_TYPE_DATA:
             # Unrecognized packet type: dropped; internal structures such
             # as the routing table are unaffected (paper §4.3.2).
             self.unknown_type_drops += 1
             if _CAPTURE.active:
                 _capture.packet_drop(
-                    self._sim.now, self.name, "unknown_type", packet
+                    self._sim.now, self.name, "unknown_type", packet_type,
+                    payload,
                 )
             return
-        if len(packet.payload) < DATA_HEADER_LEN:
+        if len(payload) < DATA_HEADER_LEN:
             self.truncated_frames += 1
             if _CAPTURE.active:
                 _capture.packet_drop(
-                    self._sim.now, self.name, "truncated_payload", packet
+                    self._sim.now, self.name, "truncated_payload",
+                    packet_type, payload,
                 )
             return
-        dest = packet.payload[:6]
+        dest = payload[:6]
         if dest != self._mac_bytes and dest != _BROADCAST_BYTES:
             # "the node drops incoming packets that are misaddressed"
             # (paper §4.3.3).
             self.misaddressed_drops += 1
             if _CAPTURE.active:
                 _capture.packet_drop(
-                    self._sim.now, self.name, "misaddressed", packet
+                    self._sim.now, self.name, "misaddressed", packet_type,
+                    payload,
                 )
             return
         self.packets_received += 1
         if _CAPTURE.active:
-            _capture.packet_deliver(self._sim.now, self.name, packet)
+            _capture.packet_deliver(
+                self._sim.now, self.name, packet_type, payload
+            )
         if self._data_handler is not None:
-            self._data_handler(MacAddress.from_bytes(packet.payload[6:12]),
-                               packet.payload[DATA_HEADER_LEN:])
+            self._data_handler(MacAddress.from_bytes(payload[6:12]),
+                               payload[DATA_HEADER_LEN:])
 
     # ------------------------------------------------------------------
     # introspection

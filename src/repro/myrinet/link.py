@@ -58,6 +58,7 @@ class Channel:
         self.propagation_ps = propagation_ps
         self._sink: Optional[SymbolSink] = None
         self._busy_until = 0
+        self._deliver_label = f"deliver:{name}"
         self.symbols_carried = 0
         self.bursts_carried = 0
 
@@ -90,9 +91,11 @@ class Channel:
         if self._sink is None:
             raise ConfigurationError(f"channel {self.name} has no sink connected")
         length = len(burst)
+        now = self._sim.now
         if not length:
-            return self._sim.now
-        start = self.free_at()
+            return now
+        busy_until = self._busy_until
+        start = busy_until if busy_until > now else now
         end_of_serialization = start + length * self.char_period_ps
         self._busy_until = end_of_serialization
         delivery = end_of_serialization + self.propagation_ps
@@ -100,7 +103,7 @@ class Channel:
         self._sim.schedule_at(
             delivery,
             lambda: sink.on_burst(burst, self),
-            label=f"deliver:{self.name}",
+            label=self._deliver_label,
         )
         self.symbols_carried += length
         self.bursts_carried += 1

@@ -26,14 +26,17 @@ A Myrinet packet consists of::
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.errors import CrcError, ProtocolError, RoutingError
 from repro.myrinet.crc8 import crc8
 
 #: Width of the packet type field on the wire.
 TYPE_FIELD_LEN = 4
+
+_TYPE_FIELD = struct.Struct(">I")
 
 #: Packet type carried by ordinary data packets (paper §4.3.2).
 PACKET_TYPE_DATA = 0x0004
@@ -61,6 +64,48 @@ def route_port(byte: int) -> int:
 def is_route_byte(byte: int) -> bool:
     """True if a leading packet byte is a (remaining) route byte."""
     return bool(byte & ROUTE_MSB)
+
+
+def encode_route(ports: Sequence[int]) -> bytes:
+    """Route bytes visiting switch output ``ports`` in order."""
+    return bytes([route_byte(port) for port in ports])
+
+
+# ---------------------------------------------------------------------------
+# the frame codec: one encode/decode pair over bytes, no per-packet objects
+# ---------------------------------------------------------------------------
+
+
+def encode_frame(route: bytes, packet_type: int, payload: bytes) -> bytes:
+    """Wire encoding: route bytes, the 4-byte type, payload, CRC-8."""
+    body = route + _TYPE_FIELD.pack(packet_type) + payload
+    return body + bytes((crc8(body),))
+
+
+def decode_frame(frame: bytes, route_len: int = 0) -> Tuple[bytes, int, bytes]:
+    """Split a frame as seen on a link into ``(route, type, payload)``.
+
+    ``route_len`` says how many route bytes remain at the head of the
+    frame (a host decodes with 0).  Raises :class:`ProtocolError` on
+    frames too short to hold the header and CRC, :class:`CrcError` when
+    the trailing CRC-8 does not verify.
+    """
+    minimum = route_len + TYPE_FIELD_LEN + 1
+    if len(frame) < minimum:
+        raise ProtocolError(
+            f"frame of {len(frame)} bytes shorter than minimum {minimum}"
+        )
+    residue = crc8(frame)
+    if residue:
+        raise CrcError(
+            f"CRC-8 mismatch on {len(frame)}-byte frame "
+            f"(residue {residue:#04x})"
+        )
+    return (
+        frame[:route_len],
+        _TYPE_FIELD.unpack_from(frame, route_len)[0],
+        frame[route_len + TYPE_FIELD_LEN:-1],
+    )
 
 
 @dataclass
@@ -91,7 +136,7 @@ class MyrinetPacket:
     ) -> "MyrinetPacket":
         """Build a packet whose route visits switch output ``ports`` in order."""
         return cls(
-            route=[route_byte(p) for p in ports],
+            route=list(encode_route(ports)),
             packet_type=packet_type,
             payload=bytes(payload),
         )
@@ -101,36 +146,18 @@ class MyrinetPacket:
         return bytes(self.route) + self.packet_type.to_bytes(TYPE_FIELD_LEN, "big")
 
     def to_bytes(self) -> bytes:
-        """Wire encoding: header, payload, and the trailing CRC-8."""
-        body = self.header_bytes() + self.payload
-        return body + bytes([crc8(body)])
+        """Wire encoding (see :func:`encode_frame`)."""
+        return encode_frame(bytes(self.route), self.packet_type, self.payload)
 
     @classmethod
     def from_bytes(cls, raw: Sequence[int], route_len: int = 0) -> "MyrinetPacket":
-        """Parse a frame as seen on a link.
+        """Parse a frame as seen on a link (see :func:`decode_frame`).
 
-        ``route_len`` says how many route bytes remain at the head of the
-        frame (a host parses with 0; test code inspecting mid-network
-        frames passes the remaining hop count).  Raises :class:`CrcError`
-        if the trailing CRC-8 does not verify, :class:`ProtocolError` on
-        truncated frames.
+        Test code inspecting mid-network frames passes the remaining hop
+        count as ``route_len``.
         """
-        data = bytes(raw)
-        minimum = route_len + TYPE_FIELD_LEN + 1
-        if len(data) < minimum:
-            raise ProtocolError(
-                f"frame of {len(data)} bytes shorter than minimum {minimum}"
-            )
-        if crc8(data) != 0:
-            raise CrcError(
-                f"CRC-8 mismatch on {len(data)}-byte frame "
-                f"(residue {crc8(data):#04x})"
-            )
-        route = list(data[:route_len])
-        type_end = route_len + TYPE_FIELD_LEN
-        packet_type = int.from_bytes(data[route_len:type_end], "big")
-        payload = data[type_end:-1]
-        return cls(route=route, packet_type=packet_type, payload=payload)
+        route, packet_type, payload = decode_frame(bytes(raw), route_len)
+        return cls(route=list(route), packet_type=packet_type, payload=payload)
 
     def strip_hop(self) -> int:
         """Consume the leading route byte, returning the output port.

@@ -85,11 +85,19 @@ class _Lanes:
         self.flags = bytearray()
 
 
+#: Why an output port's retry event was armed; each names its label.
+_RETRY_KINDS = ("flush-retry", "flush-wait", "flush-quantum")
+
+
 class _Port:
     """Per-port state: input FSM, output claim/outbox, and flow control."""
 
-    def __init__(self, index: int) -> None:
+    def __init__(self, index: int, switch_name: str) -> None:
         self.index = index
+        # Event labels, built once per port rather than once per event.
+        prefix = f"{switch_name}:p{index}"
+        self.timeout_label = f"{prefix}:long-timeout"
+        self.retry_labels = {kind: f"{prefix}:{kind}" for kind in _RETRY_KINDS}
         self.link: Optional[Link] = None
         self.tx_channel: Optional[Channel] = None
         self.flow: Optional[PortFlowControl] = None
@@ -181,7 +189,7 @@ class MyrinetSwitch:
         #: Long-period timeout (ps) at the character rate of the
         #: lowest-numbered attached port; fixed by :meth:`attach_link`.
         self.long_timeout_ps = long_timeout_ps(12_500, long_timeout_periods)
-        self._ports = [_Port(i) for i in range(num_ports)]
+        self._ports = [_Port(i, name) for i in range(num_ports)]
         self._channel_to_port: Dict[int, int] = {}
         self._grant_queue: Deque[int] = deque()
 
@@ -449,7 +457,7 @@ class MyrinetSwitch:
         state.timeout_event = self._sim.schedule(
             self.long_timeout_ps,
             lambda: self._on_long_timeout(i, waiting),
-            label=f"{self.name}:p{i}:long-timeout",
+            label=state.timeout_label,
         )
 
     def _cancel_timeout(self, i: int) -> None:
@@ -579,7 +587,7 @@ class MyrinetSwitch:
                 for other in sorted(touched):
                     self._flush_output(other)
 
-    def _schedule_retry(self, out: int, at: int, label: str) -> None:
+    def _schedule_retry(self, out: int, at: int, kind: str) -> None:
         """Arm the single retry slot for an output port.
 
         Exactly one live retry event may exist per port: replacing a
@@ -593,7 +601,7 @@ class MyrinetSwitch:
         output.retry_event = self._sim.schedule_at(
             at,
             lambda: self._retry_output(out),
-            label=f"{self.name}:p{out}:{label}",
+            label=output.retry_labels[kind],
         )
 
     def _retry_output(self, out: int) -> None:

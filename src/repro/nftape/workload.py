@@ -103,6 +103,7 @@ class _ValidatingSink:
     def __init__(self, stack: HostStack, filler: _FillerCache) -> None:
         self._stack = stack
         self._filler = filler
+        self._mac_bytes = stack.interface.mac.to_bytes()
         self.received = 0
         self.misdeliveries = 0
         self.corrupted = 0
@@ -114,8 +115,7 @@ class _ValidatingSink:
         if len(payload) < _HEADER_LEN:
             self.corrupted += 1
             return
-        intended = MacAddress.from_bytes(payload[:6])
-        if intended != self._stack.interface.mac:
+        if payload[:6] != self._mac_bytes:
             # "the successful receipt of a message addressed to someone
             # else" — an active fault (paper §4.4).
             self.misdeliveries += 1

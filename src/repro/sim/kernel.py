@@ -4,19 +4,31 @@ A :class:`Simulator` owns an integer picosecond clock and a binary-heap
 event queue.  Events scheduled for the same instant fire in the order they
 were scheduled (a monotonically increasing sequence number breaks ties), so
 simulations are fully deterministic for a given seed.
+
+Cancelling an event only flags it; the heap skips flagged entries when
+they reach its head.  Long timeouts that are almost always cancelled
+(a switch arms one per frame, 50 ms out) would otherwise pile up far
+from the head and deepen every push and pop, so the heap is rebuilt
+without its cancelled entries once they outnumber the live ones — the
+rule ``asyncio`` applies to its timer heap.  Pop order is fixed by the
+unique ``(time, seq)`` keys, so a rebuild never changes it.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
-from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.timebase import format_time
 from repro.telemetry import instrument as _telemetry
 from repro.telemetry.state import STATE as _TELEMETRY_STATE
+
+#: Heap length below which cancelled entries are left for the pops to
+#: skip; from it on the heap is compacted whenever they outnumber live
+#: ones, so it never grows past ``max(COMPACT_FLOOR, 2 * pending)``.
+COMPACT_FLOOR = 256
 
 
 def sanitize_enabled() -> bool:
@@ -30,25 +42,50 @@ def sanitize_enabled() -> bool:
     return os.environ.get("REPRO_SANITIZE", "") == "1"
 
 
-@dataclass
 class Event:
     """A scheduled callback.
 
     The heap stores ``(time, seq, event)`` tuples, so events pop in
     deterministic order without ever comparing Event objects.
-    ``cancelled`` events stay in the heap but are skipped when popped;
-    this makes cancellation O(1).
+    ``cancelled`` events stay in the heap but are skipped when popped
+    (or dropped by a compaction); this makes cancellation O(1)
+    amortized.
     """
 
-    time: int
-    seq: int
-    callback: Callable[[], None]
-    label: str = ""
-    cancelled: bool = False
+    __slots__ = ("time", "seq", "callback", "label", "cancelled", "_sim")
+
+    def __init__(
+        self,
+        time: int,
+        seq: int,
+        callback: Callable[[], None],
+        label: str = "",
+        cancelled: bool = False,
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.label = label
+        self.cancelled = cancelled
+        #: The simulator whose heap holds this event; ``None`` once it
+        #: has fired or been cancelled (or if no simulator queued it).
+        self._sim: Optional[Simulator] = None
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
         self.cancelled = True
+        sim = self._sim
+        if sim is not None:
+            self._sim = None
+            sim._dead += 1
+            sim._maybe_compact()
+
+    def __repr__(self) -> str:
+        return (
+            f"Event(time={self.time!r}, seq={self.seq!r}, "
+            f"callback={self.callback!r}, label={self.label!r}, "
+            f"cancelled={self.cancelled!r})"
+        )
 
 
 class Simulator:
@@ -57,7 +94,9 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0
         self._seq = 0
-        self._queue: List[tuple] = []
+        self._queue: List[Tuple[int, int, Event]] = []
+        #: Cancelled entries still in ``_queue``.
+        self._dead = 0
         self._fired = 0
         self._running = False
         self._tracer: Optional[Callable[[Event], None]] = None
@@ -70,7 +109,8 @@ class Simulator:
         The determinism sanitizer uses this to fold every fired event
         into a digest; ``None`` detaches.  The hook fires *before* the
         event's callback so divergence is pinned to the first
-        out-of-order event, not its consequences.
+        out-of-order event, not its consequences.  A running batch keeps
+        the hook it started with.
         """
         self._tracer = tracer
 
@@ -86,8 +126,8 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of events still in the queue (including cancelled ones)."""
-        return len(self._queue)
+        """Number of live events still queued (cancelled ones excluded)."""
+        return len(self._queue) - self._dead
 
     def schedule(
         self, delay: int, callback: Callable[[], None], label: str = ""
@@ -103,7 +143,22 @@ class Simulator:
                 f"cannot schedule event {delay}ps in the past at "
                 f"t={format_time(self._now)}"
             )
-        return self.schedule_at(self._now + delay, callback, label)
+        # The push is inlined here and in schedule_at: this is the
+        # simulator's most frequent call.  A push never adds a cancelled
+        # entry, so only the one that brings the heap up to the floor
+        # (cancelled entries may have piled up below it) needs a check.
+        time = self._now + delay
+        if self._sanitize:
+            self._check_schedule(time, callback)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, seq, callback, label)
+        event._sim = self
+        queue = self._queue
+        heappush(queue, (time, seq, event))
+        if len(queue) == COMPACT_FLOOR:
+            self._maybe_compact()
+        return event
 
     def schedule_at(
         self, time: int, callback: Callable[[], None], label: str = ""
@@ -115,19 +170,42 @@ class Simulator:
                 f"already at t={format_time(self._now)}"
             )
         if self._sanitize:
-            if isinstance(time, bool) or not isinstance(time, int):
-                raise SimulationError(
-                    f"sanitize: non-integer event time {time!r}; the "
-                    "picosecond clock is integer-only (see SIM003)"
-                )
-            if not callable(callback):
-                raise SimulationError(
-                    f"sanitize: event callback {callback!r} is not callable"
-                )
-        event = Event(time=time, seq=self._seq, callback=callback, label=label)
-        self._seq += 1
-        heapq.heappush(self._queue, (time, event.seq, event))
+            self._check_schedule(time, callback)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, seq, callback, label)
+        event._sim = self
+        queue = self._queue
+        heappush(queue, (time, seq, event))
+        if len(queue) == COMPACT_FLOOR:
+            self._maybe_compact()
         return event
+
+    def _check_schedule(self, time: int, callback: Callable[[], None]) -> None:
+        """Scheduling invariants enforced under ``REPRO_SANITIZE=1``."""
+        if isinstance(time, bool) or not isinstance(time, int):
+            raise SimulationError(
+                f"sanitize: non-integer event time {time!r}; the "
+                "picosecond clock is integer-only (see SIM003)"
+            )
+        if not callable(callback):
+            raise SimulationError(
+                f"sanitize: event callback {callback!r} is not callable"
+            )
+
+    def _maybe_compact(self) -> None:
+        """Rebuild the heap without its cancelled entries once they
+        outnumber the live ones (and the heap has reached the floor).
+
+        Every rebuild removes at least half the heap, each entry of it
+        cancelled once, so the cost is O(1) amortized per cancel.
+        """
+        queue = self._queue
+        if len(queue) >= COMPACT_FLOOR and 2 * self._dead > len(queue):
+            # In place: a running drain loop holds this very list.
+            queue[:] = [entry for entry in queue if not entry[2].cancelled]
+            heapify(queue)
+            self._dead = 0
 
     def step(self) -> bool:
         """Execute the next pending event.
@@ -135,19 +213,7 @@ class Simulator:
         Returns ``True`` if an event fired, ``False`` if the queue was
         empty (cancelled events are discarded silently and do not count).
         """
-        while self._queue:
-            _time, _seq, event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            if self._sanitize:
-                self._check_pop_invariants(event)
-            self._now = event.time
-            self._fired += 1
-            if self._tracer is not None:
-                self._tracer(event)
-            event.callback()
-            return True
-        return False
+        return self._drain(None, 1) == 1
 
     def _check_pop_invariants(self, event: Event) -> None:
         """Event-queue invariants enforced under ``REPRO_SANITIZE=1``."""
@@ -164,6 +230,41 @@ class Simulator:
                 f"(time, seq)={key} after {self._last_fired}"
             )
         self._last_fired = key
+
+    def _drain(self, deadline: Optional[int], max_events: Optional[int]) -> int:
+        """The kernel's one drain loop, behind :meth:`batch_advance` and
+        :meth:`step`.
+
+        Pops live events in ``(time, seq)`` order and fires them until
+        the queue empties, the next one lies past ``deadline``
+        (inclusive) or ``max_events`` have fired.  The sanitize flag and
+        the tracer are read once per call.  Returns the number fired.
+        """
+        queue = self._queue
+        sanitize = self._sanitize
+        tracer = self._tracer
+        budget = -1 if max_events is None else max(max_events, 0)
+        fired = 0
+        while queue and fired != budget:
+            entry = heappop(queue)
+            time, _seq, event = entry
+            if event.cancelled:
+                self._dead -= 1
+                continue
+            if deadline is not None and time > deadline:
+                heappush(queue, entry)
+                break
+            event._sim = None
+            if sanitize:
+                self._check_pop_invariants(event)
+            self._now = time
+            self._fired += 1
+            if tracer is not None:
+                tracer(event)
+            event.callback()
+            fired += 1
+        self._maybe_compact()
+        return fired
 
     def batch_advance(
         self,
@@ -182,29 +283,7 @@ class Simulator:
 
         Returns the number of events executed by this call.
         """
-        queue = self._queue
-        heappop = heapq.heappop
-        sanitize = self._sanitize
-        fired = 0
-        while queue:
-            if max_events is not None and fired >= max_events:
-                break
-            time, _seq, event = queue[0]
-            if event.cancelled:
-                heappop(queue)
-                continue
-            if deadline is not None and time > deadline:
-                break
-            heappop(queue)
-            if sanitize:
-                self._check_pop_invariants(event)
-            self._now = time
-            self._fired += 1
-            tracer = self._tracer
-            if tracer is not None:
-                tracer(event)
-            event.callback()
-            fired += 1
+        fired = self._drain(deadline, max_events)
         if deadline is not None and deadline > self._now:
             self._now = deadline
         # Telemetry accounting happens per *batch*, never per event, so
@@ -239,10 +318,12 @@ class Simulator:
 
     def _peek(self) -> Optional[Event]:
         """Return the next live event without popping it."""
-        while self._queue:
-            head = self._queue[0][2]
+        queue = self._queue
+        while queue:
+            head = queue[0][2]
             if head.cancelled:
-                heapq.heappop(self._queue)
+                heappop(queue)
+                self._dead -= 1
                 continue
             return head
         return None

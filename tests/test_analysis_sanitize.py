@@ -235,6 +235,24 @@ def test_default_probe_differs_across_seeds():
     assert a.digest != b.digest
 
 
+@pytest.mark.parametrize("duration_ms, digest, events", [
+    (2, "9be2c11d056cd6d0a230152dc7659e17", 417),
+    # Long enough for cancelled long timeouts to trigger heap
+    # compactions: a rebuild must not move a single event.
+    (120, "0eb90c73ee7b6fff12b0fb76250b6fcc", 21_212),
+])
+def test_default_probe_event_stream_is_pinned(duration_ms, digest, events):
+    """The seed-7 probe's fired ``(time, seq, label)`` stream, pinned.
+
+    Kernel and label changes must leave every event's time, sequence
+    number and label where it was; these digests were taken before the
+    heap compacted its cancelled entries and before labels were built
+    once per component.
+    """
+    result = run_probe(seed=7, duration_ps=duration_ms * MS)
+    assert (result.digest, result.events_fired) == (digest, events)
+
+
 def test_sanitize_report_render_mentions_every_run():
     report = SanitizeReport(seed=0, runs=[
         ProbeResult(seed=0, digest="d", events_fired=1, final_time_ps=10,
