@@ -11,7 +11,9 @@ and once with an ``artifacts_dir`` (per-experiment telemetry + capture
 shards, the result store, and the merge).  The merge has its own row:
 ``merge_artifacts`` re-timed alone over the finished shards of the
 serial artifacts run, so the artifact cost is not confused with
-scheduling cost.
+scheduling cost, plus its ``tracemalloc`` peak from a second merge.  The
+peak must stay under three times the largest shard capture file: the
+capture splice holds one shard at a time.
 
 Honesty note on speedups: the simulation is CPU-bound pure Python, so
 sharding only pays when the host grants more than one core.  The
@@ -25,11 +27,14 @@ import os
 import pathlib
 import tempfile
 import time
+import tracemalloc
 
 from benchmarks.conftest import bench_scale, record_result
 from repro.nftape.campaign import Campaign
 from repro.nftape.paper import _table4_row, table4_spec
+from repro.capture.session import CAPTURE_FILE_NAME
 from repro.runtime import PooledExecutor, SerialExecutor, merge_artifacts
+from repro.runtime.artifacts import CAPTURE_SUBDIR, shard_dir
 from repro.sim.timebase import MS
 
 #: Repo-root scaling artifact: variant -> wall_s, plus speedups + cpu info.
@@ -73,15 +78,35 @@ def _run_variant(spec, workers: int, artifacts_dir=None) -> dict:
 
 
 def _time_merge(spec, root) -> dict:
-    """Re-time ``merge_artifacts`` alone over a finished run's shards."""
+    """Re-time ``merge_artifacts`` alone over a finished run's shards.
+
+    The timed merge runs untraced; a second merge under ``tracemalloc``
+    gives the peak bytes the merge allocates, next to the shard capture
+    sizes that bound it.
+    """
     entries = [(index, experiment.name)
                for index, experiment in enumerate(spec.experiments)]
     start = time.perf_counter()
     summary = merge_artifacts(root, entries, label=spec.name)
+    wall_s = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        merge_artifacts(root, entries, label=spec.name)
+        _, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    shard_bytes = [
+        (shard_dir(root, index, name) / CAPTURE_SUBDIR
+         / CAPTURE_FILE_NAME).stat().st_size
+        for index, name in entries
+    ]
     return {
-        "wall_s": round(time.perf_counter() - start, 6),
+        "wall_s": round(wall_s, 6),
         "telemetry_shards": summary["telemetry_shards"],
         "capture_shards": summary["capture_shards"],
+        "peak_bytes": peak_bytes,
+        "largest_shard_capture_bytes": max(shard_bytes),
+        "total_shard_capture_bytes": sum(shard_bytes),
     }
 
 
@@ -107,6 +132,10 @@ def test_parallel_campaign_scaling(benchmark):
     renders = {run["render"] for run in runs.values()}
     assert len(renders) == 1
     assert merge["telemetry_shards"] == merge["capture_shards"] == len(spec)
+    # The capture splice holds one shard at a time, so the merge's peak
+    # is bounded by the largest shard, not by the campaign.
+    assert merge["peak_bytes"] < 3 * merge["largest_shard_capture_bytes"], \
+        merge
     # The merge is part of every artifacts run, so it fits inside each.
     for (workers, artifacts), run in runs.items():
         if artifacts:
@@ -129,7 +158,9 @@ def test_parallel_campaign_scaling(benchmark):
     document = {
         "generated_by": "benchmarks/bench_parallel_campaign.py",
         "schema": ("variant -> {workers, artifacts, wall_s}; merge -> "
-                   "merge_artifacts alone over the serial run's shards; "
+                   "merge_artifacts alone over the serial run's shards "
+                   "(wall_s untraced, peak_bytes from a second "
+                   "tracemalloc-traced merge, shard capture sizes); "
                    "speedups vs serial on the same workload"),
         "bench_scale": bench_scale(),
         "experiments": len(spec),
@@ -165,7 +196,9 @@ def test_parallel_campaign_scaling(benchmark):
         lines.append(f"  {label:<18}  {cells[0]}{cells[1]}")
     lines += [
         f"  merge_artifacts alone: {merge['wall_s']:.3f}s "
-        f"({merge['telemetry_shards']} shards)",
+        f"({merge['telemetry_shards']} shards), peak "
+        f"{merge['peak_bytes'] / 1e6:.2f} MB traced; largest shard "
+        f"capture {merge['largest_shard_capture_bytes'] / 1e6:.2f} MB",
         "  tables byte-identical across all variants: yes",
     ]
     if cpu_limited:

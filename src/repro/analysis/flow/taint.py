@@ -29,7 +29,8 @@ order was unstable.
 
 Sinks are recognised two ways: **by name** for the unambiguous entry
 points (``derive_seed(...)``, ``blake2b(...)``, and the capture
-writer's ``write_event``/``write_record``/``write_experiment``), and
+writer's ``write_event``/``write_record``/``write_experiment``/
+``write_framed``), and
 **by tracked kind** for generic method names — a variable assigned from
 ``blake2b(...)`` carries kind ``digest`` so its ``.update(x)`` is a
 sink, while an unrelated ``d.update(x)`` is not.  Kinds assigned to
@@ -96,7 +97,8 @@ _KIND_SINKS = {
     "digest": {"update"},
     "table": {"add", "note"},
     "journal": {"record", "begin"},
-    "capture": {"write_event", "write_record", "write_experiment"},
+    "capture": {"write_event", "write_record", "write_experiment",
+                "write_framed"},
     "metric": {"inc", "set", "observe", "add"},
 }
 #: Call names that are sinks regardless of kind tracking.
@@ -106,6 +108,7 @@ _NAME_SINKS = {
     "write_event": "a capture event record",
     "write_record": "a raw capture record",
     "write_experiment": "a capture experiment record",
+    "write_framed": "pre-framed capture records",
 }
 #: Human labels for the kind-tracked sinks.
 _KIND_SINK_LABELS = {

@@ -27,11 +27,13 @@ length-prefixed binary file that a host-side tool can decode offline:
      its name, seed, §4.4 classification, and telemetry span id.
 
 Unknown record types are skipped by length (forward compatibility);
-a version above :data:`VERSION` raises.  :func:`read_capture` walks the
-framing (:func:`walk_capture`), then decodes each body; it round-trips
+a version above :data:`VERSION` raises.  One framing scanner,
+:func:`scan_capture`, checks the header and yields each record's body
+offsets; :func:`walk_capture`, :func:`read_capture` and the campaign
+merge all walk files through it.  :func:`read_capture` round-trips
 everything :class:`CaptureWriter` emits, byte for byte of meaning.
 
-The campaign merge splices shard files: it copies bodies as bytes and
+The campaign merge splices shard files: it copies records as bytes and
 patches only the ``u32`` experiment index, at
 :data:`CAPTURE_INDEX_OFFSET` of a window body and
 :data:`EVENT_INDEX_OFFSET` of an event body.  Both offsets are part of
@@ -40,12 +42,22 @@ the version-1 layout: moving either requires a :data:`VERSION` bump.
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    BinaryIO,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.capture.provenance import LifecycleEvent
 from repro.errors import ConfigurationError
@@ -57,6 +69,7 @@ __all__ = [
     "CaptureWindow",
     "CaptureFileData",
     "CaptureWriter",
+    "scan_capture",
     "walk_capture",
     "read_capture",
     "pack_symbol",
@@ -72,6 +85,8 @@ RECORD_EXPERIMENT = 3
 
 _HEADER = struct.Struct("<HI")  # version, meta length
 _RECORD = struct.Struct("<BI")  # record type, body length
+#: Size of a record's frame head (type + body length).
+RECORD_HEAD_SIZE = _RECORD.size
 #: Fixed fields of a window body, in ``_CAPTURE_FIXED`` order.
 _CAPTURE_FIELDS = (
     "experiment_index", "time_ps", "direction", "forced", "lanes_rewritten",
@@ -87,6 +102,9 @@ EVENT_INDEX_OFFSET = struct.calcsize("<QqI")
 #: Record type -> the fixed part every body of that type must hold.
 _FIXED_SIZE = {RECORD_CAPTURE: _CAPTURE_FIXED.size,
                RECORD_EVENT: _EVENT_FIXED.size}
+
+#: What the scanner and the splice accept as a file image.
+Buffer = Union[bytes, bytearray, memoryview]
 
 
 def pack_symbol(symbol: Symbol) -> int:
@@ -175,6 +193,11 @@ class CaptureWriter:
             self._owns_stream = False
             self.path = None
         self.records_written = 0
+        # write_event's caches: bounded by the distinct strings of one
+        # file, so they live and die with the writer.
+        self._json = json.JSONEncoder(sort_keys=True)
+        self._event_tails: Dict[Tuple[str, str, str], str] = {}
+        self._attr_keys: Dict[str, str] = {}
         meta_blob = json.dumps(
             {"format": "rcap", **(meta or {})}, sort_keys=True
         ).encode("utf-8")
@@ -186,9 +209,16 @@ class CaptureWriter:
 
     def write_record(self, record_type: int, body: bytes) -> None:
         """Frame and write one already-encoded record body."""
-        self._stream.write(_RECORD.pack(record_type, len(body)))
-        self._stream.write(body)
+        self._stream.write(_RECORD.pack(record_type, len(body)) + body)
         self.records_written += 1
+
+    def write_framed(self, records: Buffer, count: int) -> None:
+        """Write ``count`` records that are already framed, verbatim.
+
+        The campaign merge copies runs of shard records through here.
+        """
+        self._stream.write(records)
+        self.records_written += count
 
     def write_capture(self, experiment_index: int, record: Any) -> None:
         """Serialize one :class:`~repro.core.monitor.CaptureRecord`."""
@@ -218,15 +248,7 @@ class CaptureWriter:
 
     def write_event(self, event: LifecycleEvent) -> None:
         """Serialize one lifecycle event."""
-        blob = json.dumps(
-            {
-                "stage": event.stage,
-                "node": event.node,
-                "direction": event.direction,
-                "attrs": event.attrs,
-            },
-            sort_keys=True,
-        ).encode("utf-8")
+        blob = self._event_blob(event).encode("utf-8")
         fixed = _EVENT_FIXED.pack(
             event.time_ps,
             -1 if event.corr_id is None else event.corr_id,
@@ -235,6 +257,52 @@ class CaptureWriter:
             len(blob),
         )
         self.write_record(RECORD_EVENT, fixed + blob)
+
+    def _event_blob(self, event: LifecycleEvent) -> str:
+        """``json.dumps`` of the event's open-ended parts, sorted keys.
+
+        Byte-identical to ``json.dumps({"stage": ..., "node": ...,
+        "direction": ..., "attrs": ...}, sort_keys=True)`` without
+        building an encoder per call: the ``direction``/``node``/
+        ``stage`` tail and the attr keys are encoded once per writer,
+        exact ``str``/``int``/``bool`` attr values are encoded inline,
+        and everything else goes through one reused encoder.
+        """
+        key = (event.direction, event.node, event.stage)
+        tail = self._event_tails.get(key)
+        if tail is None:
+            encode = self._json.encode
+            tail = (f', "direction": {encode(event.direction)}'
+                    f', "node": {encode(event.node)}'
+                    f', "stage": {encode(event.stage)}}}')
+            # Only all-str keys are cached: 1 == True would alias.
+            if all(type(part) is str for part in key):
+                self._event_tails[key] = tail
+        return '{"attrs": ' + self._attrs_json(event.attrs) + tail
+
+    def _attrs_json(self, attrs: Any) -> str:
+        if type(attrs) is not dict or not attrs:
+            return self._json.encode(attrs)
+        keys = self._attr_keys
+        parts = []
+        for name in sorted(attrs):
+            prefix = keys.get(name)
+            if prefix is None:
+                if type(name) is not str:
+                    # json.dumps stringifies non-str keys; let it.
+                    return self._json.encode(attrs)
+                prefix = keys[name] = encode_basestring_ascii(name) + ": "
+            value = attrs[name]
+            kind = type(value)
+            if kind is str:
+                parts.append(prefix + encode_basestring_ascii(value))
+            elif kind is int:
+                parts.append(prefix + int.__repr__(value))
+            elif kind is bool:
+                parts.append(prefix + ("true" if value else "false"))
+            else:
+                parts.append(prefix + self._json.encode(value))
+        return "{" + ", ".join(parts) + "}"
 
     def write_experiment(self, meta: Dict[str, Any]) -> None:
         """Serialize one experiment marker."""
@@ -255,84 +323,117 @@ class CaptureWriter:
         return False
 
 
-def _read_exact(stream: BinaryIO, count: int, what: str) -> bytes:
-    data = stream.read(count)
-    if len(data) != count:
+def _room(size: int, pos: int, count: int, what: str) -> None:
+    if size - pos < count:
         raise ConfigurationError(
             f"truncated capture file: wanted {count} bytes of {what}, "
-            f"got {len(data)}"
+            f"got {max(0, size - pos)}"
         )
-    return data
 
 
-def walk_capture(
-    source: Union[str, Path, bytes, BinaryIO],
-) -> Tuple[Dict[str, Any], List[Tuple[int, bytes]]]:
-    """Check an ``.rcap`` file's framing; return ``(meta, records)``.
+def scan_capture(
+    buffer: Buffer,
+) -> Tuple[Dict[str, Any], Iterator[Tuple[int, int, int]]]:
+    """Check an ``.rcap`` buffer's header; return ``(meta, records)``.
 
-    ``records`` lists every ``(record_type, body)`` in file order,
-    unknown types included.  Bad magic, a newer version, a truncated
-    header or record, and a window or event body shorter than its fixed
-    part raise :class:`~repro.errors.ConfigurationError`.
+    The one framing scanner.  ``records`` lazily yields
+    ``(record_type, body_start, body_end)`` offsets into ``buffer`` for
+    every record in file order, unknown types included; it copies
+    nothing.  Bad magic, a newer version and a truncated header raise
+    :class:`~repro.errors.ConfigurationError` here; a partial record
+    head, a truncated record, and a window or event body shorter than
+    its fixed part raise it when the iteration reaches them.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as stream:
-            return walk_capture(stream.read())
-    if isinstance(source, bytes):
-        stream: BinaryIO = io.BytesIO(source)
-    else:
-        stream = source
-
-    magic = _read_exact(stream, len(MAGIC), "magic")
+    size = len(buffer)
+    _room(size, 0, len(MAGIC), "magic")
+    magic = bytes(buffer[:len(MAGIC)])
     if magic != MAGIC:
         raise ConfigurationError(
             f"not a capture file (magic {magic!r} != {MAGIC!r})"
         )
-    version, meta_len = _HEADER.unpack(
-        _read_exact(stream, _HEADER.size, "header")
-    )
+    pos = len(MAGIC)
+    _room(size, pos, _HEADER.size, "header")
+    version, meta_len = _HEADER.unpack_from(buffer, pos)
     if version > VERSION:
         raise ConfigurationError(
             f"capture file version {version} is newer than supported "
             f"version {VERSION}"
         )
-    meta = json.loads(_read_exact(stream, meta_len, "metadata"))
-    records: List[Tuple[int, bytes]] = []
-    while True:
-        head = stream.read(_RECORD.size)
-        if not head:
-            break
-        if len(head) != _RECORD.size:
+    pos += _HEADER.size
+    _room(size, pos, meta_len, "metadata")
+    meta = json.loads(bytes(buffer[pos:pos + meta_len]))
+    return meta, _scan_records(buffer, pos + meta_len)
+
+
+def _scan_records(
+    buffer: Buffer, pos: int,
+) -> Iterator[Tuple[int, int, int]]:
+    size = len(buffer)
+    head = _RECORD.size
+    unpack_head = _RECORD.unpack_from
+    fixed_size = _FIXED_SIZE.get
+    while pos < size:
+        if size - pos < head:
             raise ConfigurationError("truncated capture file: partial record")
-        record_type, body_len = _RECORD.unpack(head)
-        body = _read_exact(stream, body_len, f"record type {record_type}")
-        if body_len < _FIXED_SIZE.get(record_type, 0):
+        record_type, body_len = unpack_head(buffer, pos)
+        start = pos + head
+        pos = start + body_len
+        if pos > size:
+            _room(size, start, body_len, f"record type {record_type}")
+        if body_len < fixed_size(record_type, 0):
             raise ConfigurationError(
                 f"capture record type {record_type}: {body_len}-byte body "
                 "is shorter than its fixed part"
             )
-        records.append((record_type, body))
-    return meta, records
+        yield record_type, start, pos
 
 
-def read_capture(source: Union[str, Path, bytes, BinaryIO]) -> CaptureFileData:
+def _capture_bytes(source: Union[str, Path, Buffer, BinaryIO]) -> Buffer:
+    if isinstance(source, (str, Path)):
+        return Path(source).read_bytes()
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        return source
+    return source.read()
+
+
+def walk_capture(
+    source: Union[str, Path, Buffer, BinaryIO],
+) -> Tuple[Dict[str, Any], List[Tuple[int, bytes]]]:
+    """Check an ``.rcap`` file's framing; return ``(meta, records)``.
+
+    ``records`` lists every ``(record_type, body)`` in file order,
+    unknown types included.  A thin wrapper over :func:`scan_capture`
+    that copies each body out, with the same
+    :class:`~repro.errors.ConfigurationError` cases.
+    """
+    buffer = _capture_bytes(source)
+    meta, records = scan_capture(buffer)
+    return meta, [(record_type, bytes(buffer[start:end]))
+                  for record_type, start, end in records]
+
+
+def read_capture(
+    source: Union[str, Path, Buffer, BinaryIO],
+) -> CaptureFileData:
     """Read an ``.rcap`` file back; lossless inverse of the writer."""
-    meta, records = walk_capture(source)
+    buffer = _capture_bytes(source)
+    meta, records = scan_capture(buffer)
+    view = memoryview(buffer)
     data = CaptureFileData(meta=meta)
-    for record_type, body in records:
+    for record_type, start, end in records:
         if record_type == RECORD_CAPTURE:
-            data.captures.append(_decode_capture(body))
+            data.captures.append(_decode_capture(view[start:end]))
         elif record_type == RECORD_EVENT:
-            data.events.append(_decode_event(body))
+            data.events.append(_decode_event(view[start:end]))
         elif record_type == RECORD_EXPERIMENT:
-            data.experiments.append(json.loads(body))
+            data.experiments.append(json.loads(bytes(view[start:end])))
         else:
             # Forward compatibility: skip by length.
             data.unknown_records_skipped += 1
     return data
 
 
-def _decode_capture(body: bytes) -> CaptureWindow:
+def _decode_capture(body: memoryview) -> CaptureWindow:
     fields = dict(zip(_CAPTURE_FIELDS, _CAPTURE_FIXED.unpack_from(body)))
     n_before = fields.pop("n_before")
     count = n_before + fields.pop("n_after")
@@ -348,11 +449,13 @@ def _decode_capture(body: bytes) -> CaptureWindow:
     )
 
 
-def _decode_event(body: bytes) -> LifecycleEvent:
+def _decode_event(body: memoryview) -> LifecycleEvent:
     time_ps, corr_id, seq, experiment_index, blob_len = _EVENT_FIXED.unpack_from(
         body
     )
-    blob = json.loads(body[_EVENT_FIXED.size:_EVENT_FIXED.size + blob_len])
+    blob = json.loads(
+        bytes(body[_EVENT_FIXED.size:_EVENT_FIXED.size + blob_len])
+    )
     return LifecycleEvent(
         time_ps=time_ps,
         stage=blob["stage"],

@@ -34,15 +34,18 @@ experiment-index order, never completion order — with these rules:
   index patched to the campaign-global one.  Only the header and the
   experiment markers are re-encoded, each marker gaining a ``"shard"``
   field naming its source directory; unknown record types are dropped.
+  The splice holds one shard in memory at a time, and every shard is
+  validated before the first byte of the merged file is written.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import struct
 from pathlib import Path
-from typing import Any, Dict, List, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Set, Tuple, Union
 
 from repro.capture import format as _rcap
 from repro.capture.session import CAPTURE_FILE_NAME
@@ -208,77 +211,125 @@ def merge_artifacts(
     return summary
 
 
+def _read_shard(path: Path) -> bytearray:
+    """A shard file's bytes in one patchable buffer (no second copy)."""
+    with open(path, "rb") as stream:
+        buffer = bytearray(os.fstat(stream.fileno()).st_size)
+        del buffer[stream.readinto(buffer):]
+    return buffer
+
+
+def _survey_shard(path: Path) -> Tuple[Dict[str, Any], Dict[int, int],
+                                        Set[int]]:
+    """Validate a shard; return its header meta, its window and event
+    counts, and the local experiment indices of its markers."""
+    buffer = _read_shard(path)
+    meta, records = _rcap.scan_capture(buffer)
+    counts = {_rcap.RECORD_CAPTURE: 0, _rcap.RECORD_EVENT: 0}
+    local_indices: Set[int] = set()
+    for record_type, start, end in records:
+        if record_type in counts:
+            counts[record_type] += 1
+        elif record_type == _rcap.RECORD_EXPERIMENT:
+            local_indices.add(json.loads(buffer[start:end]).get("index", 0))
+    return meta, counts, local_indices
+
+
 def _merge_captures(
     target: Path,
     sources: Sequence[Tuple[int, str, Path]],
     label: str,
 ) -> Path:
-    """Splice shard ``.rcap`` files into one campaign capture file."""
+    """Splice shard ``.rcap`` files into one campaign capture file.
+
+    Two passes, one shard in memory at a time.  Pass 1 scans every
+    shard, keeping only its header counters, its window and event
+    counts and the remap of its local experiment indices; a malformed
+    shard raises before the target is opened, so it leaves no merged
+    file.  Pass 2 reads each shard into a ``bytearray``, re-encodes its
+    experiment markers (remapped index plus ``"shard"``), patches every
+    window's and event's ``u32`` experiment index in place, and writes
+    the windows, then the events, as runs of contiguous frames.  Unknown
+    record types are dropped.
+    """
     shards_meta: List[Dict[str, Any]] = []
-    shards = []
+    remaps: List[Dict[int, int]] = []
+    events_dropped = corr_ids_assigned = 0
     for global_index, name, path in sources:
-        meta, records = _rcap.walk_capture(path)
-        # Bucket by type (unknown types are dropped): each shard is
-        # written as its markers, then its windows, then its events.
-        bodies: Dict[int, List[bytes]] = {_rcap.RECORD_EXPERIMENT: [],
-                                          _rcap.RECORD_CAPTURE: [],
-                                          _rcap.RECORD_EVENT: []}
-        for record_type, body in records:
-            if record_type in bodies:
-                bodies[record_type].append(body)
-        shards.append((global_index, name, meta, bodies))
+        meta, counts, local_indices = _survey_shard(path)
+        # Per-shard experiment indices restart at 0; remap them to the
+        # campaign-global index (one experiment per shard, but the loop
+        # tolerates shards carrying several).
+        remaps.append({
+            local: global_index + offset
+            for offset, local in enumerate(sorted(local_indices) or [0])
+        })
+        events_dropped += meta.get("events_dropped", 0)
+        corr_ids_assigned += meta.get("corr_ids_assigned", 0)
         shards_meta.append({
             "index": global_index,
             "name": name,
             "source": str(path.parent.parent.name),
-            "events": len(bodies[_rcap.RECORD_EVENT]),
-            "captures": len(bodies[_rcap.RECORD_CAPTURE]),
+            "events": counts[_rcap.RECORD_EVENT],
+            "captures": counts[_rcap.RECORD_CAPTURE],
         })
     meta = {
         "label": label,
         "sim_epoch_ps": 0,
         "merged_by": "repro.runtime",
         "shards": shards_meta,
-        "experiments": len(shards),
+        "experiments": len(sources),
         "events_retained": sum(entry["events"] for entry in shards_meta),
-        "events_dropped": sum(
-            m.get("events_dropped", 0) for _, _, m, _ in shards
-        ),
-        "corr_ids_assigned": sum(
-            m.get("corr_ids_assigned", 0) for _, _, m, _ in shards
-        ),
+        "events_dropped": events_dropped,
+        "corr_ids_assigned": corr_ids_assigned,
     }
     with _rcap.CaptureWriter(target, meta=meta) as writer:
-        for global_index, name, _, bodies in shards:
-            markers = [json.loads(body)
-                       for body in bodies[_rcap.RECORD_EXPERIMENT]]
-            # Per-shard experiment indices restart at 0; remap them to
-            # the campaign-global index (one experiment per shard, but
-            # the loop tolerates shards carrying several).
-            local_indices = sorted(
-                {marker.get("index", 0) for marker in markers}
-            ) or [0]
-            remap = {
-                local: global_index + offset
-                for offset, local in enumerate(local_indices)
-            }
-            for marker in markers:
-                marker["index"] = remap.get(marker.get("index", 0),
-                                            global_index)
-                marker["shard"] = shard_dir(".", global_index, name).name
-                writer.write_experiment(marker)
-            for record_type, offset in (
-                (_rcap.RECORD_CAPTURE, _rcap.CAPTURE_INDEX_OFFSET),
-                (_rcap.RECORD_EVENT, _rcap.EVENT_INDEX_OFFSET),
-            ):
-                for body in bodies[record_type]:
-                    (local,) = _INDEX.unpack_from(body, offset)
-                    writer.write_record(record_type, b"".join((
-                        body[:offset],
-                        _INDEX.pack(remap.get(local, global_index)),
-                        body[offset + _INDEX.size:],
-                    )))
+        for (global_index, name, path), remap in zip(sources, remaps):
+            _splice_shard(writer, _read_shard(path), global_index,
+                          shard_dir(".", global_index, name).name, remap)
     return target
+
+
+def _splice_shard(
+    writer: _rcap.CaptureWriter,
+    buffer: bytearray,
+    global_index: int,
+    shard: str,
+    remap: Dict[int, int],
+) -> None:
+    """Write one shard's markers, then windows, then events."""
+    head = _rcap.RECORD_HEAD_SIZE
+    offsets = {_rcap.RECORD_CAPTURE: _rcap.CAPTURE_INDEX_OFFSET,
+               _rcap.RECORD_EVENT: _rcap.EVENT_INDEX_OFFSET}
+    # Per type, [first frame, end, records] of each run of adjacent
+    # frames: a CaptureSession shard has one run of each.
+    runs: Dict[int, List[List[int]]] = {_rcap.RECORD_CAPTURE: [],
+                                        _rcap.RECORD_EVENT: []}
+    _, records = _rcap.scan_capture(buffer)
+    for record_type, start, end in records:
+        if record_type == _rcap.RECORD_EXPERIMENT:
+            marker = json.loads(buffer[start:end])
+            marker["index"] = remap.get(marker.get("index", 0),
+                                        global_index)
+            marker["shard"] = shard
+            writer.write_experiment(marker)
+            continue
+        offset = offsets.get(record_type)
+        if offset is None:
+            continue
+        at = start + offset
+        (local,) = _INDEX.unpack_from(buffer, at)
+        _INDEX.pack_into(buffer, at, remap.get(local, global_index))
+        spans = runs[record_type]
+        if spans and spans[-1][1] == start - head:
+            spans[-1][1] = end
+            spans[-1][2] += 1
+        else:
+            spans.append([start - head, end, 1])
+    with memoryview(buffer) as view:
+        for record_type in (_rcap.RECORD_CAPTURE, _rcap.RECORD_EVENT):
+            for first, end, count in runs[record_type]:
+                writer.write_framed(view[first:end], count)
 
 
 def telemetry_dir(shard: Union[str, Path]) -> Path:

@@ -1,9 +1,13 @@
 """Round-trip tests for the versioned binary ``.rcap`` format."""
 
+import enum
 import io
+import json
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.capture.format import (
     MAGIC,
@@ -11,9 +15,11 @@ from repro.capture.format import (
     CaptureWriter,
     pack_symbol,
     read_capture,
+    scan_capture,
     unpack_symbol,
+    walk_capture,
 )
-from repro.capture.provenance import LifecycleEvent
+from repro.capture.provenance import LifecycleEvent, Stage
 from repro.core.monitor import CaptureRecord
 from repro.errors import ConfigurationError
 from repro.hw.injector import InjectionEvent
@@ -144,3 +150,115 @@ class TestRoundTrip:
         raw = buffer.getvalue()
         with pytest.raises(ConfigurationError):
             read_capture(raw[:-3])
+
+
+class TestFramingScanner:
+    def test_scan_yields_body_offsets_and_walk_copies_them(self):
+        buffer = io.BytesIO()
+        with CaptureWriter(buffer, meta={"label": "scan"}) as writer:
+            writer.write_experiment({"index": 0, "name": "x"})
+            writer.write_capture(0, _capture_record())
+            writer.write_record(250, b"")
+            writer.write_event(LifecycleEvent(time_ps=1, stage="drop",
+                                              node="pc"))
+        raw = buffer.getvalue()
+        meta, records = scan_capture(bytearray(raw))
+        spans = list(records)
+        assert meta["label"] == "scan"
+        assert [record_type for record_type, _, _ in spans] == [3, 1, 250, 2]
+        assert spans[-1][2] == len(raw)
+        assert walk_capture(raw) == (
+            meta, [(t, raw[start:end]) for t, start, end in spans])
+        assert walk_capture(memoryview(raw)) == walk_capture(raw)
+
+
+class _Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 2 ** 40
+
+
+#: Strings that stress JSON escaping: quotes, backslashes, control
+#: characters, non-ASCII and astral code points.
+_texts = st.text(alphabet=st.one_of(
+    st.characters(),
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é☃\U0001F600'),
+), max_size=12)
+_scalars = st.one_of(
+    st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(list(_Level)),
+    _texts,
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_texts, inner, max_size=3)),
+    max_leaves=8,
+)
+_attrs = st.one_of(
+    st.dictionaries(_texts, _values, max_size=5),
+    st.dictionaries(st.integers(-5, 5), _scalars, max_size=3),
+)
+#: A small pool, so events share tails and attr keys across one writer.
+_names = st.one_of(st.sampled_from(Stage.ALL + ("", "pc", "tx")), _texts)
+_events = st.builds(
+    LifecycleEvent,
+    time_ps=st.integers(0, 2 ** 64 - 1),
+    stage=_names,
+    node=_names,
+    direction=_names,
+    corr_id=st.one_of(st.none(), st.integers(0, 2 ** 63 - 1)),
+    seq=st.integers(0, 2 ** 32 - 1),
+    experiment_index=st.integers(0, 2 ** 32 - 1),
+    attrs=_attrs,
+)
+
+
+def _reference_blob(event):
+    return json.dumps({"stage": event.stage, "node": event.node,
+                       "direction": event.direction, "attrs": event.attrs},
+                      sort_keys=True).encode()
+
+
+class TestEventEncoder:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_events, min_size=1, max_size=8))
+    def test_event_bodies_equal_the_json_dumps_reference(self, events):
+        buffer = io.BytesIO()
+        with CaptureWriter(buffer, meta={}) as writer:
+            for event in events:
+                writer.write_event(event)
+        raw = buffer.getvalue()
+        _, records = scan_capture(raw)
+        bodies = [raw[start:end] for _, start, end in records]
+        expected = []
+        for event in events:
+            blob = _reference_blob(event)
+            expected.append(struct.pack(
+                "<QqIII", event.time_ps,
+                -1 if event.corr_id is None else event.corr_id,
+                event.seq, event.experiment_index, len(blob)) + blob)
+        assert bodies == expected
+
+        decoded = read_capture(raw).events
+        assert len(decoded) == len(events)
+        for back, event in zip(decoded, events):
+            assert (back.time_ps, back.stage, back.node, back.direction,
+                    back.corr_id, back.seq, back.experiment_index) == (
+                event.time_ps, event.stage, event.node, event.direction,
+                event.corr_id, event.seq, event.experiment_index)
+            # JSON makes keys strings and IntEnums ints, and NaN != NaN:
+            # compare with what json.loads makes of the reference blob.
+            assert repr(back.attrs) == repr(
+                json.loads(_reference_blob(event))["attrs"])
+
+    def test_mixed_key_types_fail_like_json_dumps(self):
+        event = LifecycleEvent(time_ps=1, stage="drop", node="pc",
+                               attrs={"a": 1, 2: 3})
+        with pytest.raises(TypeError):
+            _reference_blob(event)
+        with CaptureWriter(io.BytesIO(), meta={}) as writer:
+            with pytest.raises(TypeError):
+                writer.write_event(event)

@@ -139,23 +139,32 @@ def _exported(root, spec):
         return list(store.export_rows(spec_digest(spec)))
 
 
+def _aggregate(root, spec):
+    with ResultStore(root / "results.sqlite") as store:
+        return store.aggregate(spec_digest(spec))
+
+
 class TestWorkerCountIdentity:
     def test_fabric_matches_serial_at_1_2_and_4_workers(self, tmp_path):
         """One spec, four runs — serial and pooled with 1, 2 and 4
-        workers: identical rendered tables and identical winner rows in
-        the result store."""
+        workers: identical rendered tables, identical winner rows and
+        identical aggregates in the result store.  The store is equal
+        by query, not by bytes: rows land in completion order."""
         spec = tiny_spec()
         serial_root = tmp_path / "serial"
         serial = Campaign.from_spec(spec).run(
             executor=SerialExecutor(artifacts_dir=serial_root))
         reference = _exported(serial_root, spec)
+        totals = _aggregate(serial_root, spec)
         assert [row["index"] for row in reference] == [0, 1, 2, 3]
+        assert totals["experiments_done"] == 4
         for workers in (1, 2, 4):
             root = tmp_path / f"w{workers}"
             executor = PooledExecutor(workers=workers, artifacts_dir=root)
             table = Campaign.from_spec(spec).run(executor=executor)
             assert table.render() == serial.render(), workers
             assert _exported(root, spec) == reference, workers
+            assert _aggregate(root, spec) == totals, workers
             assert executor.executed == [0, 1, 2, 3]
             assert executor.retries == {}
 

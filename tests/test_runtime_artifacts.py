@@ -7,7 +7,9 @@ and re-encode everything.  Both must write the same bytes.
 """
 
 import dataclasses
+import io
 import struct
+import tracemalloc
 
 import pytest
 
@@ -184,7 +186,7 @@ def _header(version=VERSION, meta=b"{}"):
     return MAGIC + struct.pack("<HI", version, len(meta)) + meta
 
 
-@pytest.mark.parametrize("blob", [
+MALFORMED = [
     pytest.param(b"NOTACAPTURE" + bytes(16), id="bad-magic"),
     pytest.param(_header(version=VERSION + 1), id="newer-version"),
     pytest.param(_header()[:-1], id="truncated-header"),
@@ -195,10 +197,72 @@ def _header(version=VERSION, meta=b"{}"):
                  id="short-event-body"),
     pytest.param(_header() + struct.pack("<BI", 1, 8) + bytes(8),
                  id="short-window-body"),
-])
+]
+
+
+@pytest.mark.parametrize("blob", MALFORMED)
 def test_a_malformed_shard_fails_the_merge(tmp_path, blob):
     _shard_path(tmp_path, 0, "bad").write_bytes(blob)
     with pytest.raises(ConfigurationError):
         merge_artifacts(tmp_path, [(0, "bad")], label=LABEL)
+    assert not merged_capture_path(tmp_path).exists()
     with pytest.raises(ConfigurationError):
         read_capture(blob)
+
+
+@pytest.mark.parametrize("blob", MALFORMED)
+def test_good_shards_before_a_bad_one_leave_no_merged_file(tmp_path, blob):
+    """Every shard is validated before the merged file is opened, so a
+    merge that streams good shards out first cannot pass."""
+    for index in (0, 1):
+        with CaptureWriter(_shard_path(tmp_path, index, "good"),
+                           meta={}) as writer:
+            writer.write_experiment({"index": 0, "name": "good"})
+            writer.write_capture(0, _window(10 + index, index))
+            writer.write_event(_event(20 + index))
+    _shard_path(tmp_path, 2, "bad").write_bytes(blob)
+    with pytest.raises(ConfigurationError):
+        merge_artifacts(tmp_path, [(0, "good"), (1, "good"), (2, "bad")],
+                        label=LABEL)
+    assert not merged_capture_path(tmp_path).exists()
+
+
+def _synthetic_shard(target_bytes=150_000):
+    """One marker, then 247-symbol windows and events: ``target_bytes``."""
+    buffer = io.BytesIO()
+    with CaptureWriter(buffer, meta={"events_dropped": 1}) as writer:
+        writer.write_experiment({"index": 0, "name": "synthetic"})
+        time_ps = 0
+        while buffer.tell() < target_bytes:
+            time_ps += 1
+            if time_ps % 4 == 0:
+                writer.write_capture(0, _window(time_ps, time_ps,
+                                                payload=bytes(240)))
+            else:
+                writer.write_event(_event(time_ps, corr_id=time_ps))
+    return buffer.getvalue()
+
+
+def _traced_merge_peak(root, shards, blob):
+    entries = [(index, f"s{index}") for index in range(shards)]
+    for index, name in entries:
+        _shard_path(root, index, name).write_bytes(blob)
+    tracemalloc.start()
+    try:
+        merge_artifacts(root, entries, label=LABEL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    merged = read_capture(merged_capture_path(root))
+    assert [m["index"] for m in merged.experiments] == list(range(shards))
+    return peak
+
+
+def test_merge_memory_is_bounded_by_one_shard_not_the_campaign(tmp_path):
+    """The splice holds one shard at a time: quadrupling the shard count
+    leaves the traced peak flat, and the peak stays near one shard."""
+    blob = _synthetic_shard()
+    small = _traced_merge_peak(tmp_path / "eight", 8, blob)
+    large = _traced_merge_peak(tmp_path / "thirty-two", 32, blob)
+    assert large <= 1.25 * small, (small, large)
+    assert max(small, large) < 3 * len(blob), (small, large, len(blob))
