@@ -32,7 +32,7 @@ import tracemalloc
 from benchmarks.conftest import bench_scale, record_result
 from repro.nftape.campaign import Campaign
 from repro.nftape.paper import _table4_row, table4_spec
-from repro.capture.session import CAPTURE_FILE_NAME
+from repro.capture.format import CAPTURE_FILE_NAME
 from repro.runtime import PooledExecutor, SerialExecutor, merge_artifacts
 from repro.runtime.artifacts import CAPTURE_SUBDIR, shard_dir
 from repro.sim.timebase import MS

@@ -29,6 +29,9 @@ import serves the ways of using the repository:
   per table/figure of the evaluation, each taking the same
   ``seed: int = 0`` base seed (per-experiment seeds derive from it via
   :func:`derive_seed`);
+* **observe a run** — wrap it in an :class:`ObservationSession` for
+  metrics, spans and the ``capture.rcap`` flight record (see
+  docs/telemetry.md and docs/capture.md);
 * **analyze what ran** — feed a campaign's artifact directory to
   :func:`analyze_artifacts` for a ranked-root-cause
   :class:`IncidentReport`, and archive/query reports through
@@ -61,9 +64,8 @@ import importlib
 from typing import Any, List
 
 #: The public-surface contract version ("v<major>"); see docs/api.md.
-API_VERSION = "v4"
+API_VERSION = "v5"
 
-from repro.capture import CaptureSession
 from repro.core import FaultInjectorDevice, InjectorSession
 from repro.core.faults import control_symbol_swap, replace_bytes
 from repro.hw.registers import CorruptMode, InjectorConfig, MatchMode
@@ -112,7 +114,7 @@ from repro.scenario import (
     scenario_to_json,
 )
 from repro.sim import DeterministicRng, Simulator
-from repro.telemetry import TelemetrySession
+from repro.telemetry import ObservationSession
 
 __all__ = [
     # surface contract
@@ -163,9 +165,8 @@ __all__ = [
     "spec_digest",
     "spec_to_json",
     "spec_from_json",
-    # observation sessions and the live event bus
-    "TelemetrySession",
-    "CaptureSession",
+    # the observation session and the live event bus
+    "ObservationSession",
     "EventBus",
     "EventBusSession",
     # monitoring-as-a-service (docs/server.md)

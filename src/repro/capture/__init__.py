@@ -2,25 +2,28 @@
 
 The observability layer the paper's §3.2/§3.4 monitoring story implies:
 
-* :mod:`repro.capture.state` — the global on/off switch the hot-path
-  hooks read (one attribute load when capture is off);
 * :mod:`repro.capture.provenance` — correlation ids, the lifecycle
   flight recorder, and route-invariant packet fingerprints;
 * :mod:`repro.capture.instrument` — the duck-typed hooks instrumented
-  code calls after checking ``CAPTURE.active``;
+  code calls after checking the ``recorder`` slot of the observation
+  switchboard (:data:`repro.telemetry.state.STATE`), and
+  :func:`capture_experiment`, which closes one experiment's scope;
 * :mod:`repro.capture.format` — the versioned ``.rcap`` binary capture
   file (writer + lossless reader);
-* :mod:`repro.capture.session` — the ``with``-block session that owns a
-  recorder and writes the artifact;
 * :mod:`repro.capture.decode` — the offline analyzer that reassembles
   packets, marks injected symbols, and joins §4.4 verdicts.
+
+:class:`repro.telemetry.session.ObservationSession` owns the recorder
+and writes ``capture/capture.rcap`` beside the telemetry artifacts.
 """
 
 from repro.capture.format import (
+    CAPTURE_FILE_NAME,
     CaptureFileData,
     CaptureWriter,
     read_capture,
 )
+from repro.capture.instrument import capture_experiment
 from repro.capture.provenance import (
     ExperimentCapture,
     FlightRecorder,
@@ -28,12 +31,6 @@ from repro.capture.provenance import (
     Stage,
     packet_key,
 )
-from repro.capture.session import (
-    CAPTURE_FILE_NAME,
-    CaptureSession,
-    capture_experiment,
-)
-from repro.capture.state import CAPTURE, capture_active
 
 #: Names resolved lazily from :mod:`repro.capture.decode`.  The decode
 #: pipeline imports hostsim/nftape, which transitively import the hot
@@ -50,18 +47,15 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "CAPTURE",
     "CAPTURE_FILE_NAME",
     "CaptureAnalysis",
     "CaptureFileData",
-    "CaptureSession",
     "CaptureWriter",
     "ExperimentCapture",
     "FlightRecorder",
     "LifecycleEvent",
     "Stage",
     "analyze_capture",
-    "capture_active",
     "capture_experiment",
     "packet_key",
     "read_capture",

@@ -23,8 +23,8 @@ capture window the analyzer
    that frame);
 5. **joins the verdict**: every window carries its experiment's
    §4.4 classification (via the experiment marker written by
-   :class:`~repro.capture.session.CaptureSession`), its evidence list,
-   and — when telemetry ran — the experiment's span id.
+   :class:`~repro.telemetry.session.ObservationSession`), its evidence
+   list, and the experiment's span id.
 
 The result is a JSON-safe analysis tree plus a text/markdown report
 rendered through :class:`repro.nftape.report.CampaignReport`.

@@ -64,6 +64,7 @@ from repro.errors import ConfigurationError
 from repro.myrinet.symbols import Symbol, control_symbol, data_symbol
 
 __all__ = [
+    "CAPTURE_FILE_NAME",
     "MAGIC",
     "VERSION",
     "CaptureWindow",
@@ -75,6 +76,9 @@ __all__ = [
     "pack_symbol",
     "unpack_symbol",
 ]
+
+#: File name of the capture artifact under ``--artifacts-dir``'s ``capture/``.
+CAPTURE_FILE_NAME = "capture.rcap"
 
 MAGIC = b"RCAP\x01\n"
 VERSION = 1

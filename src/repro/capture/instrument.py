@@ -1,11 +1,12 @@
 """Provenance hooks between the simulation stack and the flight recorder.
 
 Exactly like :mod:`repro.telemetry.instrument`, every function here is
-called from instrumented code *after* it checked ``CAPTURE.active`` —
-one attribute read is the entire disabled cost.  The hooks are
-duck-typed and import nothing from the simulation packages, so the hot
-layers (``myrinet.interface``, ``myrinet.switch``, ``core.device``,
-``hostsim.sockets``) can import this module without cycles.
+called from instrumented code *after* it checked that
+``STATE.recorder is not None`` — one slot load is the entire disabled
+cost.  The hooks are duck-typed and import nothing from the simulation
+packages, so the hot layers (``myrinet.interface``, ``myrinet.switch``,
+``core.device``, ``hostsim.sockets``) can import this module without
+cycles.
 
 Everything here only *observes*: no clock reads, no scheduling, no
 mutation of simulation state.  The capture determinism test replays an
@@ -25,12 +26,14 @@ Correlation granularity is honest about the hardware:
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
-from repro.capture.provenance import Stage, packet_key
-from repro.capture.state import CAPTURE
+from repro.capture.provenance import ExperimentCapture, Stage, packet_key
+from repro.telemetry.spans import current_span_id
+from repro.telemetry.state import STATE
 
 __all__ = [
+    "capture_experiment",
     "host_send",
     "switch_hop",
     "device_transit",
@@ -62,9 +65,7 @@ def host_send(
     Assigns the packet's correlation id and registers its
     route-invariant fingerprint so the receiving end can recognise it.
     """
-    recorder = CAPTURE.recorder
-    if recorder is None:  # pragma: no cover - defensive
-        return
+    recorder = STATE.recorder
     corr = recorder.next_corr_id()
     recorder.register_key(packet_key(packet_type, payload), corr)
     recorder.record(
@@ -88,9 +89,7 @@ def switch_hop(
     time_ps: int, switch_name: str, in_port: int, out_port: int
 ) -> None:
     """One frame forwarded through a cut-through switch (frame-scoped)."""
-    recorder = CAPTURE.recorder
-    if recorder is None:  # pragma: no cover - defensive
-        return
+    recorder = STATE.recorder
     recorder.record(
         time_ps,
         Stage.SWITCH_HOP,
@@ -110,9 +109,7 @@ def device_transit(
     symbols_out: int,
 ) -> None:
     """One burst through the fault-injector device (burst-scoped)."""
-    recorder = CAPTURE.recorder
-    if recorder is None:  # pragma: no cover - defensive
-        return
+    recorder = STATE.recorder
     recorder.record(
         time_ps,
         Stage.DEVICE_TRANSIT,
@@ -128,9 +125,7 @@ def injection(
     time_ps: int, device_name: str, direction: str, event: Any
 ) -> None:
     """One injector trigger firing, with the full event detail."""
-    recorder = CAPTURE.recorder
-    if recorder is None:  # pragma: no cover - defensive
-        return
+    recorder = STATE.recorder
     recorder.record(
         time_ps,
         Stage.INJECT,
@@ -150,9 +145,7 @@ def injection(
 
 def capture_window(record: Any, stored: bool) -> None:
     """One SDRAM capture window closing (stored or shed by the SDRAM)."""
-    recorder = CAPTURE.recorder
-    if recorder is None:  # pragma: no cover - defensive
-        return
+    recorder = STATE.recorder
     recorder.record(
         record.time_ps,
         Stage.CAPTURE_STORED if stored else Stage.CAPTURE_SHED,
@@ -178,9 +171,7 @@ def host_frame_drop(
     itself evidence: a corrupted packet surfaces as a provenance-less
     drop.
     """
-    recorder = CAPTURE.recorder
-    if recorder is None:  # pragma: no cover - defensive
-        return
+    recorder = STATE.recorder
     recorder.record(
         time_ps,
         Stage.DROP,
@@ -196,9 +187,7 @@ def packet_deliver(
     time_ps: int, interface_name: str, packet_type: int, payload: bytes
 ) -> None:
     """A parsed data packet accepted by the receiving interface."""
-    recorder = CAPTURE.recorder
-    if recorder is None:  # pragma: no cover - defensive
-        return
+    recorder = STATE.recorder
     corr = recorder.lookup_key(packet_key(packet_type, payload))
     recorder.record(
         time_ps,
@@ -219,9 +208,7 @@ def packet_drop(
     payload: bytes,
 ) -> None:
     """A parsed packet dropped by the receive dispatch (misaddressed...)."""
-    recorder = CAPTURE.recorder
-    if recorder is None:  # pragma: no cover - defensive
-        return
+    recorder = STATE.recorder
     corr = recorder.lookup_key(packet_key(packet_type, payload))
     recorder.record(
         time_ps,
@@ -243,9 +230,7 @@ def packet_drop(
 def udp_deliver(time_ps: int, node: str, dst_port: int,
                 payload_len: int) -> None:
     """A UDP datagram passed to its bound application handler."""
-    recorder = CAPTURE.recorder
-    if recorder is None:  # pragma: no cover - defensive
-        return
+    recorder = STATE.recorder
     recorder.record(
         time_ps,
         Stage.UDP_DELIVER,
@@ -259,9 +244,7 @@ def udp_deliver(time_ps: int, node: str, dst_port: int,
 
 def udp_checksum_drop(time_ps: int, node: str, payload_len: int) -> None:
     """A UDP datagram dropped by the one's-complement checksum."""
-    recorder = CAPTURE.recorder
-    if recorder is None:  # pragma: no cover - defensive
-        return
+    recorder = STATE.recorder
     recorder.record(
         time_ps,
         Stage.UDP_CHECKSUM_DROP,
@@ -270,3 +253,48 @@ def udp_checksum_drop(time_ps: int, node: str, payload_len: int) -> None:
         None,
         payload_len=payload_len,
     )
+
+
+# ---------------------------------------------------------------------------
+# experiment scope
+# ---------------------------------------------------------------------------
+
+
+def capture_experiment(
+    testbed: Any,
+    result: Any,
+    seed: Optional[int] = None,
+) -> ExperimentCapture:
+    """Close the current experiment scope on the active flight recorder.
+
+    Called by :meth:`repro.nftape.experiment.Experiment.run` (after
+    result collection, inside the ``experiment`` telemetry span) while
+    a recorder is installed.  Flushes the device's monitors, collects
+    the SDRAM capture windows, classifies the result per §4.4, and
+    records the telemetry span id so the offline decoder can join all
+    three.
+    """
+    recorder = STATE.recorder
+    # Local import: nftape.experiment imports this module at load time,
+    # and classify pulls in nftape.results — resolving it lazily keeps
+    # the package import graph acyclic.
+    from repro.nftape.classify import classify_result
+
+    classification = classify_result(result)
+    capture = ExperimentCapture(
+        index=recorder.current_experiment_index,
+        name=result.name,
+        seed=seed,
+        fault_class=classification.fault_class.value,
+        evidence=list(classification.evidence),
+        span_id=current_span_id(),
+        injections=result.injections,
+    )
+    device = getattr(testbed, "device", None)
+    if device is not None:
+        for direction in ("R", "L"):
+            device.monitor(direction).flush()
+        capture.records = [record for _time, record in device.sdram.records]
+        capture.sdram = dict(device.sdram.stats)
+    recorder.finish_experiment(capture)
+    return capture

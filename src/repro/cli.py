@@ -20,7 +20,7 @@
     python -m repro capture summarize --input out/capture
     python -m repro insight analyze --input out --store incidents.db
     python -m repro insight similar --store incidents.db --label run-a
-    python -m repro metrics --input out/metrics.json --format summary
+    python -m repro metrics --input out/telemetry/metrics.json --format summary
     python -m repro synthesis
     python -m repro lint          # simlint static analysis (CI gate)
     python -m repro sanitize      # identical-seed determinism replay
@@ -46,6 +46,15 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.nftape.report import CampaignReport
 from repro.nftape.results import ResultTable
 from repro.sim.timebase import MS
+from repro.telemetry.session import (
+    CAPTURE_SUBDIR,
+    METRICS_FILE_NAME,
+    TELEMETRY_SUBDIR,
+)
+
+#: The artifacts root the offline readers (``capture``, ``metrics``)
+#: default to, as written by ``--artifacts-dir out``.
+DEFAULT_ARTIFACTS_DIR = "out"
 
 #: Registry: name -> (description, runner).  Runners take a scale factor
 #: and return (tables, notes).
@@ -302,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
         "decode",
         help="reassemble packets, mark injected symbols, join verdicts",
     )
-    decode.add_argument("--input", default="out/cap",
+    decode.add_argument("--input",
+                        default=f"{DEFAULT_ARTIFACTS_DIR}/{CAPTURE_SUBDIR}",
                         help="a capture.rcap file or its directory")
     decode.add_argument("--json", dest="json_out", default=None,
                         help="also write the full analysis tree as JSON")
@@ -312,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         "summarize",
         help="print record counts and experiment markers without decoding",
     )
-    summarize.add_argument("--input", default="out/cap",
+    summarize.add_argument("--input",
+                           default=f"{DEFAULT_ARTIFACTS_DIR}/{CAPTURE_SUBDIR}",
                            help="a capture.rcap file or its directory")
 
     metrics = sub.add_parser(
@@ -320,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-render a metrics.json artifact (json, Prometheus text, "
              "or a quantile summary)",
     )
-    metrics.add_argument("--input", default="out/metrics.json",
+    metrics.add_argument("--input",
+                         default=f"{DEFAULT_ARTIFACTS_DIR}/{TELEMETRY_SUBDIR}/"
+                                 f"{METRICS_FILE_NAME}",
                          help="path to a metrics.json artifact")
     metrics.add_argument("--format", choices=("json", "prom", "summary"),
                          default="prom", help="output format ('summary' "
@@ -449,16 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "run-digest corpus or the scenario "
                              "compile corpus")
     return parser
-
-
-def _resolve_artifact_dirs(args) -> Tuple[Optional[str], Optional[str]]:
-    """Map ``--artifacts-dir DIR`` to ``(DIR/telemetry, DIR/capture)``."""
-    from pathlib import Path
-
-    if not args.artifacts_dir:
-        return None, None
-    root = Path(args.artifacts_dir)
-    return str(root / "telemetry"), str(root / "capture")
 
 
 def _list_experiments() -> str:
@@ -913,8 +916,7 @@ def _run_capture(args) -> int:
     import json
     from pathlib import Path
 
-    from repro.capture.format import read_capture
-    from repro.capture.session import CAPTURE_FILE_NAME
+    from repro.capture.format import CAPTURE_FILE_NAME, read_capture
 
     path = Path(args.input)
     if path.is_dir():
@@ -1328,41 +1330,38 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     report = CampaignReport("DSN 2002 reproduction — experiment report")
     from contextlib import nullcontext
+    from pathlib import Path
 
-    from repro.capture import CaptureSession
-    from repro.telemetry import TelemetrySession
+    from repro.capture.format import CAPTURE_FILE_NAME
+    from repro.telemetry import ObservationSession
     from repro.telemetry.spans import span
 
-    telemetry_dir, capture_dir = _resolve_artifact_dirs(args)
-    telemetry = (
-        TelemetrySession(out_dir=telemetry_dir, label="repro run")
-        if telemetry_dir else nullcontext()
+    root = args.artifacts_dir
+    session = (
+        ObservationSession(out_dir=root, label="repro run")
+        if root else nullcontext()
     )
-    capture = (
-        CaptureSession(out_dir=capture_dir, label="repro run")
-        if capture_dir else nullcontext()
-    )
-    with telemetry:
-        with capture:
-            for name in names:
-                description, runner = EXPERIMENTS[name]
-                print(f"== {name}: {description}")
-                with span("paper-experiment", name=name):
-                    tables, notes = runner(args.scale)
-                for table in tables:
-                    print(table.render())
-                    report.add_table(table)
-                for note in notes:
-                    print(note)
-                    report.add_note(note)
-                print()
-    if telemetry_dir:
-        print(f"telemetry artifacts written to {telemetry_dir}/")
-    if capture_dir:
-        recorder = capture.recorder
+    with session:
+        for name in names:
+            description, runner = EXPERIMENTS[name]
+            print(f"== {name}: {description}")
+            with span("paper-experiment", name=name):
+                tables, notes = runner(args.scale)
+            for table in tables:
+                print(table.render())
+                report.add_table(table)
+            for note in notes:
+                print(note)
+                report.add_note(note)
+            print()
+    if root:
+        recorder = session.recorder
+        print(f"telemetry artifacts written to "
+              f"{Path(root) / TELEMETRY_SUBDIR}/")
         print(
             f"capture: {len(recorder.events)} lifecycle events, "
-            f"{recorder.corr_ids_assigned} correlation ids -> {capture.path}"
+            f"{recorder.corr_ids_assigned} correlation ids -> "
+            f"{Path(root) / CAPTURE_SUBDIR / CAPTURE_FILE_NAME}"
         )
     if args.out:
         target = report.write(args.out)

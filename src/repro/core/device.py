@@ -41,9 +41,8 @@ from repro.myrinet.link import Channel, Link
 from repro.myrinet.symbols import Burst
 from repro.sim.kernel import Simulator
 from repro.capture import instrument as _capture
-from repro.capture.state import CAPTURE as _CAPTURE
 from repro.telemetry import instrument as _telemetry
-from repro.telemetry.state import STATE as _TELEMETRY_STATE
+from repro.telemetry.state import STATE as _STATE
 
 #: Direction identifiers: R = left-to-right (toward the switch when the
 #: device sits on a host link), L = right-to-left.
@@ -218,7 +217,7 @@ class FaultInjectorDevice:
     def _on_injection_event(self, direction: str, event) -> None:
         """Injector firing: open the monitor capture, log provenance."""
         self._monitors[direction].on_injection(self._sim.now, event)
-        if _CAPTURE.active:
+        if _STATE.recorder is not None:
             _capture.injection(self._sim.now, self.name, direction, event)
 
     def on_burst(self, burst: Burst, channel: Channel) -> None:
@@ -259,9 +258,9 @@ class FaultInjectorDevice:
         # One guarded call per burst (not per symbol): occupancy gauges,
         # throughput counters, and the added-latency histogram against
         # the paper's ~250 ns pipeline claim.
-        if _TELEMETRY_STATE.active:
+        if _STATE.registry is not None:
             _telemetry.device_burst(self, direction, received, sent)
-        if _CAPTURE.active:
+        if _STATE.recorder is not None:
             _capture.device_transit(
                 self._sim.now, self.name, direction, received, sent
             )

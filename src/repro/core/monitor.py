@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from typing import Deque, List, Optional
 
 from repro.capture import instrument as _capture
-from repro.capture.state import CAPTURE as _CAPTURE
 from repro.hw.injector import InjectionEvent
 from repro.hw.sdram import SdramBuffer
 from repro.myrinet.symbols import Burst, Symbol
+from repro.telemetry.state import STATE as _STATE
 
 
 @dataclass
@@ -125,7 +125,7 @@ class InjectionMonitor:
         stored = self._sdram.store(record.time_ps, record, record.size_bytes)
         if stored:
             self.captures_taken += 1
-        if _CAPTURE.active:
+        if _STATE.recorder is not None:
             _capture.capture_window(record, stored)
 
     def captures(self) -> List[CaptureRecord]:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.capture.session import CAPTURE_FILE_NAME, CaptureSession
+from repro.capture.format import CAPTURE_FILE_NAME
 from repro.core.device import FaultInjectorDevice
 from repro.core.faults import control_symbol_swap, replace_bytes
 from repro.core.monitor import MonitorConfig
@@ -60,7 +60,7 @@ from repro.myrinet.symbols import (
 from repro.sim.kernel import Simulator
 from repro.sim.rng import DeterministicRng
 from repro.sim.timebase import MS
-from repro.telemetry import TelemetrySession
+from repro.telemetry.session import CAPTURE_SUBDIR, ObservationSession
 
 __all__ = [
     "GOLDEN_SCENARIOS",
@@ -208,16 +208,17 @@ class _DeviceHarness:
 def _with_sessions(
     name: str, drive: Callable[[], _DeviceHarness]
 ) -> RunArtifacts:
-    """Run a device scenario under telemetry + capture sessions.
+    """Run a device scenario under an observation session.
 
-    The session labels are part of the digested artifacts, so they keep
+    The session label is part of the digested artifacts, so they keep
     the ``conformance:`` prefix the corpus was first pinned with.
     """
     with tempfile.TemporaryDirectory() as tmp:
-        with TelemetrySession(label=f"conformance:{name}") as tele:
-            with CaptureSession(out_dir=tmp, label=f"conformance:{name}"):
-                harness = drive()
-        rcap_digest = _digest((Path(tmp) / CAPTURE_FILE_NAME).read_bytes())
+        with ObservationSession(out_dir=tmp,
+                                label=f"conformance:{name}") as tele:
+            harness = drive()
+        rcap_digest = _digest(
+            (Path(tmp) / CAPTURE_SUBDIR / CAPTURE_FILE_NAME).read_bytes())
     artifacts = harness.artifacts()
     artifacts.telemetry = _filtered_metrics(tele.registry)
     artifacts.rcap_digest = rcap_digest
@@ -399,10 +400,11 @@ def _render_tables(result: Any) -> str:
 
 def _run_paper(name: str, entry: Callable[[], Any]) -> RunArtifacts:
     with tempfile.TemporaryDirectory() as tmp:
-        with TelemetrySession(label=f"conformance:{name}") as tele:
-            with CaptureSession(out_dir=tmp, label=f"conformance:{name}"):
-                result = entry()
-        rcap_digest = _digest((Path(tmp) / CAPTURE_FILE_NAME).read_bytes())
+        with ObservationSession(out_dir=tmp,
+                                label=f"conformance:{name}") as tele:
+            result = entry()
+        rcap_digest = _digest(
+            (Path(tmp) / CAPTURE_SUBDIR / CAPTURE_FILE_NAME).read_bytes())
     tables = _render_tables(result)
     return RunArtifacts(
         stream_digests={"tables": _digest(tables.encode("utf-8"))},
@@ -467,7 +469,7 @@ _HEADER = (
 
 
 def run_scenario(name: str) -> RunArtifacts:
-    """Run one pinned scenario under telemetry + capture sessions."""
+    """Run one pinned scenario under an observation session."""
     (name,) = _select(name)
     return _RUNNERS[name]()
 

@@ -16,7 +16,6 @@ from collections import Counter
 from typing import Callable, Dict, Optional
 
 from repro.capture import instrument as _capture
-from repro.capture.state import CAPTURE as _CAPTURE
 from repro.errors import ChecksumError, ProtocolError
 from repro.hostsim.ip import HEADER_LEN as IP_HEADER_LEN
 from repro.hostsim.ip import (
@@ -32,6 +31,7 @@ from repro.myrinet.interface import HostInterface
 from repro.sim.kernel import Simulator
 from repro.sim.rng import DeterministicRng
 from repro.sim.timebase import US
+from repro.telemetry.state import STATE as _STATE
 
 #: Receive-path handler: (src_mac, src_ip, src_port, payload).
 UdpHandler = Callable[[MacAddress, IpAddress, int, bytes], None]
@@ -178,7 +178,7 @@ class HostStack:
             # "When the corruption did not satisfy the checksum, the
             # packets were dropped." (paper §4.3.4)
             self.checksum_drops += 1
-            if _CAPTURE.active:
+            if _STATE.recorder is not None:
                 _capture.udp_checksum_drop(
                     self._sim.now, self.interface.name, len(raw_udp)
                 )
@@ -191,7 +191,7 @@ class HostStack:
             self.unbound_drops += 1
             return
         self.udp_delivered += 1
-        if _CAPTURE.active:
+        if _STATE.recorder is not None:
             _capture.udp_deliver(
                 self._sim.now, self.interface.name, dst_port, len(data)
             )

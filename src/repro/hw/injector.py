@@ -34,7 +34,7 @@ from repro.hw.registers import (
 )
 from repro.myrinet.symbols import Burst, Symbol, control_symbol, data_symbol
 from repro.telemetry import instrument as _telemetry
-from repro.telemetry.state import STATE as _TELEMETRY_STATE
+from repro.telemetry.state import STATE as _STATE
 
 #: Default pipeline depth in symbols: a 3-cycle inject pipeline plus "a
 #: few more 32-bit segments in the FIFO" — about 250 ns at the paper's
@@ -253,7 +253,7 @@ class FifoInjector:
         )
         if len(self.events) < self.events_limit:
             self.events.append(event)
-        if _TELEMETRY_STATE.active:
+        if _STATE.registry is not None:
             _telemetry.injection(self.name, event)
         if self._on_injection is not None:
             self._on_injection(event)
@@ -431,7 +431,7 @@ class FifoInjector:
         )
         if len(self.events) < self.events_limit:
             self.events.append(event)
-        if _TELEMETRY_STATE.active:
+        if _STATE.registry is not None:
             _telemetry.injection(self.name, event)
         if self._on_injection is not None:
             self._on_injection(event)

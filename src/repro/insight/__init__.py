@@ -6,7 +6,7 @@ paper's "failure analysis" endgame): where :mod:`repro.telemetry` and
 it.  Given one campaign's artifact directory, the engine
 
 * joins decoded ``.rcap`` capture windows to telemetry spans via the
-  correlation ids the capture session stamped at run time;
+  correlation ids the observation session stamped at run time;
 * reconstructs a per-incident sim-time timeline (phases, injections,
   capture windows, drops);
 * computes the **blast radius** over the Figure 10 route graph — which

@@ -32,9 +32,12 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.capture.decode import CaptureAnalysis, analyze_capture
-from repro.capture.format import CaptureFileData, read_capture
+from repro.capture.format import (
+    CAPTURE_FILE_NAME,
+    CaptureFileData,
+    read_capture,
+)
 from repro.capture.provenance import Stage
-from repro.capture.session import CAPTURE_FILE_NAME
 from repro.errors import ConfigurationError
 from repro.insight.model import (
     BlastRadius,
@@ -47,6 +50,11 @@ from repro.myrinet.mapping import TopologyOracle, paper_oracle
 from repro.runtime.spec import CampaignSpec, ExperimentSpec
 from repro.runtime.spec_codec import spec_from_json
 from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.session import (
+    CAPTURE_SUBDIR,
+    METRICS_FILE_NAME,
+    TELEMETRY_SUBDIR,
+)
 from repro.telemetry.state import STATE
 
 __all__ = ["CampaignArtifacts", "load_artifacts", "analyze_artifacts"]
@@ -114,10 +122,10 @@ def load_artifacts(root: Union[str, Path]) -> CampaignArtifacts:
     if not root.is_dir():
         raise ConfigurationError(f"{root} is not an artifact directory")
     artifacts = CampaignArtifacts(root)
-    telemetry = root / "telemetry"
-    capture_path = root / "capture" / CAPTURE_FILE_NAME
+    telemetry = root / TELEMETRY_SUBDIR
+    capture_path = root / CAPTURE_SUBDIR / CAPTURE_FILE_NAME
 
-    metrics_path = telemetry / "metrics.json"
+    metrics_path = telemetry / METRICS_FILE_NAME
     if metrics_path.exists():
         try:
             artifacts.metrics_doc = json.loads(metrics_path.read_text())
@@ -650,6 +658,6 @@ def analyze_artifacts(
         "degradations": len(degradations),
     }
 
-    if degradations and STATE.active and STATE.registry is not None:
+    if degradations and STATE.registry is not None:
         STATE.registry.counter("insight.degraded").inc(len(degradations))
     return report

@@ -20,7 +20,6 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.capture import instrument as _capture
-from repro.capture.state import CAPTURE as _CAPTURE
 from repro.errors import ConfigurationError, CrcError, ProtocolError
 from repro.myrinet.addresses import MacAddress, McpAddress
 from repro.myrinet.flow import LONG_TIMEOUT_PERIODS, PortFlowControl, long_timeout_ps
@@ -43,6 +42,7 @@ from repro.myrinet.slack import (
 )
 from repro.myrinet.symbols import GAP_VALUE, Burst, Symbol
 from repro.sim.kernel import Simulator
+from repro.telemetry.state import STATE as _STATE
 
 #: Length of the address header inside a data packet's payload:
 #: 6 bytes destination MAC + 6 bytes source MAC.
@@ -221,7 +221,7 @@ class HostInterface:
         frame = encode_frame(route, packet_type, payload)
         now = self._sim.now
         self._tx_queue.append((frame, now))
-        if _CAPTURE.active:
+        if _STATE.recorder is not None:
             # Correlation id assigned at transmit-queue entry; the
             # fingerprint lets the far end recognise this packet again.
             _capture.host_send(now, self.name, packet_type, payload,
@@ -317,7 +317,7 @@ class HostInterface:
             # Source route not exhausted: "consumed and handled as an
             # error" (paper §4.3.2).
             self.consume_errors += 1
-            if _CAPTURE.active:
+            if _STATE.recorder is not None:
                 _capture.host_frame_drop(
                     self._sim.now, self.name, "consume_error", len(frame)
                 )
@@ -326,7 +326,7 @@ class HostInterface:
             _route, packet_type, payload = decode_frame(frame)
         except CrcError:
             self.crc_errors += 1
-            if _CAPTURE.active:
+            if _STATE.recorder is not None:
                 # No fingerprint survives a CRC failure — the drop is
                 # deliberately provenance-less.
                 _capture.host_frame_drop(
@@ -335,7 +335,7 @@ class HostInterface:
             return
         except ProtocolError:
             self.truncated_frames += 1
-            if _CAPTURE.active:
+            if _STATE.recorder is not None:
                 _capture.host_frame_drop(
                     self._sim.now, self.name, "truncated", len(frame)
                 )
@@ -344,7 +344,7 @@ class HostInterface:
 
     def _dispatch(self, packet_type: int, payload: bytes) -> None:
         if packet_type == PACKET_TYPE_MAPPING:
-            if _CAPTURE.active:
+            if _STATE.recorder is not None:
                 _capture.packet_deliver(
                     self._sim.now, self.name, packet_type, payload
                 )
@@ -355,7 +355,7 @@ class HostInterface:
             # Unrecognized packet type: dropped; internal structures such
             # as the routing table are unaffected (paper §4.3.2).
             self.unknown_type_drops += 1
-            if _CAPTURE.active:
+            if _STATE.recorder is not None:
                 _capture.packet_drop(
                     self._sim.now, self.name, "unknown_type", packet_type,
                     payload,
@@ -363,7 +363,7 @@ class HostInterface:
             return
         if len(payload) < DATA_HEADER_LEN:
             self.truncated_frames += 1
-            if _CAPTURE.active:
+            if _STATE.recorder is not None:
                 _capture.packet_drop(
                     self._sim.now, self.name, "truncated_payload",
                     packet_type, payload,
@@ -374,14 +374,14 @@ class HostInterface:
             # "the node drops incoming packets that are misaddressed"
             # (paper §4.3.3).
             self.misaddressed_drops += 1
-            if _CAPTURE.active:
+            if _STATE.recorder is not None:
                 _capture.packet_drop(
                     self._sim.now, self.name, "misaddressed", packet_type,
                     payload,
                 )
             return
         self.packets_received += 1
-        if _CAPTURE.active:
+        if _STATE.recorder is not None:
             _capture.packet_deliver(
                 self._sim.now, self.name, packet_type, payload
             )

@@ -31,7 +31,6 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.capture import instrument as _capture
-from repro.capture.state import CAPTURE as _CAPTURE
 from repro.errors import ConfigurationError
 from repro.sim.kernel import Event, Simulator
 from repro.myrinet.crc8 import _TABLE as _CRC_TABLE
@@ -47,6 +46,7 @@ from repro.myrinet.symbols import (
     IDLE,
     Burst,
 )
+from repro.telemetry.state import STATE as _STATE
 
 
 def _build_crc_zero_pow() -> Tuple[bytes, ...]:
@@ -384,7 +384,7 @@ class MyrinetSwitch:
             outbox.flags.append(0)
             touched.add(out)
             state.frames_forwarded += 1
-            if _CAPTURE.active:
+            if _STATE.recorder is not None:
                 # Cut-through: the switch never holds a whole packet, so
                 # the hop event is frame-scoped (ports), not corr-scoped.
                 _capture.switch_hop(self._sim.now, self.name, i, out)

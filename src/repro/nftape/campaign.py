@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 from repro.nftape.classify import classify_result
 from repro.nftape.results import ExperimentResult, ResultTable
 from repro.telemetry.spans import span
-from repro.telemetry.state import STATE as _TELEMETRY_STATE
+from repro.telemetry.state import STATE as _STATE
 
 if TYPE_CHECKING:
     from repro.runtime.spec import CampaignSpec
@@ -87,7 +87,7 @@ class Campaign:
         outcome counters) are identical across executors and worker
         counts.
 
-        With a telemetry session active the whole run is bracketed in a
+        With an observation session active the whole run is bracketed in a
         ``campaign`` span, in-process experiments land in nested spans
         (see :meth:`Experiment.run`), and per-outcome counters
         (``campaign.experiments``, ``campaign.outcomes{fault_class=…}``)
@@ -112,11 +112,9 @@ class Campaign:
         return table
 
     def _account(self, result: ExperimentResult) -> None:
-        """Outcome counters for the active telemetry session, if any."""
-        if not _TELEMETRY_STATE.active:
-            return
-        registry = _TELEMETRY_STATE.registry
-        if registry is None:  # pragma: no cover - defensive
+        """Outcome counters for the active observation session, if any."""
+        registry = _STATE.registry
+        if registry is None:
             return
         registry.counter("campaign.experiments").inc()
         fault_class = classify_result(result).fault_class.value

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from repro.capture.session import capture_experiment as _capture_experiment
-from repro.capture.state import CAPTURE as _CAPTURE
+from repro.capture.instrument import capture_experiment as _capture_experiment
 from repro.core.device import FaultInjectorDevice
 from repro.core.session import InjectorSession
 from repro.errors import CampaignError
@@ -34,7 +33,7 @@ from repro.sim.rng import DeterministicRng
 from repro.sim.timebase import MS, US
 from repro.telemetry import instrument as _telemetry
 from repro.telemetry.spans import span
-from repro.telemetry.state import STATE as _TELEMETRY_STATE
+from repro.telemetry.state import STATE as _STATE
 
 
 @dataclass
@@ -174,7 +173,7 @@ class Experiment:
 
         Phases are bracketed in telemetry spans (``experiment`` nesting
         ``settle``/``injection``/``workload``/``drain``); each span
-        records both wall time and sim time.  With no telemetry session
+        records both wall time and sim time.  With no observation session
         active every ``span`` call is a shared no-op.
         """
         with span("experiment", name=self.name,
@@ -203,22 +202,20 @@ class Experiment:
             with span("drain", sim=testbed.sim):
                 testbed.sim.run_for(self.drain_ps)
             result = self._collect(testbed, workload)
-            if _CAPTURE.active:
+            if _STATE.recorder is not None:
                 # Still inside the experiment span: the marker records
                 # this experiment's span id, SDRAM windows, and verdict.
                 _capture_experiment(
                     testbed, result, seed=self.testbed_options.seed
                 )
-            if _TELEMETRY_STATE.active:
+            if _STATE.registry is not None:
                 self._publish_telemetry(testbed, result)
             return result
 
     def _publish_telemetry(self, testbed: Testbed,
                            result: ExperimentResult) -> None:
         """Sample per-experiment counters into the active registry."""
-        registry = _TELEMETRY_STATE.registry
-        if registry is None:  # pragma: no cover - defensive
-            return
+        registry = _STATE.registry
         _telemetry.sample_simulator(testbed.sim)
         if testbed.device is not None:
             # Fresh device per experiment: accumulate totals so the

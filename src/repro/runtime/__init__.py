@@ -41,7 +41,6 @@ from repro.runtime.events import (
     EventBus,
     EventBusSession,
     Subscription,
-    events_active,
 )
 from repro.runtime.executors import (
     DEFAULT_TIMEOUT_S,
@@ -67,7 +66,6 @@ __all__ = [
     "EventBusSession",
     "Subscription",
     "EVENT_KINDS",
-    "events_active",
     "spec_from_json",
     "spec_to_json",
     "SerialExecutor",

@@ -16,8 +16,8 @@ A sharded campaign run with ``--artifacts-dir out/`` produces::
       capture/
         capture.rcap
 
-Each worker runs its experiment under private telemetry/capture
-sessions writing into that experiment's shard directory; after the
+Each worker runs its experiment under a private observation session
+writing into that experiment's shard directory; after the
 order-merge of results the parent folds the shards into campaign-level
 artifacts.  The merge is deterministic — shards are visited in
 experiment-index order, never completion order — with these rules:
@@ -48,13 +48,18 @@ from pathlib import Path
 from typing import Any, Dict, List, Sequence, Set, Tuple, Union
 
 from repro.capture import format as _rcap
-from repro.capture.session import CAPTURE_FILE_NAME
+from repro.capture.format import CAPTURE_FILE_NAME
 from repro.telemetry.exporters import (
     parse_spans_jsonl,
     spans_to_jsonl,
     to_chrome_trace,
 )
 from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.session import (
+    CAPTURE_SUBDIR,
+    METRICS_FILE_NAME,
+    TELEMETRY_SUBDIR,
+)
 
 __all__ = [
     "EXPERIMENTS_SUBDIR",
@@ -67,10 +72,6 @@ __all__ = [
 
 #: Directory (under the artifacts root) holding one shard per experiment.
 EXPERIMENTS_SUBDIR = "experiments"
-#: Telemetry subdirectory name, used both per shard and for the merge.
-TELEMETRY_SUBDIR = "telemetry"
-#: Capture subdirectory name, used both per shard and for the merge.
-CAPTURE_SUBDIR = "capture"
 
 _SLUG_RE = re.compile(r"[^A-Za-z0-9_.-]+")
 #: The ``u32`` experiment index the capture splice patches.
@@ -172,7 +173,7 @@ def merge_artifacts(
     for index, name in sorted(entries):
         shard = shard_dir(root, index, name)
         telemetry = shard / TELEMETRY_SUBDIR
-        metrics_path = telemetry / "metrics.json"
+        metrics_path = telemetry / METRICS_FILE_NAME
         if metrics_path.exists():
             summary["telemetry_shards"] += 1
             metrics_docs.append(json.loads(metrics_path.read_text()))
@@ -191,7 +192,7 @@ def merge_artifacts(
     if metrics_docs:
         out = root / TELEMETRY_SUBDIR
         out.mkdir(parents=True, exist_ok=True)
-        (out / "metrics.json").write_text(
+        (out / METRICS_FILE_NAME).write_text(
             json.dumps(_merge_metrics_docs(metrics_docs, label),
                        indent=2, sort_keys=True) + "\n"
         )
@@ -302,7 +303,7 @@ def _splice_shard(
     offsets = {_rcap.RECORD_CAPTURE: _rcap.CAPTURE_INDEX_OFFSET,
                _rcap.RECORD_EVENT: _rcap.EVENT_INDEX_OFFSET}
     # Per type, [first frame, end, records] of each run of adjacent
-    # frames: a CaptureSession shard has one run of each.
+    # frames: an ObservationSession shard has one run of each.
     runs: Dict[int, List[List[int]]] = {_rcap.RECORD_CAPTURE: [],
                                         _rcap.RECORD_EVENT: []}
     _, records = _rcap.scan_capture(buffer)
@@ -332,19 +333,9 @@ def _splice_shard(
                 writer.write_framed(view[first:end], count)
 
 
-def telemetry_dir(shard: Union[str, Path]) -> Path:
-    """A shard's telemetry output directory."""
-    return Path(shard) / TELEMETRY_SUBDIR
-
-
-def capture_dir(shard: Union[str, Path]) -> Path:
-    """A shard's capture output directory."""
-    return Path(shard) / CAPTURE_SUBDIR
-
-
 def merged_metrics_path(root: Union[str, Path]) -> Path:
     """Where the merged ``metrics.json`` lands under an artifacts root."""
-    return Path(root) / TELEMETRY_SUBDIR / "metrics.json"
+    return Path(root) / TELEMETRY_SUBDIR / METRICS_FILE_NAME
 
 
 def merged_capture_path(root: Union[str, Path]) -> Path:

@@ -11,8 +11,9 @@ the campaign runs.
 The bus lives under the same contract as telemetry and capture, and the
 same golden-digest gates prove it:
 
-* **disabled is free** — every emission site guards on a single slotted
-  attribute read (:data:`EVENTS`.``active``); with no bus installed the
+* **disabled is free** — every emission site guards on a single slot
+  load (the ``bus`` slot of the observation switchboard,
+  :data:`repro.telemetry.state.STATE`); with no bus installed the
   instrumented code takes one predictable branch and does nothing else;
 * **enabled only observes** — publishing appends to bounded ring
   buffers and never blocks: a slow or absent subscriber costs the
@@ -49,14 +50,14 @@ import threading
 from collections import deque
 from typing import Any, Deque, Dict, Iterator, List, Optional
 
+from repro.telemetry.state import STATE
+
 __all__ = [
     "EVENT_KINDS",
     "Event",
     "EventBus",
     "Subscription",
     "EventBusSession",
-    "EVENTS",
-    "events_active",
     "emit",
 ]
 
@@ -316,49 +317,16 @@ class EventBus:
         return history_dropped + subscriber_dropped
 
 
-class _EventsState:
-    """The process-wide emission switch (same idiom as telemetry STATE).
-
-    ``__slots__`` keeps the ``active`` check a straight slot load — the
-    only cost the executors pay when no bus is installed.
-    """
-
-    __slots__ = ("active", "bus")
-
-    def __init__(self) -> None:
-        self.active: bool = False
-        self.bus: Optional[EventBus] = None
-
-    def activate(self, bus: EventBus) -> None:
-        self.bus = bus
-        self.active = True
-
-    def deactivate(self) -> None:
-        self.active = False
-        self.bus = None
-
-
-#: The singleton every emission site reads.
-EVENTS = _EventsState()
-
-
-def events_active() -> bool:
-    """True while an event bus is installed."""
-    return EVENTS.active
-
-
 def emit(campaign: str, kind: str, **payload: Any) -> Optional[Event]:
     """Publish onto the ambient bus, if one is installed (else free)."""
-    if not EVENTS.active:
-        return None
-    bus = EVENTS.bus
-    if bus is None:  # pragma: no cover - defensive
+    bus = STATE.bus
+    if bus is None:
         return None
     return bus.publish(campaign, kind, **payload)
 
 
 class EventBusSession:
-    """Install a bus for a ``with`` block (nests like TelemetrySession).
+    """Install a bus for a ``with`` block (nests like ObservationSession).
 
     ::
 
@@ -373,21 +341,13 @@ class EventBusSession:
     def __init__(self, bus: Optional[EventBus] = None,
                  history: int = DEFAULT_HISTORY) -> None:
         self.bus = bus if bus is not None else EventBus(history=history)
-        self._previous: Optional[tuple] = None
+        self._outer: Dict[str, Any] = {}
 
     def __enter__(self) -> "EventBusSession":
-        self._previous = (EVENTS.active, EVENTS.bus)
-        EVENTS.activate(self.bus)
+        self._outer = STATE.swap(bus=self.bus)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._previous is not None:
-            active, bus = self._previous
-            if active and bus is not None:
-                EVENTS.activate(bus)
-            else:
-                EVENTS.deactivate()
-            self._previous = None
-        else:  # pragma: no cover - defensive
-            EVENTS.deactivate()
+        STATE.swap(**self._outer)
+        self._outer = {}
         return False

@@ -47,7 +47,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 from repro.errors import CampaignError
 from repro.nftape.results import ExperimentResult
 from repro.runtime.artifacts import merge_artifacts
-from repro.runtime.events import EVENTS, emit
+from repro.runtime.events import emit
 from repro.runtime.fabric import (
     FABRIC_SUBDIR,
     POLL_S,
@@ -63,6 +63,7 @@ from repro.runtime.spec import CampaignSpec
 from repro.runtime.spec_codec import spec_to_json
 from repro.runtime.store import STORE_FILE_NAME, ResultStore
 from repro.runtime.worker import execute_job, job_for
+from repro.telemetry.state import STATE
 
 __all__ = [
     "SerialExecutor",
@@ -150,14 +151,14 @@ class _ExecutorBase:
         return self.events_label or self.label or spec.name
 
     def _emit(self, kind: str, **payload: Any) -> None:
-        if not EVENTS.active or self._events_campaign is None:
+        if STATE.bus is None or self._events_campaign is None:
             return
         emit(self._events_campaign, kind, **payload)
 
     def _emit_finished(self, index: int, name: str,
                        result: ExperimentResult) -> None:
         """``experiment_finished`` plus the counter-delta ``snapshot``."""
-        if not EVENTS.active or self._events_campaign is None:
+        if STATE.bus is None or self._events_campaign is None:
             return
         emit(
             self._events_campaign, "experiment_finished",
@@ -554,7 +555,7 @@ class PooledExecutor(_ExecutorBase):
                 next_yield += 1
 
             now = time.monotonic()
-            if EVENTS.active and now >= next_heartbeat:
+            if STATE.bus is not None and now >= next_heartbeat:
                 next_heartbeat = now + HEARTBEAT_INTERVAL_S
                 self._emit("heartbeat", running=sorted(running),
                            pending=total - len(ready) - len(running),

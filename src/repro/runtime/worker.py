@@ -10,8 +10,8 @@ function — so serial and sharded campaigns cannot drift apart
 behaviourally.
 
 When a job carries an artifacts directory, the experiment runs under
-its own private :class:`~repro.telemetry.TelemetrySession` and
-:class:`~repro.capture.CaptureSession`, dropping shard artifacts that
+its own private :class:`~repro.telemetry.ObservationSession`, which
+drops the shard's ``telemetry/`` and ``capture/`` artifacts that
 :mod:`repro.runtime.artifacts` later merges.
 
 Fault-injection hooks
@@ -44,11 +44,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.capture import CaptureSession
 from repro.nftape.results import ExperimentResult
 from repro.runtime import artifacts as _artifacts
 from repro.runtime.spec import CampaignSpec, ExperimentSpec
-from repro.telemetry import TelemetrySession
+from repro.telemetry import ObservationSession
 
 __all__ = [
     "ExperimentJob",
@@ -144,8 +143,8 @@ def execute_job(job: ExperimentJob,
                 in_process: bool = False) -> ExperimentResult:
     """Run one experiment job to completion; the shared code path.
 
-    With ``job.artifacts_dir`` set, telemetry and capture sessions are
-    opened around the run and shard artifacts written on exit.  Worker
+    With ``job.artifacts_dir`` set, an observation session is opened
+    around the run and the shard artifacts written on exit.  Worker
     processes stage artifacts under ``<shard>.a<attempt>.p<pid>.tmp``
     (pid-qualified so a duplicate lease delivery running the same
     attempt in two processes can never write into one staging dir) and
@@ -177,13 +176,7 @@ def execute_job(job: ExperimentJob,
             f"{final.name}.a{job.attempt}.p{os.getpid()}.tmp")
         if out_dir.exists():
             shutil.rmtree(out_dir)  # stale debris of a crashed attempt
-    telemetry = TelemetrySession(
-        out_dir=_artifacts.telemetry_dir(out_dir), label=label
-    )
-    capture = CaptureSession(
-        out_dir=_artifacts.capture_dir(out_dir), label=label
-    )
-    with telemetry, capture:
+    with ObservationSession(out_dir=out_dir, label=label):
         result = experiment.run()
     if not in_process:
         _promote_shard(out_dir, final)

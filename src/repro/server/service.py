@@ -20,7 +20,7 @@ Architecture — three thread roles, all buffers bounded:
   queue drains N campaigns concurrently, and every record then runs on
   the :class:`~repro.runtime.executors.PooledExecutor` — whose
   experiments execute in *worker processes* — because the in-process
-  telemetry and capture sessions are process-wide state that two
+  observation session is process-wide state that two
   concurrent in-process campaigns would corrupt.  When the bounded queue is full,
   ``POST /campaigns`` answers ``429`` immediately — submission never
   blocks on execution;
@@ -58,8 +58,8 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from repro.nftape.campaign import Campaign
 from repro.runtime.events import (
     DEFAULT_HISTORY,
-    EVENTS,
     EventBus,
+    EventBusSession,
     TERMINAL_KINDS,
 )
 from repro.runtime.executors import PooledExecutor, SerialExecutor
@@ -196,7 +196,7 @@ class MonitorServer:
         self._loop_thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._asyncio_server: Optional[asyncio.AbstractServer] = None
-        self._previous_bus: Optional[Tuple[bool, Optional[EventBus]]] = None
+        self._bus_session = EventBusSession(self.bus)
         # Self-metric counters (lock-protected).
         self._submitted = 0
         self._completed = 0
@@ -214,8 +214,7 @@ class MonitorServer:
             raise ConfigurationError("server already started")
         self.root.mkdir(parents=True, exist_ok=True)
         self._started_monotonic = time.monotonic()
-        self._previous_bus = (EVENTS.active, EVENTS.bus)
-        EVENTS.activate(self.bus)
+        self._bus_session.__enter__()
 
         started = threading.Event()
         failure: List[BaseException] = []
@@ -248,7 +247,7 @@ class MonitorServer:
         started.wait()
         if failure:
             self._loop_thread = None
-            self._restore_bus()
+            self._bus_session.__exit__(None, None, None)
             raise ConfigurationError(f"cannot bind server: {failure[0]}")
 
         self._runner_threads = [
@@ -274,16 +273,7 @@ class MonitorServer:
         for thread in self._runner_threads:
             thread.join(timeout=30.0)
         self._runner_threads = []
-        self._restore_bus()
-
-    def _restore_bus(self) -> None:
-        if self._previous_bus is not None:
-            active, bus = self._previous_bus
-            if active and bus is not None:
-                EVENTS.activate(bus)
-            else:
-                EVENTS.deactivate()
-            self._previous_bus = None
+        self._bus_session.__exit__(None, None, None)
 
     def __enter__(self) -> "MonitorServer":
         return self.start()
@@ -387,7 +377,7 @@ class MonitorServer:
             if self.runners > 1 or record.workers > 1:
                 # Concurrent runners: every campaign's experiments must
                 # run in worker *processes*, because the ambient
-                # telemetry/capture sessions are process-wide — two
+                # observation session is process-wide — two
                 # in-process campaigns in one server process would
                 # interleave their instrumentation.
                 executor: Any = PooledExecutor(

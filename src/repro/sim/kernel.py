@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.errors import SimulationError
 from repro.sim.timebase import format_time
 from repro.telemetry import instrument as _telemetry
-from repro.telemetry.state import STATE as _TELEMETRY_STATE
+from repro.telemetry.state import STATE as _STATE
 
 #: Heap length below which cancelled entries are left for the pops to
 #: skip; from it on the heap is compacted whenever they outnumber live
@@ -288,7 +288,7 @@ class Simulator:
             self._now = deadline
         # Telemetry accounting happens per *batch*, never per event, so
         # the kernel's hot loop stays untouched; one slot read when off.
-        if _TELEMETRY_STATE.active:
+        if _STATE.registry is not None:
             _telemetry.kernel_run(self, fired)
         return fired
 

@@ -8,19 +8,24 @@ machine-readable exporters (JSONL, Prometheus text, Chrome trace JSON).
 
 Quickstart::
 
-    from repro.telemetry import TelemetrySession, span
+    from repro.telemetry import ObservationSession, span
 
-    with TelemetrySession(out_dir="out", label="my-campaign") as session:
+    with ObservationSession(out_dir="out", label="my-campaign") as session:
         with span("campaign", name="demo"):
             campaign.run()
-    # out/metrics.json, out/spans.jsonl, out/trace.json
+    # out/telemetry/{metrics.json,spans.jsonl,trace.json}
+    # and out/capture/capture.rcap
+
+The same session turns on the capture flight recorder
+(:mod:`repro.capture`): one switchboard,
+:data:`~repro.telemetry.state.STATE`, carries every observation sink.
 
 Design contract (enforced by tests):
 
-* **disabled == free** — every hot-path hook is guarded by one slotted
-  attribute read; with no session active the simulation runs the exact
-  event sequence it ran before this package existed (identical kernel
-  digests);
+* **disabled == free** — every hot-path hook is guarded by one slot
+  load and an ``is not None`` test; with no session active the
+  simulation runs the exact event sequence it ran before this package
+  existed (identical kernel digests);
 * **enabled == invisible** — telemetry only observes; it never reads
   wall-clock time inside sim logic, schedules events, or perturbs RNG
   streams, so identical-seed digests also match with telemetry *on*;
@@ -41,9 +46,23 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.session import ARTIFACT_NAMES, TelemetrySession
 from repro.telemetry.spans import SpanRecord, SpanTracker, span
-from repro.telemetry.state import STATE, telemetry_active
+from repro.telemetry.state import STATE
+
+#: Names resolved lazily from :mod:`repro.telemetry.session`.  The
+#: session owns the capture recorder and writer, whose package imports
+#: the hot modules that import *us* — deferring it keeps the graph
+#: acyclic.
+_SESSION_EXPORTS = ("ARTIFACT_NAMES", "ObservationSession")
+
+
+def __getattr__(name: str):
+    if name in _SESSION_EXPORTS:
+        from repro.telemetry import session
+
+        return getattr(session, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ARTIFACT_NAMES",
@@ -52,14 +71,13 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "ObservationSession",
     "SpanRecord",
     "SpanTracker",
     "STATE",
-    "TelemetrySession",
     "parse_spans_jsonl",
     "span",
     "spans_to_jsonl",
-    "telemetry_active",
     "to_chrome_trace",
     "to_prometheus",
 ]

@@ -4,7 +4,7 @@ Two kinds of function live here:
 
 * **hot hooks** (:func:`kernel_run`, :func:`device_burst`,
   :func:`injection`) — called from instrumented code *after* it checked
-  ``STATE.active``, at run/burst/injection granularity (never per
+  ``STATE.registry is not None``, at run/burst/injection granularity (never per
   event), so the enabled cost stays a few dict lookups per burst;
 * **samplers** (:func:`sample_simulator`, :func:`sample_device`,
   :func:`publish_direction_stats`) — pull cumulative counters out of
@@ -43,7 +43,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# hot hooks (caller has already checked STATE.active)
+# hot hooks (caller has already checked STATE.registry is not None)
 # ---------------------------------------------------------------------------
 
 
@@ -56,8 +56,6 @@ def kernel_run(sim: Any, fired: int) -> None:
     work is.
     """
     registry = STATE.registry
-    if registry is None:  # pragma: no cover - defensive
-        return
     registry.counter("sim.events_fired").inc(fired)
     registry.gauge("sim.queue_depth").set(sim.pending)
     registry.gauge("sim.now_ps").set(sim.now)
@@ -77,8 +75,6 @@ def device_burst(
     pipeline claim and Table 2's end-to-end rows.
     """
     registry = STATE.registry
-    if registry is None:  # pragma: no cover - defensive
-        return
     registry.counter("device.bursts", direction=direction).inc()
     registry.counter("device.symbols_in", direction=direction).inc(symbols_in)
     registry.counter("device.symbols_out", direction=direction).inc(
@@ -103,8 +99,6 @@ def device_burst(
 def injection(injector_name: str, event: Any) -> None:
     """Account one trigger firing (pattern match or forced inject)."""
     registry = STATE.registry
-    if registry is None:  # pragma: no cover - defensive
-        return
     kind = "forced" if event.forced else "matched"
     registry.counter(
         "injector.injections", injector=injector_name, kind=kind
@@ -125,7 +119,8 @@ def injection(injector_name: str, event: Any) -> None:
 
 def sample_simulator(sim: Any, registry: MetricsRegistry = None) -> None:  # type: ignore[assignment]
     """Snapshot kernel gauges (queue depth, clock) into the registry."""
-    registry = registry or STATE.registry
+    if registry is None:
+        registry = STATE.registry
     if registry is None:
         return
     registry.gauge("sim.queue_depth").set(sim.pending)
@@ -149,7 +144,8 @@ def sample_device(
       experiment rebuilds the test bed); totals are added so a campaign
       aggregates across experiments.
     """
-    registry = registry or STATE.registry
+    if registry is None:
+        registry = STATE.registry
     if registry is None:
         return
 
@@ -211,7 +207,8 @@ def publish_direction_stats(
     **labels: Any,
 ) -> None:
     """Bridge one :class:`~repro.core.stats.DirectionStats` snapshot."""
-    registry = registry or STATE.registry
+    if registry is None:
+        registry = STATE.registry
     if registry is None:
         return
 

@@ -6,7 +6,7 @@ took) and sim time (how far the picosecond clock advanced), because the
 reproduction's whole performance story is the ratio between the two.
 
 Spans nest through a stack held by the :class:`SpanTracker`; the
-module-level :func:`span` helper consults the global telemetry state and
+module-level :func:`span` helper reads the switchboard's ``spans`` slot and
 degrades to a shared allocation-free no-op context manager when
 telemetry is disabled, so instrumented code is branch-cheap either way::
 
@@ -203,9 +203,10 @@ def span(name: str, /, sim: Any = None, **attrs: Any):
     This is the instrumentation entry point: safe to call from anywhere
     at any time; it costs one attribute read when telemetry is off.
     """
-    if not STATE.active or STATE.spans is None:
+    spans = STATE.spans
+    if spans is None:
         return NOOP_SPAN
-    return STATE.spans.span(name, sim=sim, **attrs)
+    return spans.span(name, sim=sim, **attrs)
 
 
 def current_span_id() -> Optional[int]:
@@ -216,7 +217,8 @@ def current_span_id() -> Optional[int]:
     to ``spans.jsonl`` offline.  Costs one attribute read when telemetry
     is off.
     """
-    if not STATE.active or STATE.spans is None:
+    spans = STATE.spans
+    if spans is None:
         return None
-    record = STATE.spans.current()
+    record = spans.current()
     return None if record is None else record.span_id

@@ -1,14 +1,31 @@
-"""Global telemetry switchboard.
+"""The global observation switchboard.
 
-Telemetry must be *leave-enabled cheap* and *disabled free*: the hot
-layers (the event kernel, the device burst path) guard every recording
-call with a single attribute read on the module-level :data:`STATE`
-singleton.  When no :class:`~repro.telemetry.session.TelemetrySession`
-is active, ``STATE.active`` is ``False`` and the instrumented code takes
-one predictable branch and does nothing else — no allocation, no dict
-lookup, no wall-clock read.  The determinism tests pin this down: an
-identical-seed campaign produces the same kernel event digest with
-telemetry enabled, disabled, and before this subsystem existed.
+Observation must be *leave-enabled cheap* and *disabled free*.  Every
+hook in the hot layers (the event kernel, the device burst path, host
+transmit and receive, switch forwarding, the executors' lifecycle
+events) guards its recording call with a single slot load on the
+module-level :data:`STATE` singleton.  Each slot holds one live sink, or
+``None`` when that kind of observation is off:
+
+* ``registry`` — the :class:`~repro.telemetry.metrics.MetricsRegistry`;
+* ``spans`` — the :class:`~repro.telemetry.spans.SpanTracker`;
+* ``recorder`` — the capture
+  :class:`~repro.capture.provenance.FlightRecorder`;
+* ``bus`` — the live :class:`~repro.runtime.events.EventBus`.
+
+Hook sites test a slot with ``is not None``, never by truthiness: an
+empty ``MetricsRegistry`` has length 0 and is falsy.  With every slot
+``None`` the instrumented code takes one predictable branch and does
+nothing else — no allocation, no dict lookup, no wall-clock read.  The
+determinism tests pin this down: an identical-seed campaign produces
+the same kernel event digest observed, unobserved, and before any of
+this existed.
+
+:meth:`Switchboard.swap` is the one save/restore routine.
+:class:`~repro.telemetry.session.ObservationSession`,
+:class:`~repro.runtime.events.EventBusSession` and the monitoring
+server install their sinks with it and hand back what it returned on
+exit, so installs nest and each restores only the slots it set.
 
 This module deliberately imports nothing from the simulation stack so
 any layer may import it without cycles.
@@ -16,48 +33,39 @@ any layer may import it without cycles.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Any, Dict
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.telemetry.metrics import MetricsRegistry
-    from repro.telemetry.spans import SpanTracker
-
-__all__ = ["TelemetryState", "STATE", "telemetry_active"]
+__all__ = ["Switchboard", "STATE"]
 
 
-class TelemetryState:
-    """The process-wide telemetry toggle plus its live sinks.
+class Switchboard:
+    """The process-wide observation sinks, one slot each.
 
-    ``__slots__`` keeps the ``active`` check a straight slot load — the
-    only cost instrumented code pays when telemetry is off.
+    ``__slots__`` keeps each check a straight slot load — the only cost
+    instrumented code pays when observation is off.
     """
 
-    __slots__ = ("active", "registry", "spans")
+    __slots__ = ("registry", "spans", "recorder", "bus")
 
     def __init__(self) -> None:
-        self.active: bool = False
-        self.registry: Optional["MetricsRegistry"] = None
-        self.spans: Optional["SpanTracker"] = None
+        # Typed ``Any``: hooks read a slot only after the call site
+        # tested it, so the sinks' own types are the contract.
+        self.registry: Any = None
+        self.spans: Any = None
+        self.recorder: Any = None
+        self.bus: Any = None
 
-    def activate(
-        self, registry: "MetricsRegistry", spans: "SpanTracker"
-    ) -> None:
-        """Install live sinks and flip the hot-path switch on."""
-        self.registry = registry
-        self.spans = spans
-        self.active = True
+    def swap(self, **sinks: Any) -> Dict[str, Any]:
+        """Install ``sinks`` into their slots; return what they displaced.
 
-    def deactivate(self) -> None:
-        """Flip the switch off and drop the sinks."""
-        self.active = False
-        self.registry = None
-        self.spans = None
+        Passing the returned mapping back to ``swap`` restores the
+        displaced sinks.
+        """
+        previous = {name: getattr(self, name) for name in sinks}
+        for name, sink in sinks.items():
+            setattr(self, name, sink)
+        return previous
 
 
 #: The singleton every instrumentation site reads.
-STATE = TelemetryState()
-
-
-def telemetry_active() -> bool:
-    """True while a telemetry session is running."""
-    return STATE.active
+STATE = Switchboard()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim import DeterministicRng, Simulator
+from repro.telemetry.state import STATE
 
 
 @pytest.fixture
@@ -17,3 +18,12 @@ def sim() -> Simulator:
 def rng() -> DeterministicRng:
     """A deterministic random source with a fixed seed."""
     return DeterministicRng(1234)
+
+
+@pytest.fixture
+def observation_off():
+    """Every observation switchboard slot empty before and after."""
+    off = dict.fromkeys(STATE.__slots__)
+    STATE.swap(**off)
+    yield
+    STATE.swap(**off)

@@ -40,7 +40,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from repro.capture import instrument as _capture
-from repro.capture.state import CAPTURE as _CAPTURE
+from repro.telemetry.state import STATE as _STATE
 from repro.errors import ConfigurationError
 from repro.sim.kernel import Event, Simulator
 from repro.myrinet.crc8 import _TABLE as _FULL_CRC_TABLE
@@ -374,7 +374,7 @@ class MyrinetSwitch:
             output.outbox.append(GAP)
             touched.add(out)
             state.frames_forwarded += 1
-            if _CAPTURE.active:
+            if _STATE.recorder is not None:
                 # Cut-through: the switch never holds a whole packet, so
                 # the hop event is frame-scoped (ports), not corr-scoped.
                 _capture.switch_hop(self._sim.now, self.name, i, out)

@@ -243,7 +243,6 @@ class TestVerdicts:
 @pytest.fixture(scope="module")
 def campaign_analysis(tmp_path_factory):
     """Run a real 2-experiment capture campaign once for the module."""
-    from repro.capture import CaptureSession
     from repro.core.faults import control_symbol_swap
     from repro.core.monitor import MonitorConfig
     from repro.hw.registers import MatchMode
@@ -253,8 +252,7 @@ def campaign_analysis(tmp_path_factory):
     from repro.nftape.experiment import TestbedOptions
     from repro.runtime.spec import CampaignSpec, ExperimentSpec, PlanSpec
     from repro.sim.timebase import MS
-    from repro.telemetry import TelemetrySession
-    from repro.telemetry.state import STATE
+    from repro.telemetry import ObservationSession
 
     out_dir = tmp_path_factory.mktemp("capture-e2e")
     duration_ps = 2 * MS
@@ -282,12 +280,11 @@ def campaign_analysis(tmp_path_factory):
         ))
     campaign = Campaign.from_spec(CampaignSpec("capture e2e", experiments))
 
-    STATE.deactivate()
-    with TelemetrySession(label="capture e2e"):
-        with CaptureSession(out_dir=out_dir, label="capture e2e") as session:
-            campaign.run()
-    assert session.path is not None and session.path.exists()
-    return session, analyze_capture(session.path)
+    with ObservationSession(out_dir=out_dir, label="capture e2e") as session:
+        campaign.run()
+    path = out_dir / "capture" / "capture.rcap"
+    assert path.exists()
+    return session, analyze_capture(path)
 
 
 class TestEndToEndAcceptance:

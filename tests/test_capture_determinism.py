@@ -3,7 +3,7 @@
 Same discipline as :mod:`tests.test_telemetry_determinism`, whose golden
 digests predate both observability subsystems: with capture *off* the
 hot paths must be a true no-op (same digest as the pre-capture tree),
-and with a capture session *active* the flight recorder must only
+and with an observation session *active* the flight recorder must only
 observe — events are recorded, correlation ids assigned, yet the kernel
 event stream stays bit-identical.
 
@@ -13,17 +13,11 @@ CI runs this file as its capture digest gate.
 import pytest
 
 from repro.analysis.sanitize import run_probe
-from repro.capture import CaptureSession
-from repro.capture.state import CAPTURE
+from repro.telemetry import ObservationSession
 
 from tests.test_telemetry_determinism import DURATION_PS, GOLDEN_DIGESTS
 
-
-@pytest.fixture(autouse=True)
-def _clean_state():
-    CAPTURE.deactivate()
-    yield
-    CAPTURE.deactivate()
+pytestmark = pytest.mark.usefixtures("observation_off")
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_DIGESTS))
@@ -38,10 +32,10 @@ def test_disabled_capture_reproduces_golden_digest(seed):
 
 def test_enabled_capture_is_observation_only():
     """With a live flight recorder, the digest is still the golden one."""
-    with CaptureSession() as session:
+    with ObservationSession() as session:
         result = run_probe(seed=7, duration_ps=DURATION_PS)
     assert result.digest == GOLDEN_DIGESTS[7], (
-        "an active capture session perturbed the event stream: "
+        "an active observation session perturbed the event stream: "
         f"{result.summary()}"
     )
     # ... while actually having observed the run.
@@ -54,34 +48,12 @@ def test_enabled_capture_is_observation_only():
 
 
 def test_enabled_capture_with_telemetry_is_observation_only():
-    """Both observability subsystems active at once: still bit-identical."""
-    from repro.telemetry import TelemetrySession
-    from repro.telemetry.state import STATE
-
-    STATE.deactivate()
-    try:
-        with TelemetrySession():
-            with CaptureSession() as session:
-                result = run_probe(seed=0, duration_ps=DURATION_PS)
-    finally:
-        STATE.deactivate()
+    """Metrics, spans and the recorder at once: still bit-identical."""
+    with ObservationSession() as session:
+        result = run_probe(seed=0, duration_ps=DURATION_PS)
     assert result.digest == GOLDEN_DIGESTS[0], (
         "telemetry+capture together perturbed the event stream: "
         f"{result.summary()}"
     )
     assert len(session.recorder.events) > 0
-
-
-def test_session_restores_previous_state():
-    outer = CaptureSession()
-    with outer:
-        assert CAPTURE.active
-        assert CAPTURE.recorder is outer.recorder
-        inner = CaptureSession()
-        with inner:
-            assert CAPTURE.recorder is inner.recorder
-        # Nested exit restores the outer recorder, not "off".
-        assert CAPTURE.active
-        assert CAPTURE.recorder is outer.recorder
-    assert not CAPTURE.active
-    assert CAPTURE.recorder is None
+    assert session.registry.value("sim.events_fired") > 0

@@ -105,6 +105,19 @@ class TestCli:
         assert (root / "telemetry" / "metrics.json").exists()
         assert (root / "capture" / "capture.rcap").exists()
 
+    def test_offline_readers_default_to_the_artifacts_dir_layout(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``--artifacts-dir out`` then the readers with no ``--input``."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "table2", "--scale", "0.1",
+                     "--artifacts-dir", "out"]) == 0
+        capsys.readouterr()
+        assert main(["capture", "summarize"]) == 0
+        assert "lifecycle events" in capsys.readouterr().out
+        assert main(["metrics", "--format", "summary"]) == 0
+        assert "sim.events_fired" in capsys.readouterr().out
+
     def test_campaign_capture_then_decode(self, tmp_path, capsys):
         """CLI acceptance: campaign --artifacts-dir, then summarize/decode."""
         root = tmp_path / "art"

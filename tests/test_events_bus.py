@@ -25,7 +25,6 @@ from repro.insight import analyze_artifacts
 from repro.nftape.campaign import Campaign
 from repro.runtime.events import (
     EVENT_KINDS,
-    EVENTS,
     EventBus,
     EventBusSession,
     emit,
@@ -37,11 +36,7 @@ from tests.test_runtime import tiny_spec
 from tests.test_telemetry_determinism import DURATION_PS, GOLDEN_DIGESTS
 
 
-@pytest.fixture(autouse=True)
-def _clean_events_state():
-    EVENTS.deactivate()
-    yield
-    EVENTS.deactivate()
+pytestmark = pytest.mark.usefixtures("observation_off")
 
 
 # ----------------------------------------------------------------------
@@ -119,18 +114,7 @@ class TestEventBus:
         sub.close()
 
     def test_emit_without_bus_is_a_noop(self):
-        assert not EVENTS.active
         assert emit("c", "heartbeat") is None
-
-    def test_session_nesting_restores_previous_bus(self):
-        outer, inner = EventBus(), EventBus()
-        with EventBusSession(outer):
-            with EventBusSession(inner):
-                emit("c", "heartbeat")
-            assert EVENTS.bus is outer
-            emit("c", "heartbeat")
-        assert not EVENTS.active
-        assert inner.published == 1 and outer.published == 1
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from repro.errors import ConfigurationError
 from repro.insight import analyze_artifacts, load_artifacts
 from repro.nftape.campaign import Campaign
 from repro.runtime import SerialExecutor
-from repro.telemetry import TelemetrySession
+from repro.telemetry import ObservationSession
 from tests.test_scenario_fabric import shrunk
 
 EXPECTED_RL_PAIRS = [
@@ -241,7 +241,7 @@ class TestDegradedInputs:
     ):
         root = _mutable_copy(engine_root, tmp_path, "counted")
         (root / "telemetry" / "metrics.json").unlink()
-        with TelemetrySession() as session:
+        with ObservationSession() as session:
             report = analyze_artifacts(root)
         assert report.degradations
         assert session.registry.value("insight.degraded") == len(

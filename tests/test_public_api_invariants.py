@@ -79,8 +79,8 @@ API_NAMES = {
     "PlanSpec", "SerialExecutor", "PooledExecutor",
     "ResultStore", "derive_seed", "spec_digest",
     "spec_to_json", "spec_from_json",
-    # observation sessions and the live event bus
-    "TelemetrySession", "CaptureSession", "EventBus", "EventBusSession",
+    # the observation session and the live event bus
+    "ObservationSession", "EventBus", "EventBusSession",
     # monitoring-as-a-service
     "MonitorServer",
     # offline incident correlation
@@ -109,9 +109,11 @@ class TestApiSurface:
         # v3 removed FabricExecutor (PooledExecutor is the lease queue)
         # and the executors' journal/retry/start-method options;
         # v4 removed the live campaign flavour (Campaign(name).add) and
-        # the CampaignSpec build/append/materialize helpers.
+        # the CampaignSpec build/append/materialize helpers;
+        # v5 replaced TelemetrySession and CaptureSession with one
+        # ObservationSession.
         import repro.api as api
-        assert api.API_VERSION == "v4"
+        assert api.API_VERSION == "v5"
 
 
 #: Modules a campaign never touches; ``import repro.api`` must not load

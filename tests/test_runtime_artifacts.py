@@ -14,6 +14,7 @@ import tracemalloc
 import pytest
 
 from repro.capture.format import (
+    CAPTURE_FILE_NAME,
     MAGIC,
     RECORD_CAPTURE,
     VERSION,
@@ -22,7 +23,6 @@ from repro.capture.format import (
     read_capture,
 )
 from repro.capture.provenance import LifecycleEvent
-from repro.capture.session import CAPTURE_FILE_NAME
 from repro.core.monitor import CaptureRecord
 from repro.errors import ConfigurationError
 from repro.hw.injector import InjectionEvent

@@ -24,7 +24,6 @@ import time
 import pytest
 
 from repro.nftape.campaign import Campaign
-from repro.runtime.events import EVENTS
 from repro.runtime.executors import MAX_RETRIES, SerialExecutor
 from repro.runtime.spec_codec import spec_to_json
 from repro.runtime.worker import HANG_PARAM
@@ -37,11 +36,7 @@ from tests.test_runtime import tiny_spec
 DEADLINE_S = 60.0
 
 
-@pytest.fixture(autouse=True)
-def _clean_events_state():
-    EVENTS.deactivate()
-    yield
-    EVENTS.deactivate()
+pytestmark = pytest.mark.usefixtures("observation_off")
 
 
 @pytest.fixture()

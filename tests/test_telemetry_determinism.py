@@ -6,7 +6,7 @@ telemetry subsystem existed, so these tests prove two things at once:
 
 * the disabled fast path is a true no-op — same seed, same digest as the
   pre-telemetry code;
-* an *enabled* telemetry session only observes: metrics and spans are
+* an *enabled* observation session only observes: metrics and spans are
   recorded, yet the event stream is still bit-identical.
 
 CI runs this file as its telemetry digest gate.
@@ -16,8 +16,7 @@ import pytest
 
 from repro.analysis.sanitize import run_probe
 from repro.sim.timebase import MS
-from repro.telemetry import TelemetrySession
-from repro.telemetry.state import STATE
+from repro.telemetry import ObservationSession
 
 #: Kernel event-stream digests captured before the telemetry subsystem
 #: was introduced (probe duration 2 ms, default probe campaign).
@@ -29,11 +28,7 @@ GOLDEN_DIGESTS = {
 DURATION_PS = 2 * MS
 
 
-@pytest.fixture(autouse=True)
-def _clean_state():
-    STATE.deactivate()
-    yield
-    STATE.deactivate()
+pytestmark = pytest.mark.usefixtures("observation_off")
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_DIGESTS))
@@ -48,10 +43,10 @@ def test_disabled_telemetry_reproduces_pre_telemetry_digest(seed):
 
 def test_enabled_telemetry_is_observation_only():
     """With telemetry *on*, the digest is still the pre-telemetry one."""
-    with TelemetrySession() as session:
+    with ObservationSession() as session:
         result = run_probe(seed=7, duration_ps=DURATION_PS)
     assert result.digest == GOLDEN_DIGESTS[7], (
-        "an active telemetry session perturbed the event stream: "
+        "an active observation session perturbed the event stream: "
         f"{result.summary()}"
     )
     # ... while actually having observed the run.
@@ -61,7 +56,7 @@ def test_enabled_telemetry_is_observation_only():
 
 def test_enabled_and_disabled_events_fired_agree():
     """Kernel batch accounting matches the kernel's own event counter."""
-    with TelemetrySession() as session:
+    with ObservationSession() as session:
         result = run_probe(seed=0, duration_ps=DURATION_PS)
     fired = session.registry.value("sim.events_fired")
     # The session wraps the whole probe, so every run()/run_until() batch

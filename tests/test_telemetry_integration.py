@@ -1,7 +1,7 @@
 """End-to-end telemetry tests: instrumented campaign, CLI artifacts.
 
 These run a real (tiny) fault-injection experiment with a live
-:class:`~repro.telemetry.session.TelemetrySession` and check that the
+:class:`~repro.telemetry.session.ObservationSession` and check that the
 instrumentation wired through the kernel, device, injector, and campaign
 layers actually lands in the registry and span log — and that the CLI
 ``campaign``/``metrics`` commands produce and re-render the artifacts.
@@ -16,17 +16,11 @@ from repro.sim.timebase import MS
 from repro.telemetry import (
     ARTIFACT_NAMES,
     MetricsRegistry,
-    TelemetrySession,
+    ObservationSession,
     parse_spans_jsonl,
 )
-from repro.telemetry.state import STATE
 
-
-@pytest.fixture(autouse=True)
-def _clean_state():
-    STATE.deactivate()
-    yield
-    STATE.deactivate()
+pytestmark = pytest.mark.usefixtures("observation_off")
 
 
 def _run_small_experiment(session_kwargs=None):
@@ -52,7 +46,7 @@ def _run_small_experiment(session_kwargs=None):
         testbed_options=TestbedOptions(seed=11),
         drain_ps=1 * MS,
     )
-    session = TelemetrySession(**(session_kwargs or {}))
+    session = ObservationSession(**(session_kwargs or {}))
     with session:
         result = experiment.run()
     return session, result
@@ -129,17 +123,19 @@ class TestInstrumentedExperiment:
 class TestArtifactWriting:
     def test_session_writes_all_artifacts(self, tmp_path):
         session, _ = _run_small_experiment({"out_dir": tmp_path})
+        telemetry = tmp_path / "telemetry"
         for name in ARTIFACT_NAMES:
-            assert (tmp_path / name).exists(), name
-        document = json.loads((tmp_path / "metrics.json").read_text())
+            assert (telemetry / name).exists(), name
+        assert (tmp_path / "capture" / "capture.rcap").exists()
+        document = json.loads((telemetry / "metrics.json").read_text())
         assert document["generated_by"] == "repro.telemetry"
         rebuilt = MetricsRegistry.from_dict(document["metrics"])
         assert rebuilt.value("sim.events_fired") == (
             session.registry.value("sim.events_fired")
         )
-        spans = parse_spans_jsonl((tmp_path / "spans.jsonl").read_text())
+        spans = parse_spans_jsonl((telemetry / "spans.jsonl").read_text())
         assert {r.name for r in spans} >= {"experiment", "workload"}
-        trace = json.loads((tmp_path / "trace.json").read_text())
+        trace = json.loads((telemetry / "trace.json").read_text())
         assert any(e["ph"] == "X" for e in trace["traceEvents"])
 
 

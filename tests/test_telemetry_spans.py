@@ -1,19 +1,13 @@
-"""Unit tests for span tracking and the global telemetry state switch."""
+"""Unit tests for span tracking and the observation session lifecycle."""
 
 import pytest
 
 from repro.sim.kernel import Simulator
-from repro.telemetry.session import TelemetrySession
+from repro.telemetry.session import ObservationSession
 from repro.telemetry.spans import NOOP_SPAN, SpanRecord, SpanTracker, span
-from repro.telemetry.state import STATE, telemetry_active
+from repro.telemetry.state import STATE
 
-
-@pytest.fixture(autouse=True)
-def _clean_state():
-    """Every test starts and ends with telemetry disabled."""
-    STATE.deactivate()
-    yield
-    STATE.deactivate()
+pytestmark = pytest.mark.usefixtures("observation_off")
 
 
 class TestSpanTracker:
@@ -86,7 +80,7 @@ class TestSpanTracker:
 
 class TestGlobalSpanHelper:
     def test_disabled_returns_shared_noop(self):
-        assert not telemetry_active()
+        assert STATE.spans is None
         first = span("anything", name="ignored")
         second = span("other")
         assert first is NOOP_SPAN and second is NOOP_SPAN
@@ -94,12 +88,12 @@ class TestGlobalSpanHelper:
             pass
 
     def test_enabled_records_into_session_tracker(self):
-        with TelemetrySession() as session:
-            assert telemetry_active()
+        with ObservationSession() as session:
+            assert STATE.spans is session.spans
             with span("campaign", name="t"):
                 with span("experiment", run=1):
                     pass
-        assert not telemetry_active()
+        assert STATE.spans is None
         paths = sorted(r.path for r in session.spans.records)
         assert paths == ["campaign", "campaign/experiment"]
 
@@ -144,31 +138,16 @@ class TestSpanRecordSerialization:
 
 
 class TestTelemetrySessionLifecycle:
-    def test_state_restored_after_session(self):
-        assert STATE.registry is None
-        with TelemetrySession() as session:
-            assert STATE.registry is session.registry
-            assert STATE.spans is session.spans
-        assert STATE.registry is None
-        assert STATE.spans is None
-
-    def test_sessions_nest_and_restore_outer(self):
-        with TelemetrySession() as outer:
-            with TelemetrySession() as inner:
-                assert STATE.registry is inner.registry
-            assert STATE.registry is outer.registry
-        assert not STATE.active
-
     def test_exception_still_restores_and_records_wall(self):
-        session = TelemetrySession()
+        session = ObservationSession()
         with pytest.raises(RuntimeError):
             with session:
                 raise RuntimeError("boom")
-        assert not STATE.active
+        assert STATE.registry is None
         assert session.wall_s is not None and session.wall_s >= 0
 
     def test_derived_session_metrics(self):
-        with TelemetrySession() as session:
+        with ObservationSession() as session:
             session.registry.counter("sim.events_fired").inc(1000)
         assert session.registry.value("sim.events_per_s") > 0
         assert session.registry.value("session.wall_s") == pytest.approx(
