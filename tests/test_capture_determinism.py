@@ -14,6 +14,7 @@ import pytest
 
 from repro.analysis.sanitize import run_probe
 from repro.telemetry import ObservationSession
+from repro.telemetry.state import STATE
 
 from tests.test_telemetry_determinism import DURATION_PS, GOLDEN_DIGESTS
 
@@ -57,3 +58,15 @@ def test_enabled_capture_with_telemetry_is_observation_only():
     )
     assert len(session.recorder.events) > 0
     assert session.registry.value("sim.events_fired") > 0
+
+
+def test_session_restores_previous_state():
+    outer = ObservationSession()
+    with outer:
+        assert STATE.recorder is outer.recorder
+        inner = ObservationSession()
+        with inner:
+            assert STATE.recorder is inner.recorder
+        # Nested exit restores the outer recorder, not "off".
+        assert STATE.recorder is outer.recorder
+    assert STATE.recorder is None

@@ -138,6 +138,21 @@ class TestSpanRecordSerialization:
 
 
 class TestTelemetrySessionLifecycle:
+    def test_state_restored_after_session(self):
+        assert STATE.registry is None
+        with ObservationSession() as session:
+            assert STATE.registry is session.registry
+            assert STATE.spans is session.spans
+        assert STATE.registry is None
+        assert STATE.spans is None
+
+    def test_sessions_nest_and_restore_outer(self):
+        with ObservationSession() as outer:
+            with ObservationSession() as inner:
+                assert STATE.registry is inner.registry
+            assert STATE.registry is outer.registry
+        assert STATE.registry is None
+
     def test_exception_still_restores_and_records_wall(self):
         session = ObservationSession()
         with pytest.raises(RuntimeError):
