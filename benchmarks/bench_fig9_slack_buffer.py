@@ -4,34 +4,47 @@ Sweeps fill/drain cycles across the high- and low-water marks and
 measures the buffer's throughput; asserts the hysteresis behaviour the
 flow-control results depend on (STOP at high water, GO at low water,
 drops only past capacity).
+
+The buffer is :class:`~repro.myrinet.slack.LaneSlackBuffer`, the one
+every switch input port holds.  As in the switch, the consumer takes the
+parked lanes whole and charges what it still holds (there: the claimed
+output's outbox) to the watermarks while it drains.
 """
 
 from benchmarks.conftest import record_result
-from repro.myrinet.slack import QueueSlackBuffer, RateDrainedSlackBuffer
-from repro.myrinet.symbols import data_symbol
+from repro.myrinet.slack import LaneSlackBuffer, RateDrainedSlackBuffer
 from repro.sim import Simulator
 
-SYMBOL = data_symbol(0x5A)
+#: One data symbol as value and D/C flag lanes.
+SYMBOL = (b"\x5a", b"\x01")
 
 
 def test_fig9_watermark_hysteresis(benchmark):
     def run():
         events = []
-        buffer = QueueSlackBuffer(capacity=1024, high_water=512,
-                                  low_water=192,
-                                  on_backpressure=events.append)
+        buffer = LaneSlackBuffer(capacity=1024, high_water=512,
+                                 low_water=192,
+                                 on_backpressure=events.append)
+        stops_at, goes_at = set(), set()
         for _cycle in range(100):
             while not buffer.pressured:
-                buffer.push(SYMBOL)
+                buffer.push(*SYMBOL)
+                buffer.check_watermarks(buffer.occupancy)
+            stops_at.add(buffer.occupancy)
+            backlog = len(buffer.take()[0])
             while buffer.pressured:
-                buffer.pop()
-        return buffer, events
+                backlog -= 1
+                buffer.check_watermarks(backlog)
+            goes_at.add(backlog)
+        return buffer, events, stops_at, goes_at
 
-    buffer, events = benchmark.pedantic(run, rounds=1, iterations=1)
+    buffer, events, stops_at, goes_at = benchmark.pedantic(
+        run, rounds=1, iterations=1)
     assert buffer.stop_crossings == 100
     assert buffer.go_crossings == 100
     assert buffer.symbols_dropped == 0
     assert events == [True, False] * 100
+    assert (stops_at, goes_at) == ({512}, {192})
     record_result(
         "fig9_slack_buffer",
         "Figure 9 slack buffer: 100 fill/drain cycles, "
@@ -43,10 +56,10 @@ def test_fig9_watermark_hysteresis(benchmark):
 
 def test_fig9_overflow_only_past_capacity(benchmark):
     def run():
-        buffer = QueueSlackBuffer(capacity=1024, high_water=512,
-                                  low_water=192)
+        buffer = LaneSlackBuffer(capacity=1024, high_water=512,
+                                 low_water=192)
         for _index in range(2048):
-            buffer.push(SYMBOL)
+            buffer.push(*SYMBOL)
         return buffer
 
     buffer = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -73,13 +86,12 @@ def test_fig9_rate_drained_buffer_throughput(benchmark):
     assert buffer.go_crossings >= 1
 
 
-def test_push_pop_throughput(benchmark):
-    buffer = QueueSlackBuffer(capacity=4096, high_water=2048, low_water=512)
+def test_push_take_throughput(benchmark):
+    buffer = LaneSlackBuffer(capacity=4096, high_water=2048, low_water=512)
 
     def run():
         for _index in range(1000):
-            buffer.push(SYMBOL)
-        for _index in range(1000):
-            buffer.pop()
+            buffer.push(*SYMBOL)
+        buffer.take()
 
     benchmark(run)

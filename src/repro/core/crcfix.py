@@ -16,7 +16,7 @@ laundered accidentally.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.myrinet.crc8 import crc8, crc8_update
 from repro.myrinet.symbols import _DECODED_CONTROL, GAP, Burst
@@ -38,33 +38,25 @@ class CrcFixupStage:
         return self._held is None and not self._frame_dirty
 
     def feed(self, burst: Burst, enabled: bool,
-             dirty: Union[bool, Sequence[int]] = False) -> Burst:
+             rewrites: Sequence[int] = ()) -> Burst:
         """Run a burst through the stage.
 
-        ``enabled`` is the injector's crc_fixup register.  ``dirty``
-        localises the injection damage:
-
-        * a sequence of burst-relative positions (the injector's
-          ``last_burst_rewrites``) marks *exactly the frames containing
-          those positions* dirty — a clean frame sharing a burst with a
-          corrupted one passes through byte-identical, and every
-          corrupted frame in the burst is fixed, not just the first;
-        * ``True`` keeps the legacy burst-scoped behaviour (the whole
-          current frame is considered dirty) for direct callers.
+        ``enabled`` is the injector's crc_fixup register.  ``rewrites``
+        are the burst-relative positions the injector rewrote (its
+        ``last_burst_rewrites``); they mark *exactly the frames
+        containing them* dirty — a clean frame sharing a burst with a
+        corrupted one passes through byte-identical, and every
+        corrupted frame in the burst is fixed, not just the first.
 
         With the stage disabled and idle (and no positions to latch)
         the burst passes through untouched.
         """
+        if not enabled and self.idle and not rewrites:
+            return burst
         values = burst.values
         flags = burst.flags
         length = len(values)
-        positions: Sequence[int] = ()
-        if dirty is True:
-            self._frame_dirty = True
-        elif dirty:
-            positions = sorted({p for p in dirty if 0 <= p < length})
-        if not enabled and self.idle and not dirty:
-            return burst
+        positions = sorted({p for p in rewrites if 0 <= p < length})
         out_values = bytearray()
         out_flags = bytearray()
         next_position = 0

@@ -83,9 +83,10 @@ class RamFifo:
     def note_occupancy(self, occupancy: int) -> None:
         """Fold an externally observed occupancy into the watermark.
 
-        The injector's fused burst path keeps the pipeline in a local
-        list for speed; it reports the equivalent FIFO occupancy here so
-        the ``device.fifo.high_watermark`` gauge stays truthful.
+        The injector's fused burst path never fills this FIFO: it runs
+        the burst's value and flag lanes through the pipeline directly
+        and reports the equivalent FIFO occupancy here so the
+        ``device.fifo.high_watermark`` gauge stays truthful.
         """
         if occupancy > self.high_watermark:
             self.high_watermark = occupancy

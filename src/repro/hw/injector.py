@@ -198,53 +198,69 @@ class FifoInjector:
         self._apply_corruption(forced)
 
     def _apply_corruption(self, forced: bool) -> None:
-        window_before, ctl_before = self.compare.snapshot()
+        window, ctl = self.compare.snapshot()
+        self._corrupt(window, ctl, self.fifo.occupancy, self._segment_index,
+                      forced, self.fifo.rewrite_from_tail)
+
+    def _corrupt(
+        self,
+        window: int,
+        ctl: int,
+        occupancy: int,
+        segment: int,
+        forced: bool,
+        write: Callable[[int, Symbol], None],
+    ) -> None:
+        """Rewrite the compare window's lanes inside the FIFO (Figure 3).
+
+        ``window``/``ctl`` are the compare registers, ``occupancy`` the
+        symbols the FIFO still holds (the newest included) and
+        ``segment`` the push count.  ``write(lane, symbol)`` overwrites
+        the entry ``lane`` positions back from the newest.
+        Lanes that already left the FIFO (a match straddling a burst
+        start) are counted as unreachable.
+        """
         config = self.config
         if config.corrupt_mode is CorruptMode.TOGGLE:
-            window_after = window_before ^ config.corrupt_data
+            window_after = window ^ config.corrupt_data
         else:
             window_after = (
-                (window_before & ~config.corrupt_mask)
+                (window & ~config.corrupt_mask)
                 | (config.corrupt_data & config.corrupt_mask)
             ) & _MASK32
         ctl_after = (
-            (ctl_before & ~config.corrupt_ctl_mask)
+            (ctl & ~config.corrupt_ctl_mask)
             | (config.corrupt_ctl & config.corrupt_ctl_mask)
         ) & 0xF
-
         lanes_rewritten = 0
         lanes_unreachable = 0
         for lane in range(SEGMENT_LANES):
-            old_byte = (window_before >> (8 * lane)) & 0xFF
+            old_byte = (window >> (8 * lane)) & 0xFF
             new_byte = (window_after >> (8 * lane)) & 0xFF
-            old_ctl = (ctl_before >> lane) & 1
+            old_ctl = (ctl >> lane) & 1
             new_ctl = (ctl_after >> lane) & 1
             if old_byte == new_byte and old_ctl == new_ctl:
                 continue
-            if lane >= self.fifo.occupancy:
-                # Already left the FIFO (match straddled a burst start).
+            if lane >= occupancy:
                 lanes_unreachable += 1
                 continue
-            replacement = (
-                data_symbol(new_byte) if new_ctl else control_symbol(new_byte)
-            )
-            self.fifo.rewrite_from_tail(lane, replacement)
+            write(lane,
+                  data_symbol(new_byte) if new_ctl else control_symbol(new_byte))
             lanes_rewritten += 1
             # Burst-relative output position of the rewritten symbol:
-            # _segment_index counts pushes, so subtracting the origin
+            # ``segment`` counts pushes, so subtracting the origin
             # (pushes at burst start minus the pre-burst occupancy)
             # yields the index in the burst's flushed output stream.
             self.last_burst_rewrites.append(
-                self._segment_index - 1 - lane - self._rewrite_origin
+                segment - 1 - lane - self._rewrite_origin
             )
-
         self.injections += 1
         if forced:
             self.forced_injections += 1
         event = InjectionEvent(
-            segment_index=self._segment_index,
-            window_before=window_before,
-            ctl_before=ctl_before,
+            segment_index=segment,
+            window_before=window,
+            ctl_before=ctl,
             window_after=window_after,
             ctl_after=ctl_after,
             lanes_rewritten=lanes_rewritten,
@@ -307,9 +323,17 @@ class FifoInjector:
         segment = self._segment_index
         matches = 0
         evaluations = 0
+        fifo = self.fifo
         # The drained pipeline's contents, patched in place by any
         # corruption; created on the first trigger.
         patched: Optional[Tuple[bytearray, bytearray]] = None
+        newest = 0
+
+        def write(lane: int, symbol: Symbol) -> None:
+            assert patched is not None
+            patched[0][newest - lane] = symbol.value
+            patched[1][newest - lane] = symbol.is_data
+            fifo.in_place_rewrites += 1
 
         for index, (value, flag) in enumerate(zip(burst.values, burst.flags)):
             # --- odd cycle: push, pop, shift -----------------------------
@@ -342,10 +366,9 @@ class FifoInjector:
             # ``depth`` symbols pushed); the compare registers keep
             # holding the as-received stream, exactly as in the
             # per-step path.
-            self._corrupt_pipeline_tail(
-                patched, index, min(index + 1, depth), window, ctl,
-                forced, segment,
-            )
+            newest = index
+            self._corrupt(window, ctl, min(index + 1, depth), segment,
+                          forced, write)
 
         # bulk-update the bookkeeping the per-step path maintains
         count = len(burst.values)
@@ -358,83 +381,15 @@ class FifoInjector:
         self.compare.shifts += count
         self.compare.evaluations += evaluations
         self.compare.matches += matches
-        self.fifo.ram.writes += count
-        self.fifo.ram.reads += count
+        fifo.ram.writes += count
+        fifo.ram.reads += count
         # The per-step path pushes before popping, so its occupancy
         # transiently reaches depth + 1 (the FIFO holds depth + 1 words);
         # mirror that in the watermark, not the post-pop steady state.
-        self.fifo.note_occupancy(min(count, depth + 1))
+        fifo.note_occupancy(min(count, depth + 1))
         if patched is None:
             return burst
         return Burst(bytes(patched[0]), bytes(patched[1]))
-
-    def _corrupt_pipeline_tail(
-        self,
-        patched: Tuple[bytearray, bytearray],
-        newest: int,
-        occupancy: int,
-        window: int,
-        ctl: int,
-        forced: bool,
-        segment: int,
-    ) -> None:
-        """Corrupt the window's lanes inside the fused-path pipeline.
-
-        ``newest`` is the burst index of the symbol just pushed and
-        ``occupancy`` the number of symbols the FIFO still holds, the
-        newest included.
-        """
-        config = self.config
-        if config.corrupt_mode is CorruptMode.TOGGLE:
-            window_after = window ^ config.corrupt_data
-        else:
-            window_after = (
-                (window & ~config.corrupt_mask)
-                | (config.corrupt_data & config.corrupt_mask)
-            ) & _MASK32
-        ctl_after = (
-            (ctl & ~config.corrupt_ctl_mask)
-            | (config.corrupt_ctl & config.corrupt_ctl_mask)
-        ) & 0xF
-        values, flags = patched
-        lanes_rewritten = 0
-        lanes_unreachable = 0
-        for lane in range(SEGMENT_LANES):
-            old_byte = (window >> (8 * lane)) & 0xFF
-            new_byte = (window_after >> (8 * lane)) & 0xFF
-            old_ctl = (ctl >> lane) & 1
-            new_ctl = (ctl_after >> lane) & 1
-            if old_byte == new_byte and old_ctl == new_ctl:
-                continue
-            if lane >= occupancy:
-                lanes_unreachable += 1
-                continue
-            values[newest - lane] = new_byte
-            flags[newest - lane] = new_ctl
-            lanes_rewritten += 1
-            self.fifo.in_place_rewrites += 1
-            self.last_burst_rewrites.append(
-                segment - 1 - lane - self._rewrite_origin
-            )
-        self.injections += 1
-        if forced:
-            self.forced_injections += 1
-        event = InjectionEvent(
-            segment_index=segment,
-            window_before=window,
-            ctl_before=ctl,
-            window_after=window_after,
-            ctl_after=ctl_after,
-            lanes_rewritten=lanes_rewritten,
-            lanes_unreachable=lanes_unreachable,
-            forced=forced,
-        )
-        if len(self.events) < self.events_limit:
-            self.events.append(event)
-        if _STATE.registry is not None:
-            _telemetry.injection(self.name, event)
-        if self._on_injection is not None:
-            self._on_injection(event)
 
     @property
     def stats(self) -> dict:

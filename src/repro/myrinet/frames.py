@@ -22,7 +22,6 @@ from repro.myrinet.symbols import (
     IDLE,
     Burst,
     Symbol,
-    decode_control,
 )
 
 #: Default maximum frame size in bytes (route + type + payload + CRC).
@@ -47,28 +46,14 @@ class FrameAssembler:
         self.oversize_frames = 0
         self.undecodable_controls = 0
 
-    def push(self, symbol: Symbol) -> None:
-        """Feed one symbol into the assembler."""
-        if symbol.is_data:
-            if self._overflowed:
-                return
-            if len(self._current) >= self._max_frame:
-                self._overflowed = True
-                self.oversize_frames += 1
-                self._current.clear()
-                return
-            self._current.append(symbol.value)
-            return
-        self._push_control(decode_control(symbol.value))
-
     def push_burst(self, burst: Burst) -> None:
         """Feed a burst, one maximal data run at a time.
 
-        Byte-exact equivalent of calling :meth:`push` per symbol: each
-        data run extends the open frame with one slice of the value
+        Each data run extends the open frame with one slice of the value
         lane, and each control symbol is decoded singly.  ``max_frame``
         overflow is exact: a run is accepted up to the limit and
-        overflow fires on the *next* data byte, as in :meth:`push`.
+        overflow fires on the *next* data byte, as a symbol-at-a-time
+        assembler would.
         """
         values = burst.values
         flags = burst.flags
@@ -84,8 +69,8 @@ class FrameAssembler:
                 if end - index <= space:
                     current += values[index:end]
                 else:
-                    # Fill to the limit; the next data byte trips the
-                    # overflow guard exactly as in push().
+                    # Past the limit: the byte after the limit trips
+                    # the overflow guard and the frame is discarded.
                     self._overflowed = True
                     self.oversize_frames += 1
                     current.clear()

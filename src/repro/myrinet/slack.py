@@ -9,20 +9,19 @@ campaign (§4.3.1).
 
 Two drain models are provided:
 
-* :class:`QueueSlackBuffer` — the consumer explicitly pops symbols
-  (switch input ports, where the drain rate is set by the output link);
+* :class:`LaneSlackBuffer` — value and D/C flag lanes drained explicitly
+  by their consumer (every switch input port holds one; the drain rate
+  is set by the output link);
 * :class:`RateDrainedSlackBuffer` — occupancy decays continuously at a
   fixed drain rate (host interfaces, where the drain is the I/O bus DMA).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.kernel import Event, Simulator
-from repro.myrinet.symbols import Symbol
 
 #: Default slack capacity in symbols.  Real Myrinet slack buffers are
 #: sized to cover twice the round trip of the longest cable; the chunked
@@ -47,32 +46,38 @@ class _WatermarkMixin:
         low_water: int,
         on_backpressure: Optional[Callable[[bool], None]],
     ) -> None:
-        if not 0 < low_water < high_water <= capacity:
+        if not 0 <= low_water < high_water <= capacity:
             raise ConfigurationError(
-                f"need 0 < low({low_water}) < high({high_water}) <= "
+                f"need 0 <= low({low_water}) < high({high_water}) <= "
                 f"capacity({capacity})"
             )
         self.capacity = capacity
         self.high_water = high_water
         self.low_water = low_water
-        self._on_backpressure = on_backpressure
+        self.on_backpressure = on_backpressure
         self._pressured = False
         self.symbols_dropped = 0
         self.overflow_events = 0
         self.stop_crossings = 0
         self.go_crossings = 0
 
-    def _check_watermarks(self, occupancy: int) -> None:
+    def check_watermarks(self, occupancy: int) -> None:
+        """Raise or release backpressure for ``occupancy`` symbols.
+
+        ``occupancy`` is what the consumer charges to this input, which
+        may exceed the buffer's own contents (a switch adds the claimed
+        output's outbox).
+        """
         if not self._pressured and occupancy >= self.high_water:
             self._pressured = True
             self.stop_crossings += 1
-            if self._on_backpressure is not None:
-                self._on_backpressure(True)
+            if self.on_backpressure is not None:
+                self.on_backpressure(True)
         elif self._pressured and occupancy <= self.low_water:
             self._pressured = False
             self.go_crossings += 1
-            if self._on_backpressure is not None:
-                self._on_backpressure(False)
+            if self.on_backpressure is not None:
+                self.on_backpressure(False)
 
     @property
     def pressured(self) -> bool:
@@ -80,8 +85,14 @@ class _WatermarkMixin:
         return self._pressured
 
 
-class QueueSlackBuffer(_WatermarkMixin):
-    """A slack buffer drained explicitly by its consumer."""
+class LaneSlackBuffer(_WatermarkMixin):
+    """A slack buffer of value and D/C flag lanes, drained by its consumer.
+
+    The lanes are public so a consumer on a hot path can park a run as
+    one slice of each; :meth:`push` is the same operation for one run.
+    Watermarks are checked only when the consumer calls
+    :meth:`check_watermarks` with the occupancy it charges.
+    """
 
     def __init__(
         self,
@@ -91,37 +102,31 @@ class QueueSlackBuffer(_WatermarkMixin):
         on_backpressure: Optional[Callable[[bool], None]] = None,
     ) -> None:
         self._init_watermarks(capacity, high_water, low_water, on_backpressure)
-        self._queue: Deque[Symbol] = deque()
+        self.values = bytearray()
+        self.flags = bytearray()
 
-    def push(self, symbol: Symbol) -> bool:
-        """Buffer one symbol.  Returns False (and drops it) on overflow."""
-        if len(self._queue) >= self.capacity:
-            self.symbols_dropped += 1
+    def push(self, values: bytes, flags: bytes) -> int:
+        """Park a run in order; return how many symbols fit.
+
+        Symbols past ``capacity`` are dropped and counted.
+        """
+        keep = min(len(values), self.capacity - len(self.values))
+        self.values += values[:keep]
+        self.flags += flags[:keep]
+        if keep < len(values):
+            self.symbols_dropped += len(values) - keep
             self.overflow_events += 1
-            return False
-        self._queue.append(symbol)
-        self._check_watermarks(len(self._queue))
-        return True
+        return keep
 
-    def pop(self) -> Symbol:
-        """Remove and return the oldest symbol."""
-        symbol = self._queue.popleft()
-        self._check_watermarks(len(self._queue))
-        return symbol
-
-    def pop_all(self) -> List[Symbol]:
-        """Drain the whole buffer at once."""
-        drained = list(self._queue)
-        self._queue.clear()
-        self._check_watermarks(0)
-        return drained
+    def take(self) -> Tuple[bytes, bytes]:
+        """Empty the buffer, returning its value and flag lanes."""
+        values, flags = bytes(self.values), bytes(self.flags)
+        del self.values[:], self.flags[:]
+        return values, flags
 
     @property
     def occupancy(self) -> int:
-        return len(self._queue)
-
-    def __len__(self) -> int:
-        return len(self._queue)
+        return len(self.values)
 
 
 class RateDrainedSlackBuffer(_WatermarkMixin):
@@ -182,7 +187,7 @@ class RateDrainedSlackBuffer(_WatermarkMixin):
         if dropped:
             self.symbols_dropped += dropped
             self.overflow_events += 1
-        self._check_watermarks(int(self._occupancy))
+        self.check_watermarks(int(self._occupancy))
         if self._pressured:
             self._schedule_release()
         return accepted
@@ -206,6 +211,6 @@ class RateDrainedSlackBuffer(_WatermarkMixin):
     def _release_check(self) -> None:
         self._release_event = None
         self._settle()
-        self._check_watermarks(int(self._occupancy))
+        self.check_watermarks(int(self._occupancy))
         if self._pressured:
             self._schedule_release()

@@ -38,7 +38,12 @@ from repro.myrinet.crc8 import crc8_update
 from repro.myrinet.flow import LONG_TIMEOUT_PERIODS, PortFlowControl, long_timeout_ps
 from repro.myrinet.link import Channel, Link
 from repro.myrinet.packet import ROUTE_PORT_MASK
-from repro.myrinet.slack import DEFAULT_CAPACITY, DEFAULT_HIGH_WATER, DEFAULT_LOW_WATER
+from repro.myrinet.slack import (
+    DEFAULT_CAPACITY,
+    DEFAULT_HIGH_WATER,
+    DEFAULT_LOW_WATER,
+    LaneSlackBuffer,
+)
 from repro.myrinet.symbols import (
     _DECODED_CONTROL,
     GAP,
@@ -74,9 +79,12 @@ _MODE_WAITING = "waiting"
 _MODE_DRAINING = "draining"
 _MODE_DISCARDING = "discarding"
 
+#: A canonical GAP as one-symbol value and flag lanes.
+_GAP_LANES = (bytes((GAP_VALUE,)), b"\x00")
+
 
 class _Lanes:
-    """A growable symbol queue: value and D/C flag lanes side by side."""
+    """An output's outbox: value and D/C flag lanes side by side."""
 
     __slots__ = ("values", "flags")
 
@@ -92,7 +100,7 @@ _RETRY_KINDS = ("flush-retry", "flush-wait", "flush-quantum")
 class _Port:
     """Per-port state: input FSM, output claim/outbox, and flow control."""
 
-    def __init__(self, index: int, switch_name: str) -> None:
+    def __init__(self, index: int, switch_name: str, buffer: LaneSlackBuffer) -> None:
         self.index = index
         # Event labels, built once per port rather than once per event.
         prefix = f"{switch_name}:p{index}"
@@ -107,12 +115,12 @@ class _Port:
         self.claim_id = 0
         self.held: Optional[int] = None
         self.contrib = 0
-        # Slack buffer: data symbols and the canonical GAP only.
-        self.buffer = _Lanes()
+        # Slack buffer (Figure 9): data symbols and the canonical GAP
+        # only; its backpressure callback is bound at attach time.
+        self.buffer = buffer
         self.wait_output: Optional[int] = None
         self.pending_route = 0
         self.timeout_event: Optional[Event] = None
-        self.pressured = False
         # --- output (TX) side ------------------------------------------
         self.claimed_by: Optional[int] = None
         self.waiters: Deque[int] = deque()
@@ -125,7 +133,6 @@ class _Port:
         self.wait_timeouts = 0
         self.symbols_dropped = 0
         self.outbox_drops = 0
-        self.waitbuf_drops = 0
         self.discard_drops = 0
         self.undecodable_controls = 0
 
@@ -174,9 +181,6 @@ class MyrinetSwitch:
         self._sim = sim
         self.name = name
         self.num_ports = num_ports
-        self._slack_capacity = slack_capacity
-        self._high_water = high_water
-        self._low_water = low_water
         # An output's outbox can legitimately hold a granted waiter's
         # whole replayed slack on top of an earlier claim's backlog, so
         # it is sized above the per-input slack (backpressure, driven by
@@ -189,7 +193,8 @@ class MyrinetSwitch:
         #: Long-period timeout (ps) at the character rate of the
         #: lowest-numbered attached port; fixed by :meth:`attach_link`.
         self.long_timeout_ps = long_timeout_ps(12_500, long_timeout_periods)
-        self._ports = [_Port(i, name) for i in range(num_ports)]
+        self._ports = [_Port(i, name, LaneSlackBuffer(slack_capacity, high_water, low_water))
+                       for i in range(num_ports)]
         self._channel_to_port: Dict[int, int] = {}
         self._grant_queue: Deque[int] = deque()
 
@@ -224,6 +229,7 @@ class MyrinetSwitch:
             transport=flow_transport,
             remote_tx_state_getter=lambda lnk=link, s=side: lnk.peer_tx_state(s),
         )
+        state.buffer.on_backpressure = state.flow.set_backpressure
         link.register_tx_state(side, state.flow.tx_state)
         state.flow.tx_state.notify_unblocked(
             lambda p=port: self._flush_output(p)
@@ -313,13 +319,15 @@ class MyrinetSwitch:
                 state.symbols_dropped += end - index
                 state.discard_drops += end - index
             else:  # waiting or draining: park the run in the slack buffer
+                # LaneSlackBuffer.push inlined: one slice of each lane.
                 buffer = state.buffer
-                keep = min(end - index,
-                           self._slack_capacity - len(buffer.values))
+                keep = min(end - index, buffer.capacity - len(buffer.values))
                 buffer.values += values[index:index + keep]
                 buffer.flags += flags[index:index + keep]
-                state.symbols_dropped += end - index - keep
-                state.waitbuf_drops += end - index - keep
+                if keep < end - index:
+                    state.symbols_dropped += end - index - keep
+                    buffer.symbols_dropped += end - index - keep
+                    buffer.overflow_events += 1
             index = end
 
     def _process_symbol(self, i: int, is_data: int, value: int,
@@ -395,13 +403,8 @@ class MyrinetSwitch:
             if not outbox.values:
                 self._release_claim(i)
         elif state.mode in (_MODE_WAITING, _MODE_DRAINING):
-            if len(state.buffer.values) < self._slack_capacity:
-                # Any GAP that decoded, faulted or not, parks canonical.
-                state.buffer.values.append(GAP_VALUE)
-                state.buffer.flags.append(0)
-            else:
-                state.symbols_dropped += 1
-                state.waitbuf_drops += 1
+            # Any GAP that decoded, faulted or not, parks canonical.
+            state.symbols_dropped += 1 - state.buffer.push(*_GAP_LANES)
         elif state.mode == _MODE_DISCARDING:
             state.mode = _MODE_IDLE
         # idle: inter-packet gap, nothing to do
@@ -444,11 +447,8 @@ class MyrinetSwitch:
         draining) lands, in order, in the emptied buffer.
         """
         state = self._ports[j]
-        buffer = state.buffer
-        if buffer.values:
-            values, flags = bytes(buffer.values), bytes(buffer.flags)
-            del buffer.values[:], buffer.flags[:]
-            self._consume(j, values, flags, touched)
+        if state.buffer.values:
+            self._consume(j, *state.buffer.take(), touched)
         self._update_backpressure(j)
 
     def _arm_timeout(self, i: int, waiting: bool) -> None:
@@ -612,13 +612,7 @@ class MyrinetSwitch:
         state = self._ports[i]
         if state.flow is None:
             return
-        occupancy = state.occupancy(self._ports)
-        if not state.pressured and occupancy >= self._high_water:
-            state.pressured = True
-            state.flow.set_backpressure(True)
-        elif state.pressured and occupancy <= self._low_water:
-            state.pressured = False
-            state.flow.set_backpressure(False)
+        state.buffer.check_watermarks(state.occupancy(self._ports))
 
     # ------------------------------------------------------------------
     # introspection
@@ -654,7 +648,7 @@ class MyrinetSwitch:
             "wait_timeouts": state.wait_timeouts,
             "symbols_dropped": state.symbols_dropped,
             "outbox_drops": state.outbox_drops,
-            "waitbuf_drops": state.waitbuf_drops,
+            "waitbuf_drops": state.buffer.symbols_dropped,
             "discard_drops": state.discard_drops,
             "undecodable_controls": state.undecodable_controls,
         }

@@ -27,9 +27,13 @@ def frame_burst(raw: bytes):
     return Burst.from_symbols(frame_symbols(raw))
 
 
-def feed(stage, symbols, enabled, dirty=False):
-    """Run a symbol list through a CRC fix-up stage; symbols out."""
-    return stage.feed(Burst.from_symbols(symbols), enabled, dirty).symbols()
+def feed(stage, symbols, enabled, rewrites=()):
+    """Run a symbol list through a CRC fix-up stage; symbols out.
+
+    ``rewrites`` are the burst-relative positions an injector rewrote.
+    """
+    return stage.feed(Burst.from_symbols(symbols), enabled,
+                      rewrites).symbols()
 
 
 def make_packet(payload=b"payload", dst=0x0B, src=0x0A):
@@ -53,7 +57,7 @@ class TestCrcFixupStage:
         stage = CrcFixupStage()
         raw = bytearray(make_packet().to_bytes())
         raw[6] ^= 0xFF  # corrupted mid-frame, CRC now stale
-        out = feed(stage, frame_symbols(bytes(raw)), True, dirty=True)
+        out = feed(stage, frame_symbols(bytes(raw)), True, rewrites=[6])
         fixed = symbol_bytes(out)
         assert crc8(fixed) == 0  # CRC recomputed over the corrupted body
         assert fixed[6] == raw[6]
@@ -71,7 +75,7 @@ class TestCrcFixupStage:
         stage = CrcFixupStage()
         raw = bytearray(make_packet().to_bytes())
         raw[6] ^= 0xFF  # upstream corruption, no injection event
-        out = feed(stage, frame_symbols(bytes(raw)), True, dirty=False)
+        out = feed(stage, frame_symbols(bytes(raw)), True, rewrites=())
         assert crc8(symbol_bytes(out)) != 0
 
     def test_control_symbols_pass_through(self):
@@ -85,10 +89,10 @@ class TestCrcFixupStage:
     def test_frame_spanning_bursts(self):
         stage = CrcFixupStage()
         raw = bytearray(make_packet().to_bytes())
-        raw[6] ^= 0x10
+        raw[3] ^= 0x10  # rewritten in the first burst, CRC in the second
         symbols = frame_symbols(bytes(raw))
         out = []
-        out.extend(feed(stage, symbols[:5], True, dirty=True))
+        out.extend(feed(stage, symbols[:5], True, rewrites=[3]))
         out.extend(feed(stage, symbols[5:], True))
         assert crc8(symbol_bytes(out)) == 0
 
@@ -105,7 +109,7 @@ class TestCrcFixupStage:
         dirty_raw[6] ^= 0x01
         clean_raw = make_packet(b"two").to_bytes()
         burst = frame_symbols(bytes(dirty_raw)) + frame_symbols(clean_raw)
-        out = feed(stage, burst, True, dirty=True)
+        out = feed(stage, burst, True, rewrites=[6])
         data = symbol_bytes(out)
         first, second = data[:len(dirty_raw)], data[len(dirty_raw):]
         assert crc8(first) == 0      # fixed

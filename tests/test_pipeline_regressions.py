@@ -16,7 +16,8 @@ the CRC stage; each is pinned here against its exact failure mode:
    corrupted frame got its CRC "fixed" (a laundered no-op) while the
    actually-corrupted frame shipped with a stale, wrong CRC.  The fix
    threads the injector's ``last_burst_rewrites`` positions through to
-   the stage so exactly the frames containing rewrites are marked dirty.
+   the stage so exactly the frames containing rewrites are marked dirty;
+   the stage no longer accepts a boolean flag at all.
 """
 
 from __future__ import annotations
@@ -167,26 +168,6 @@ def test_crc_fixup_positional_dirty_fixes_the_right_frame() -> None:
     assert _frame_ok(frame2)
     assert stage.frames_passed == 1
     assert stage.frames_fixed == 1
-
-
-def test_crc_fixup_legacy_burst_dirty_reproduces_the_bug() -> None:
-    """The legacy burst-scoped flag mis-attributes: frame 1 consumes the
-    dirty bit (counted as "fixed" even though nothing changed) and the
-    actually-corrupted frame 2 is delivered with a stale, invalid CRC.
-
-    Kept as a characterization of the bug the positional fix removed —
-    if this starts *passing* the CRC check, the legacy path changed.
-    """
-    burst, output, injector, split = _two_frame_run()
-
-    stage = CrcFixupStage()
-    delivered = stage.feed(Burst.from_symbols(output), True,
-                           dirty=True).symbols()
-
-    frame2 = delivered[split:]
-    assert frame2[1].value == 0x19          # corruption went through...
-    assert not _frame_ok(frame2)            # ...but the CRC is stale.
-    assert stage.frames_fixed == 1          # frame 1 ate the dirty flag.
 
 
 def test_crc_fixup_both_frames_dirty_both_fixed() -> None:

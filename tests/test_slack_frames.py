@@ -6,56 +6,76 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.myrinet.frames import FrameAssembler
-from repro.myrinet.slack import QueueSlackBuffer, RateDrainedSlackBuffer
+from repro.myrinet.slack import LaneSlackBuffer, RateDrainedSlackBuffer
 from repro.myrinet.symbols import (
     GAP, GO, IDLE, STOP, Burst, control_symbol, data_symbol,
 )
+from tests.fixtures.frames_prechange import PerSymbolFrameAssembler
 
 
-class TestQueueSlackBuffer:
+def park(buffer, *values):
+    """Push one data symbol per value, then charge the buffer's own
+    occupancy to the watermarks (a consumer with no outbox)."""
+    for value in values:
+        buffer.push(bytes((value,)), b"\x01")
+        buffer.check_watermarks(buffer.occupancy)
+
+
+def drain(buffer, until):
+    """Take the buffer's lanes and drain them one symbol at a time,
+    charging the remaining backlog, until ``until(backlog)`` holds."""
+    backlog = len(buffer.take()[0])
+    while not until(backlog):
+        backlog -= 1
+        buffer.check_watermarks(backlog)
+
+
+class TestLaneSlackBuffer:
     def test_watermark_callbacks(self):
         events = []
-        buffer = QueueSlackBuffer(capacity=10, high_water=6, low_water=2,
-                                  on_backpressure=events.append)
-        for index in range(6):
-            buffer.push(data_symbol(index))
+        buffer = LaneSlackBuffer(capacity=10, high_water=6, low_water=2,
+                                 on_backpressure=events.append)
+        park(buffer, *range(6))
         assert events == [True]
         assert buffer.pressured
-        while buffer.occupancy > 2:
-            buffer.pop()
+        drain(buffer, until=lambda backlog: backlog <= 2)
         assert events == [True, False]
         assert not buffer.pressured
 
     def test_overflow_drops(self):
-        buffer = QueueSlackBuffer(capacity=4, high_water=3, low_water=1)
-        for index in range(6):
-            buffer.push(data_symbol(index))
+        buffer = LaneSlackBuffer(capacity=4, high_water=3, low_water=1)
+        park(buffer, *range(6))
         assert buffer.occupancy == 4
         assert buffer.symbols_dropped == 2
         assert buffer.overflow_events == 2
 
     def test_fifo_order(self):
-        buffer = QueueSlackBuffer(capacity=8, high_water=6, low_water=2)
-        for index in range(5):
-            buffer.push(data_symbol(index))
-        assert [s.value for s in buffer.pop_all()] == [0, 1, 2, 3, 4]
-        assert len(buffer) == 0
+        buffer = LaneSlackBuffer(capacity=8, high_water=6, low_water=2)
+        park(buffer, *range(5))
+        assert list(buffer.take()[0]) == [0, 1, 2, 3, 4]
+        assert buffer.occupancy == 0
 
     def test_watermark_validation(self):
         with pytest.raises(ConfigurationError):
-            QueueSlackBuffer(capacity=4, high_water=5, low_water=1)
+            LaneSlackBuffer(capacity=4, high_water=5, low_water=1)
         with pytest.raises(ConfigurationError):
-            QueueSlackBuffer(capacity=8, high_water=2, low_water=3)
+            LaneSlackBuffer(capacity=8, high_water=2, low_water=3)
 
     def test_crossing_counters(self):
-        buffer = QueueSlackBuffer(capacity=10, high_water=4, low_water=2)
+        buffer = LaneSlackBuffer(capacity=10, high_water=4, low_water=2)
         for _cycle in range(3):
-            for index in range(4):
-                buffer.push(data_symbol(0))
-            while buffer.occupancy:
-                buffer.pop()
+            park(buffer, 0, 0, 0, 0)
+            drain(buffer, until=lambda backlog: backlog == 0)
         assert buffer.stop_crossings == 3
         assert buffer.go_crossings == 3
+
+    def test_run_push_keeps_lanes_and_drops_the_tail(self):
+        buffer = LaneSlackBuffer(capacity=5, high_water=4, low_water=1)
+        assert buffer.push(b"\x01\x02\x0c", b"\x01\x01\x00") == 3
+        assert buffer.push(b"\x03\x04\x05", b"\x01\x01\x01") == 2
+        assert buffer.take() == (b"\x01\x02\x0c\x03\x04",
+                                 b"\x01\x01\x00\x01\x01")
+        assert (buffer.symbols_dropped, buffer.overflow_events) == (1, 1)
 
 
 class TestRateDrainedSlackBuffer:
@@ -94,11 +114,10 @@ class TestRateDrainedSlackBuffer:
 
 
 class TestFrameAssembler:
-    def _assembler(self, max_frame=64):
+    def _assembler(self, max_frame=64, cls=FrameAssembler):
         frames = []
         controls = []
-        assembler = FrameAssembler(frames.append, controls.append,
-                                   max_frame=max_frame)
+        assembler = cls(frames.append, controls.append, max_frame=max_frame)
         return assembler, frames, controls
 
     @staticmethod
@@ -107,12 +126,10 @@ class TestFrameAssembler:
 
     def test_frames_split_on_gap(self):
         assembler, frames, _ = self._assembler()
-        for byte in b"abc":
-            assembler.push(data_symbol(byte))
-        assembler.push(GAP)
-        for byte in b"de":
-            assembler.push(data_symbol(byte))
-        assembler.push(GAP)
+        self._push(assembler, [data_symbol(byte) for byte in b"abc"])
+        self._push(assembler, [GAP])
+        self._push(assembler, [data_symbol(byte) for byte in b"de"])
+        self._push(assembler, [GAP])
         assert frames == [b"abc", b"de"]
         assert assembler.frames_emitted == 2
 
@@ -158,7 +175,7 @@ class TestFrameAssembler:
         self._push(assembler, [data_symbol(1), data_symbol(2)])
         assert assembler.partial_length == 2
         assembler.reset()
-        assembler.push(GAP)
+        self._push(assembler, [GAP])
         assert frames == []
 
     def test_fused_burst_equals_per_symbol(self):
@@ -166,7 +183,7 @@ class TestFrameAssembler:
                   + [data_symbol(b) for b in b"world"] + [GO]
                   + [control_symbol(0xAA), GAP, IDLE])
         a1, f1, c1 = self._assembler()
-        a2, f2, c2 = self._assembler()
+        a2, f2, c2 = self._assembler(cls=PerSymbolFrameAssembler)
         a1.push_burst(Burst.from_symbols(stream))
         for symbol in stream:
             a2.push(symbol)
@@ -192,7 +209,7 @@ class TestFrameAssembler:
         """Data runs straddling the ``max_frame`` limit and the burst
         boundaries overflow exactly where per-symbol pushes do."""
         a1, f1, c1 = self._assembler(max_frame)
-        a2, f2, c2 = self._assembler(max_frame)
+        a2, f2, c2 = self._assembler(max_frame, PerSymbolFrameAssembler)
         bounds = [0] + sorted(min(cut, len(stream)) for cut in cuts)
         for start, end in zip(bounds, bounds[1:] + [len(stream)]):
             a1.push_burst(Burst.from_symbols(stream[start:end]))

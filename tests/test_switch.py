@@ -255,3 +255,45 @@ def test_crc_zero_pow_rows_match_per_byte_construction():
         assert built == row, n
         row = bytes(_TABLE[c] for c in row)
     assert row == bytes(range(256))  # the permutation has order 127
+
+
+def test_watermarks_are_validated_against_the_slack(sim):
+    """Inverted marks would flap STOP/GO on every update, and a high
+    mark above the slack lets a waiting input overflow before STOP can
+    assert; both are configuration errors."""
+    with pytest.raises(ConfigurationError):
+        MyrinetSwitch(sim, high_water=100, low_water=300)
+    with pytest.raises(ConfigurationError):
+        MyrinetSwitch(sim, slack_capacity=64)  # default marks 512/192
+    # A low mark of zero is valid: GO once the input has fully drained.
+    MyrinetSwitch(sim, slack_capacity=3, high_water=2, low_water=0)
+
+
+def test_waiting_input_backpressure_follows_its_slack_buffer(sim):
+    """Figure 9 inside the switch: a waiting input parks past high water
+    and its flow control asserts STOP; once granted, the replayed frame
+    drains through the outbox and GO follows below low water."""
+    switch, eps = build_switch(sim, slack_capacity=512, high_water=256,
+                               low_water=64)
+    buffer = switch._ports[0].buffer
+    flow = switch.port_flow(0)
+    # Input 2's long frame claims output 1 and drains for ~1000 chars.
+    eps[2].send_packet(MyrinetPacket.for_route(
+        [1], PACKET_TYPE_DATA, bytes(1000)))
+    sim.run_for(1010 * CHAR)
+    eps[0].send_packet(MyrinetPacket.for_route(
+        [1], PACKET_TYPE_DATA, bytes([0x5A]) * 300))
+    sim.run_for(310 * CHAR)
+    assert switch._ports[0].mode == "waiting"
+    assert buffer.occupancy >= buffer.high_water
+    assert (buffer.stop_crossings, buffer.go_crossings) == (1, 0)
+    assert buffer.pressured and flow.backpressure_active
+    assert flow.refresher.active
+    sim.run()
+    assert (buffer.stop_crossings, buffer.go_crossings) == (1, 1)
+    assert not buffer.pressured and not flow.backpressure_active
+    assert flow.refresher.gos_sent == 1
+    assert GO in eps[0].symbols and STOP in eps[0].symbols
+    assert switch.port_stats(0)["waitbuf_drops"] == buffer.symbols_dropped == 0
+    payloads = [MyrinetPacket.from_bytes(f).payload for f in eps[1].frames()]
+    assert payloads == [bytes(1000), bytes([0x5A]) * 300]

@@ -140,10 +140,11 @@ class TestCrcFixupProperty:
         packet = MyrinetPacket(route=[], packet_type=PACKET_TYPE_DATA,
                                payload=payload)
         raw = bytearray(packet.to_bytes())
-        raw[position % (len(raw) - 1)] ^= flip  # corrupt anywhere but CRC
+        position %= len(raw) - 1
+        raw[position] ^= flip  # corrupt anywhere but CRC
         stage = CrcFixupStage()
         burst = data_symbols(bytes(raw))
         burst.append(GAP)
         out = stage.feed(Burst.from_symbols(burst), enabled=True,
-                         dirty=True).symbols()
+                         rewrites=[position]).symbols()
         assert crc8(symbol_bytes(out)) == 0
