@@ -93,7 +93,7 @@ def _run_variant(duration_ps: int, observed: bool) -> dict:
         row.update(
             sim_events=sim_events,
             events_per_s=round(sim_events / wall_s, 1) if wall_s else 0.0,
-            lifecycle_events=len(recorder.events) + recorder.events_dropped,
+            lifecycle_events=len(recorder.frames) + recorder.events_dropped,
             corr_ids_assigned=recorder.corr_ids_assigned,
         )
     return row

@@ -22,7 +22,10 @@ length-prefixed binary file that a host-side tool can decode offline:
      survives losslessly.
   2. **lifecycle event** — fixed binary fields (timestamp, correlation
      id, sequence number, experiment index) plus a JSON blob for the
-     open-ended parts (stage, node, attrs).
+     open-ended parts (stage, node, attrs).  One encoder frames every
+     event: an :class:`EventTemplate` per ``(stage, node, direction,
+     attr names)``.  The flight recorder frames each event at its hook
+     and the writer copies the frames verbatim.
   3. **experiment marker** — a JSON blob binding an experiment index to
      its name, seed, §4.4 classification, and telemetry span id.
 
@@ -43,6 +46,7 @@ the version-1 layout: moving either requires a :data:`VERSION` bump.
 from __future__ import annotations
 
 import json
+import shutil
 import struct
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -59,7 +63,6 @@ from typing import (
     Union,
 )
 
-from repro.capture.provenance import LifecycleEvent
 from repro.errors import ConfigurationError
 from repro.myrinet.symbols import Symbol, control_symbol, data_symbol
 
@@ -70,6 +73,9 @@ __all__ = [
     "CaptureWindow",
     "CaptureFileData",
     "CaptureWriter",
+    "EventTemplate",
+    "LifecycleEvent",
+    "decode_event_frame",
     "scan_capture",
     "walk_capture",
     "read_capture",
@@ -100,6 +106,9 @@ _CAPTURE_FIELDS = (
 _CAPTURE_FIXED = struct.Struct("<IQBBBBQIIBBHH")
 #: time_ps, corr_id (-1 = none), seq, experiment_index, json length
 _EVENT_FIXED = struct.Struct("<QqIII")
+_EVENT_FIXED_SIZE = _EVENT_FIXED.size
+#: A whole event frame: record head, then the ``_EVENT_FIXED`` fields.
+_pack_event = struct.Struct("<BI" + _EVENT_FIXED.format[1:]).pack
 #: Byte offsets of the ``u32`` experiment index in a window / event body.
 CAPTURE_INDEX_OFFSET = 0
 EVENT_INDEX_OFFSET = struct.calcsize("<QqI")
@@ -109,6 +118,168 @@ _FIXED_SIZE = {RECORD_CAPTURE: _CAPTURE_FIXED.size,
 
 #: What the scanner and the splice accept as a file image.
 Buffer = Union[bytes, bytearray, memoryview]
+
+
+@dataclass
+class LifecycleEvent:
+    """One recorded step of one packet's (or burst's) life."""
+
+    time_ps: int
+    stage: str
+    node: str
+    direction: str = ""
+    corr_id: Optional[int] = None
+    seq: int = 0
+    experiment_index: int = 0
+    attrs: Dict[str, Any] = field(default_factory=dict)
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "time_ps": self.time_ps,
+            "stage": self.stage,
+            "node": self.node,
+            "direction": self.direction,
+            "corr_id": self.corr_id,
+            "seq": self.seq,
+            "experiment_index": self.experiment_index,
+            "attrs": dict(self.attrs),
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "LifecycleEvent":
+        return cls(
+            time_ps=data["time_ps"],
+            stage=data["stage"],
+            node=data["node"],
+            direction=data.get("direction", ""),
+            corr_id=data.get("corr_id"),
+            seq=data.get("seq", 0),
+            experiment_index=data.get("experiment_index", 0),
+            attrs=dict(data.get("attrs", {})),
+        )
+
+
+# ---------------------------------------------------------------------------
+# the event encoder
+# ---------------------------------------------------------------------------
+
+#: The one JSON encoder behind every event value that is not inlined.
+_JSON = json.JSONEncoder(sort_keys=True)
+_BOOL_JSON = {True: b"true", False: b"false"}
+
+
+def _json_bytes(value: Any) -> bytes:
+    """``json.dumps(value, sort_keys=True)``, encoded; exact
+    ``int``/``bool``/``str`` inline, anything else through ``_JSON``."""
+    kind = type(value)
+    if kind is int:
+        return b"%d" % value
+    if kind is bool:
+        return _BOOL_JSON[value]
+    if kind is str:
+        return encode_basestring_ascii(value).encode()
+    return _JSON.encode(value).encode()
+
+
+def _literal(text: str) -> bytes:
+    """``text`` as a constant part of a ``%`` format."""
+    return text.replace("%", "%%").encode()
+
+
+class EventTemplate:
+    """One ``(stage, node, direction, attr names)`` compiled to a frame.
+
+    An event body's JSON blob is ``json.dumps({"stage": ..., "node":
+    ..., "direction": ..., "attrs": {...}}, sort_keys=True)``.  For a
+    template of ``str`` parts everything but the attr values — the
+    key names in sorted order, the stage/node/direction strings — is
+    encoded once here, so :meth:`frame` only formats the values in and
+    packs the fixed fields.  All exact ``int`` values take one ``%d``
+    format; other value kinds take a format compiled once per sequence
+    of kinds, with each non-``int`` value encoded as ``json.dumps``
+    would.  A template with a non-``str`` part encodes the whole blob
+    through ``_JSON`` on every call, which is what ``json.dumps`` would
+    write (or raise).
+    """
+
+    __slots__ = ("_parts", "_names", "_order", "_ints", "_keys", "_tail",
+                 "_mixed")
+
+    def __init__(self, stage: Any, node: Any, direction: Any,
+                 names: Tuple[Any, ...]) -> None:
+        self._parts = (stage, node, direction)
+        self._names = names
+        self._ints: Optional[bytes] = None
+        self._order: Optional[Tuple[int, ...]] = None
+        #: value kinds -> (format, slots to encode) for mixed values
+        self._mixed: Dict[Tuple[type, ...], Tuple[bytes, Tuple[int, ...]]] = {}
+        if not all(type(part) is str for part in (*self._parts, *names)):
+            return
+        order = sorted(range(len(names)), key=names.__getitem__)
+        if order != list(range(len(names))):
+            self._order = tuple(order)
+        self._keys = [_literal(encode_basestring_ascii(names[i]) + ": ")
+                      for i in order]
+        self._tail = _literal(
+            f'}}, "direction": {encode_basestring_ascii(direction)}'
+            f', "node": {encode_basestring_ascii(node)}'
+            f', "stage": {encode_basestring_ascii(stage)}}}')
+        self._ints = self._format([int] * len(names))
+
+    @property
+    def cacheable(self) -> bool:
+        """Whether the template may be reused for an equal key (only
+        all-``str`` keys: ``1 == True`` would alias)."""
+        return self._ints is not None
+
+    def frame(self, time_ps: int, corr_id: Optional[int], seq: int,
+              experiment_index: int, values: Tuple[Any, ...]) -> bytes:
+        """The framed ``.rcap`` event record of ``values``."""
+        ints = self._ints
+        if ints is None:
+            stage, node, direction = self._parts
+            blob = _JSON.encode({
+                "attrs": dict(zip(self._names, values)),
+                "direction": direction, "node": node, "stage": stage,
+            }).encode()
+        else:
+            if self._order is not None:
+                values = tuple([values[i] for i in self._order])
+            for value in values:
+                if type(value) is not int:
+                    blob = self._mixed_blob(values)
+                    break
+            else:
+                blob = ints % values
+        size = len(blob)
+        return _pack_event(RECORD_EVENT, _EVENT_FIXED_SIZE + size, time_ps,
+                           -1 if corr_id is None else corr_id, seq,
+                           experiment_index, size) + blob
+
+    def _format(self, kinds: Sequence[type]) -> bytes:
+        """The blob format with a ``%d`` slot per int and ``%s`` else."""
+        return (b'{"attrs": {' + b", ".join(
+            key + (b"%d" if kind is int else b"%s")
+            for key, kind in zip(self._keys, kinds)) + self._tail)
+
+    def _mixed_blob(self, values: Tuple[Any, ...]) -> bytes:
+        """The blob of values not all exact ``int``: a format per
+        sequence of value kinds, the non-``int`` values encoded."""
+        kinds = tuple(map(type, values))
+        mixed = self._mixed.get(kinds)
+        if mixed is None:
+            mixed = self._mixed[kinds] = (self._format(kinds), tuple(
+                i for i, kind in enumerate(kinds) if kind is not int))
+        fmt, encode = mixed
+        encoded = list(values)
+        for i in encode:
+            encoded[i] = _json_bytes(encoded[i])
+        return fmt % tuple(encoded)
+
+
+def decode_event_frame(frame: Buffer) -> LifecycleEvent:
+    """The :class:`LifecycleEvent` of one framed event record."""
+    return _decode_event(memoryview(frame)[_RECORD.size:])
 
 
 def pack_symbol(symbol: Symbol) -> int:
@@ -179,12 +350,18 @@ class CaptureFileData:
 
 
 class CaptureWriter:
-    """Streams capture records into an ``.rcap`` file (or buffer)."""
+    """Streams capture records into an ``.rcap`` file (or buffer).
+
+    ``header=False`` writes records only: a body spool that a later
+    writer, once it knows its header, copies in with
+    :meth:`write_framed`.
+    """
 
     def __init__(
         self,
         target: Union[str, Path, BinaryIO],
         meta: Optional[Dict[str, Any]] = None,
+        header: bool = True,
     ) -> None:
         if isinstance(target, (str, Path)):
             path = Path(target)
@@ -197,11 +374,11 @@ class CaptureWriter:
             self._owns_stream = False
             self.path = None
         self.records_written = 0
-        # write_event's caches: bounded by the distinct strings of one
+        # write_event's templates: bounded by the distinct keys of one
         # file, so they live and die with the writer.
-        self._json = json.JSONEncoder(sort_keys=True)
-        self._event_tails: Dict[Tuple[str, str, str], str] = {}
-        self._attr_keys: Dict[str, str] = {}
+        self._templates: Dict[Tuple[Any, ...], EventTemplate] = {}
+        if not header:
+            return
         meta_blob = json.dumps(
             {"format": "rcap", **(meta or {})}, sort_keys=True
         ).encode("utf-8")
@@ -216,12 +393,18 @@ class CaptureWriter:
         self._stream.write(_RECORD.pack(record_type, len(body)) + body)
         self.records_written += 1
 
-    def write_framed(self, records: Buffer, count: int) -> None:
+    def write_framed(self, records: Union[Buffer, BinaryIO],
+                     count: int) -> None:
         """Write ``count`` records that are already framed, verbatim.
 
-        The campaign merge copies runs of shard records through here.
+        ``records`` is a buffer, or a binary stream copied from its
+        position to its end in bounded chunks.  Every event record
+        and every shard run of the campaign merge arrive through here.
         """
-        self._stream.write(records)
+        if isinstance(records, (bytes, bytearray, memoryview)):
+            self._stream.write(records)
+        else:
+            shutil.copyfileobj(records, self._stream)
         self.records_written += count
 
     def write_capture(self, experiment_index: int, record: Any) -> None:
@@ -251,62 +434,17 @@ class CaptureWriter:
         self.write_record(RECORD_CAPTURE, fixed + packed)
 
     def write_event(self, event: LifecycleEvent) -> None:
-        """Serialize one lifecycle event."""
-        blob = self._event_blob(event).encode("utf-8")
-        fixed = _EVENT_FIXED.pack(
-            event.time_ps,
-            -1 if event.corr_id is None else event.corr_id,
-            event.seq,
-            event.experiment_index,
-            len(blob),
-        )
-        self.write_record(RECORD_EVENT, fixed + blob)
-
-    def _event_blob(self, event: LifecycleEvent) -> str:
-        """``json.dumps`` of the event's open-ended parts, sorted keys.
-
-        Byte-identical to ``json.dumps({"stage": ..., "node": ...,
-        "direction": ..., "attrs": ...}, sort_keys=True)`` without
-        building an encoder per call: the ``direction``/``node``/
-        ``stage`` tail and the attr keys are encoded once per writer,
-        exact ``str``/``int``/``bool`` attr values are encoded inline,
-        and everything else goes through one reused encoder.
-        """
-        key = (event.direction, event.node, event.stage)
-        tail = self._event_tails.get(key)
-        if tail is None:
-            encode = self._json.encode
-            tail = (f', "direction": {encode(event.direction)}'
-                    f', "node": {encode(event.node)}'
-                    f', "stage": {encode(event.stage)}}}')
-            # Only all-str keys are cached: 1 == True would alias.
-            if all(type(part) is str for part in key):
-                self._event_tails[key] = tail
-        return '{"attrs": ' + self._attrs_json(event.attrs) + tail
-
-    def _attrs_json(self, attrs: Any) -> str:
-        if type(attrs) is not dict or not attrs:
-            return self._json.encode(attrs)
-        keys = self._attr_keys
-        parts = []
-        for name in sorted(attrs):
-            prefix = keys.get(name)
-            if prefix is None:
-                if type(name) is not str:
-                    # json.dumps stringifies non-str keys; let it.
-                    return self._json.encode(attrs)
-                prefix = keys[name] = encode_basestring_ascii(name) + ": "
-            value = attrs[name]
-            kind = type(value)
-            if kind is str:
-                parts.append(prefix + encode_basestring_ascii(value))
-            elif kind is int:
-                parts.append(prefix + int.__repr__(value))
-            elif kind is bool:
-                parts.append(prefix + ("true" if value else "false"))
-            else:
-                parts.append(prefix + self._json.encode(value))
-        return "{" + ", ".join(parts) + "}"
+        """Serialize one lifecycle event through its :class:`EventTemplate`."""
+        attrs = event.attrs
+        key = (event.stage, event.node, event.direction, tuple(attrs))
+        template = self._templates.get(key)
+        if template is None:
+            template = EventTemplate(*key)
+            if template.cacheable:
+                self._templates[key] = template
+        self.write_framed(template.frame(
+            event.time_ps, event.corr_id, event.seq, event.experiment_index,
+            tuple(attrs.values())), 1)
 
     def write_experiment(self, meta: Dict[str, Any]) -> None:
         """Serialize one experiment marker."""

@@ -46,6 +46,22 @@ __all__ = [
     "udp_checksum_drop",
 ]
 
+# The attr names each hook passes to ``FlightRecorder.emit``, in the
+# order of its values.  Sorted, as the JSON blob orders them, so the
+# template formats the values as they come.
+_HOST_SEND = ("packet_type", "route_len", "wire_length")
+_SWITCH_HOP = ("in_port", "out_port")
+_DEVICE_TRANSIT = ("symbols_in", "symbols_out")
+_INJECT = ("ctl_after", "ctl_before", "forced", "lanes_rewritten",
+           "lanes_unreachable", "segment_index", "window_after",
+           "window_before")
+_CAPTURE_WINDOW = ("size_bytes", "symbols")
+_FRAME_DROP = ("frame_len", "reason")
+_DELIVER = ("matched", "packet_type")
+_PACKET_DROP = ("matched", "packet_type", "reason")
+_UDP_DELIVER = ("dst_port", "payload_len")
+_UDP_CHECKSUM_DROP = ("payload_len",)
+
 
 # ---------------------------------------------------------------------------
 # host transmit
@@ -68,16 +84,8 @@ def host_send(
     recorder = STATE.recorder
     corr = recorder.next_corr_id()
     recorder.register_key(packet_key(packet_type, payload), corr)
-    recorder.record(
-        time_ps,
-        Stage.HOST_SEND,
-        interface_name,
-        "tx",
-        corr,
-        packet_type=packet_type,
-        wire_length=wire_length,
-        route_len=route_len,
-    )
+    recorder.emit(time_ps, Stage.HOST_SEND, interface_name, "tx", corr,
+                  _HOST_SEND, packet_type, route_len, wire_length)
 
 
 # ---------------------------------------------------------------------------
@@ -89,16 +97,9 @@ def switch_hop(
     time_ps: int, switch_name: str, in_port: int, out_port: int
 ) -> None:
     """One frame forwarded through a cut-through switch (frame-scoped)."""
-    recorder = STATE.recorder
-    recorder.record(
-        time_ps,
-        Stage.SWITCH_HOP,
-        switch_name,
-        f"p{in_port}->p{out_port}",
-        None,
-        in_port=in_port,
-        out_port=out_port,
-    )
+    STATE.recorder.emit(time_ps, Stage.SWITCH_HOP, switch_name,
+                        f"p{in_port}->p{out_port}", None, _SWITCH_HOP,
+                        in_port, out_port)
 
 
 def device_transit(
@@ -109,51 +110,30 @@ def device_transit(
     symbols_out: int,
 ) -> None:
     """One burst through the fault-injector device (burst-scoped)."""
-    recorder = STATE.recorder
-    recorder.record(
-        time_ps,
-        Stage.DEVICE_TRANSIT,
-        device_name,
-        direction,
-        None,
-        symbols_in=symbols_in,
-        symbols_out=symbols_out,
-    )
+    STATE.recorder.emit(time_ps, Stage.DEVICE_TRANSIT, device_name,
+                        direction, None, _DEVICE_TRANSIT, symbols_in,
+                        symbols_out)
 
 
 def injection(
     time_ps: int, device_name: str, direction: str, event: Any
 ) -> None:
     """One injector trigger firing, with the full event detail."""
-    recorder = STATE.recorder
-    recorder.record(
-        time_ps,
-        Stage.INJECT,
-        device_name,
-        direction,
-        None,
-        segment_index=event.segment_index,
-        forced=event.forced,
-        lanes_rewritten=event.lanes_rewritten,
-        lanes_unreachable=event.lanes_unreachable,
-        window_before=event.window_before,
-        window_after=event.window_after,
-        ctl_before=event.ctl_before,
-        ctl_after=event.ctl_after,
+    STATE.recorder.emit(
+        time_ps, Stage.INJECT, device_name, direction, None, _INJECT,
+        event.ctl_after, event.ctl_before, event.forced,
+        event.lanes_rewritten, event.lanes_unreachable, event.segment_index,
+        event.window_after, event.window_before,
     )
 
 
 def capture_window(record: Any, stored: bool) -> None:
     """One SDRAM capture window closing (stored or shed by the SDRAM)."""
-    recorder = STATE.recorder
-    recorder.record(
+    STATE.recorder.emit(
         record.time_ps,
         Stage.CAPTURE_STORED if stored else Stage.CAPTURE_SHED,
-        "sdram",
-        record.direction,
-        None,
-        size_bytes=record.size_bytes,
-        symbols=len(record.before) + len(record.after),
+        "sdram", record.direction, None, _CAPTURE_WINDOW,
+        record.size_bytes, len(record.before) + len(record.after),
     )
 
 
@@ -171,16 +151,8 @@ def host_frame_drop(
     itself evidence: a corrupted packet surfaces as a provenance-less
     drop.
     """
-    recorder = STATE.recorder
-    recorder.record(
-        time_ps,
-        Stage.DROP,
-        interface_name,
-        "rx",
-        None,
-        reason=reason,
-        frame_len=frame_len,
-    )
+    STATE.recorder.emit(time_ps, Stage.DROP, interface_name, "rx", None,
+                        _FRAME_DROP, frame_len, reason)
 
 
 def packet_deliver(
@@ -189,15 +161,8 @@ def packet_deliver(
     """A parsed data packet accepted by the receiving interface."""
     recorder = STATE.recorder
     corr = recorder.lookup_key(packet_key(packet_type, payload))
-    recorder.record(
-        time_ps,
-        Stage.DELIVER,
-        interface_name,
-        "rx",
-        corr,
-        packet_type=packet_type,
-        matched=corr is not None,
-    )
+    recorder.emit(time_ps, Stage.DELIVER, interface_name, "rx", corr,
+                  _DELIVER, corr is not None, packet_type)
 
 
 def packet_drop(
@@ -210,16 +175,8 @@ def packet_drop(
     """A parsed packet dropped by the receive dispatch (misaddressed...)."""
     recorder = STATE.recorder
     corr = recorder.lookup_key(packet_key(packet_type, payload))
-    recorder.record(
-        time_ps,
-        Stage.DROP,
-        interface_name,
-        "rx",
-        corr,
-        reason=reason,
-        packet_type=packet_type,
-        matched=corr is not None,
-    )
+    recorder.emit(time_ps, Stage.DROP, interface_name, "rx", corr,
+                  _PACKET_DROP, corr is not None, packet_type, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -230,29 +187,14 @@ def packet_drop(
 def udp_deliver(time_ps: int, node: str, dst_port: int,
                 payload_len: int) -> None:
     """A UDP datagram passed to its bound application handler."""
-    recorder = STATE.recorder
-    recorder.record(
-        time_ps,
-        Stage.UDP_DELIVER,
-        node,
-        "rx",
-        None,
-        dst_port=dst_port,
-        payload_len=payload_len,
-    )
+    STATE.recorder.emit(time_ps, Stage.UDP_DELIVER, node, "rx", None,
+                        _UDP_DELIVER, dst_port, payload_len)
 
 
 def udp_checksum_drop(time_ps: int, node: str, payload_len: int) -> None:
     """A UDP datagram dropped by the one's-complement checksum."""
-    recorder = STATE.recorder
-    recorder.record(
-        time_ps,
-        Stage.UDP_CHECKSUM_DROP,
-        node,
-        "rx",
-        None,
-        payload_len=payload_len,
-    )
+    STATE.recorder.emit(time_ps, Stage.UDP_CHECKSUM_DROP, node, "rx", None,
+                        _UDP_CHECKSUM_DROP, payload_len)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,14 @@ id through the packet lifecycle:
   up again; corrupted packets no longer match and surface as
   provenance-less deliveries or drops, which is itself evidence.
 
-Events land in a bounded ring buffer (``deque(maxlen=…)`` — the same
-O(1)-eviction discipline as :class:`repro.sim.trace.TraceRecorder`)
-with per-(node, direction) sequence numbers, so ordering within one
-stream survives even when old events have been evicted.
+Each event is framed into its ``.rcap`` event record at the hook (one
+:class:`~repro.capture.format.EventTemplate` per stage, node, direction
+and attr names) and the frame lands in a bounded ring buffer
+(``deque(maxlen=…)`` — the same O(1)-eviction discipline as
+:class:`repro.sim.trace.TraceRecorder`) with per-(node, direction)
+sequence numbers, so ordering within one stream survives even when old
+events have been evicted.  The session writes the ring out verbatim;
+:attr:`FlightRecorder.events` decodes it on demand.
 
 Everything here only *observes*: no function reads a clock, schedules
 an event, or mutates simulation state.
@@ -32,6 +36,12 @@ import hashlib
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
+
+from repro.capture.format import (
+    EventTemplate,
+    LifecycleEvent,
+    decode_event_frame,
+)
 
 __all__ = [
     "Stage",
@@ -90,45 +100,6 @@ def packet_key(packet_type: int, payload: bytes) -> str:
 
 
 @dataclass
-class LifecycleEvent:
-    """One recorded step of one packet's (or burst's) life."""
-
-    time_ps: int
-    stage: str
-    node: str
-    direction: str = ""
-    corr_id: Optional[int] = None
-    seq: int = 0
-    experiment_index: int = 0
-    attrs: Dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "time_ps": self.time_ps,
-            "stage": self.stage,
-            "node": self.node,
-            "direction": self.direction,
-            "corr_id": self.corr_id,
-            "seq": self.seq,
-            "experiment_index": self.experiment_index,
-            "attrs": dict(self.attrs),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "LifecycleEvent":
-        return cls(
-            time_ps=data["time_ps"],
-            stage=data["stage"],
-            node=data["node"],
-            direction=data.get("direction", ""),
-            corr_id=data.get("corr_id"),
-            seq=data.get("seq", 0),
-            experiment_index=data.get("experiment_index", 0),
-            attrs=dict(data.get("attrs", {})),
-        )
-
-
-@dataclass
 class ExperimentCapture:
     """Everything one experiment contributed to the capture session."""
 
@@ -167,13 +138,17 @@ class FlightRecorder:
         key_limit: int = DEFAULT_KEY_LIMIT,
     ) -> None:
         self.max_events = max(1, max_events)
-        self.events: Deque[LifecycleEvent] = deque(maxlen=self.max_events)
+        #: The retained events as framed ``.rcap`` records, oldest first.
+        self.frames: Deque[bytes] = deque(maxlen=self.max_events)
         self.events_dropped = 0
         self.experiments: List[ExperimentCapture] = []
         self._next_corr = 0
         self._key_limit = max(1, key_limit)
         self._corr_by_key: "OrderedDict[str, int]" = OrderedDict()
-        self._seq: Dict[Tuple[str, str], int] = {}
+        #: (node, direction) -> [next sequence number]
+        self._lanes: Dict[Tuple[Any, Any], List[int]] = {}
+        #: (stage, node, direction, names) -> (template.frame, its lane)
+        self._slots: Dict[Tuple[Any, ...], Tuple[Any, List[int]]] = {}
 
     # ------------------------------------------------------------------
     # correlation ids
@@ -207,6 +182,42 @@ class FlightRecorder:
     # event recording
     # ------------------------------------------------------------------
 
+    def emit(
+        self,
+        time_ps: int,
+        stage: str,
+        node: str,
+        direction: str,
+        corr_id: Optional[int],
+        names: Tuple[str, ...],
+        *values: Any,
+    ) -> None:
+        """Frame one lifecycle event into the ring; O(1), bounded.
+
+        ``names`` are the attr names of ``values``, in order (a constant
+        tuple at each hook).
+        """
+        slot = self._slots.get((stage, node, direction, names))
+        if slot is None:
+            slot = self._bind(stage, node, direction, names)
+        frame, lane = slot
+        seq = lane[0]
+        lane[0] = seq + 1
+        frames = self.frames
+        if len(frames) == self.max_events:
+            self.events_dropped += 1
+        frames.append(frame(time_ps, corr_id, seq, len(self.experiments),
+                            values))
+
+    def _bind(self, stage: str, node: str, direction: str,
+              names: Tuple[str, ...]) -> Tuple[Any, List[int]]:
+        lane = self._lanes.setdefault((node, direction), [0])
+        template = EventTemplate(stage, node, direction, names)
+        slot = (template.frame, lane)
+        if template.cacheable:
+            self._slots[(stage, node, direction, names)] = slot
+        return slot
+
     def record(
         self,
         time_ps: int,
@@ -216,24 +227,10 @@ class FlightRecorder:
         corr_id: Optional[int] = None,
         **attrs: Any,
     ) -> LifecycleEvent:
-        """Append one lifecycle event; O(1), bounded, eviction-counted."""
-        lane = (node, direction)
-        seq = self._seq.get(lane, 0)
-        self._seq[lane] = seq + 1
-        if len(self.events) >= self.max_events:
-            self.events_dropped += 1
-        event = LifecycleEvent(
-            time_ps=time_ps,
-            stage=stage,
-            node=node,
-            direction=direction,
-            corr_id=corr_id,
-            seq=seq,
-            experiment_index=len(self.experiments),
-            attrs=attrs,
-        )
-        self.events.append(event)
-        return event
+        """Keyword form of :meth:`emit`; returns the event as recorded."""
+        self.emit(time_ps, stage, node, direction, corr_id, tuple(attrs),
+                  *attrs.values())
+        return decode_event_frame(self.frames[-1])
 
     # ------------------------------------------------------------------
     # experiment scoping
@@ -250,8 +247,13 @@ class FlightRecorder:
         self.experiments.append(capture)
 
     # ------------------------------------------------------------------
-    # introspection
+    # introspection (decodes the ring)
     # ------------------------------------------------------------------
+
+    @property
+    def events(self) -> List[LifecycleEvent]:
+        """The retained events, decoded from their frames, oldest first."""
+        return [decode_event_frame(frame) for frame in self.frames]
 
     def events_for(self, corr_id: int) -> List[LifecycleEvent]:
         """All retained events of one correlation id, in arrival order."""

@@ -1359,7 +1359,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"telemetry artifacts written to "
               f"{Path(root) / TELEMETRY_SUBDIR}/")
         print(
-            f"capture: {len(recorder.events)} lifecycle events, "
+            f"capture: {len(recorder.frames)} lifecycle events, "
             f"{recorder.corr_ids_assigned} correlation ids -> "
             f"{Path(root) / CAPTURE_SUBDIR / CAPTURE_FILE_NAME}"
         )

@@ -270,7 +270,7 @@ class FifoInjector:
         if len(self.events) < self.events_limit:
             self.events.append(event)
         if _STATE.registry is not None:
-            _telemetry.injection(self.name, event)
+            _telemetry.injection(self, event)
         if self._on_injection is not None:
             self._on_injection(event)
 

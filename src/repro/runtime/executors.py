@@ -46,7 +46,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import CampaignError
 from repro.nftape.results import ExperimentResult
-from repro.runtime.artifacts import merge_artifacts
+from repro.runtime.artifacts import ArtifactMerge
 from repro.runtime.events import emit
 from repro.runtime.fabric import (
     FABRIC_SUBDIR,
@@ -139,6 +139,7 @@ class _ExecutorBase:
         self.retries: Dict[int, int] = {}
         #: Summary dict of the artifact merge (once performed).
         self.merge_summary: Optional[Dict[str, Any]] = None
+        self._shard_merge: Optional[ArtifactMerge] = None
         self._events_campaign: Optional[str] = None
         self._snapshot_totals: Dict[str, int] = {}
 
@@ -215,16 +216,26 @@ class _ExecutorBase:
             json.dumps(spec_to_json(spec), indent=2, sort_keys=True) + "\n"
         )
 
+    def _start_merge(self, spec: CampaignSpec) -> None:
+        """Open the streaming shard merge (artifacts runs only)."""
+        if self.artifacts_dir is not None:
+            self._shard_merge = ArtifactMerge(self.artifacts_dir,
+                                            label=self.label or spec.name)
+
+    def _fold(self, spec: CampaignSpec, index: int) -> None:
+        """Fold shard ``index`` as the ordered prefix reaches it."""
+        if self._shard_merge is not None:
+            self._shard_merge.add(index, spec.experiments[index].name)
+
+    def _abort_merge(self) -> None:
+        """Drop an unfinished merge's temporary files (no-op once done)."""
+        if self._shard_merge is not None:
+            self._shard_merge.abort()
+
     def _merge(self, spec: CampaignSpec) -> None:
-        if self.artifacts_dir is None:
+        if self._shard_merge is None:
             return
-        entries = [
-            (index, experiment.name)
-            for index, experiment in enumerate(spec.experiments)
-        ]
-        self.merge_summary = merge_artifacts(
-            self.artifacts_dir, entries, label=self.label or spec.name
-        )
+        self.merge_summary = self._shard_merge.finish()
         self._emit(
             "shard_merged",
             telemetry_shards=self.merge_summary.get("telemetry_shards", 0),
@@ -238,7 +249,7 @@ class SerialExecutor(_ExecutorBase):
 
     ``Campaign.run()`` with no executor argument uses this with default
     options.  With an ``artifacts_dir`` it also keeps the result store,
-    resume, and per-experiment artifact shards (merged on completion)
+    resume, and per-experiment artifact shards (merged as they complete)
     through the exact same code path the pooled workers run.
     """
 
@@ -256,6 +267,7 @@ class SerialExecutor(_ExecutorBase):
         try:
             yield from self._run(spec, store, digest, completed, progress)
         finally:
+            self._abort_merge()
             if store is not None:
                 store.close()
 
@@ -265,6 +277,7 @@ class SerialExecutor(_ExecutorBase):
              progress: Optional[Any]
              ) -> Iterator[Tuple[int, ExperimentResult]]:
         self._write_spec(spec)
+        self._start_merge(spec)
         total = len(spec)
         self._emit("campaign_started", executor="serial", experiments=total,
                    restored=len(completed))
@@ -276,6 +289,7 @@ class SerialExecutor(_ExecutorBase):
                              f"{completed[index].name} from store")
                 self._emit("experiment_restored", index=index,
                            name=completed[index].name)
+                self._fold(spec, index)
                 yield index, completed[index]
                 continue
             job = job_for(
@@ -295,6 +309,7 @@ class SerialExecutor(_ExecutorBase):
                 store.record(digest, index, job.name, job.seed, result)
             self.executed.append(index)
             self._emit_finished(index, result.name, result)
+            self._fold(spec, index)
             yield index, result
         self._merge(spec)
         self._emit("campaign_finished", experiments=total,
@@ -367,6 +382,7 @@ class PooledExecutor(_ExecutorBase):
             yield from self._run(spec, home, store, digest, ready,
                                  processes, progress)
         finally:
+            self._abort_merge()
             for process in processes:
                 if process.is_alive():
                     process.terminate()
@@ -383,6 +399,7 @@ class PooledExecutor(_ExecutorBase):
         total = len(spec)
         self.skipped = sorted(ready)
         self._write_spec(spec)
+        self._start_merge(spec)
         fabric_dir = home / FABRIC_SUBDIR
         leases_dir = fabric_dir / "leases"
         if leases_dir.exists():
@@ -549,8 +566,10 @@ class PooledExecutor(_ExecutorBase):
                            reason=reason)
                 raise CampaignError(f"pooled campaign failed: {reason}")
 
-            # 6. stream the ordered prefix to the campaign
+            # 6. stream the ordered prefix to the campaign, folding
+            #    each shard into the merged artifacts on the way
             while next_yield in ready:
+                self._fold(spec, next_yield)
                 yield next_yield, ready[next_yield]
                 next_yield += 1
 
@@ -564,6 +583,7 @@ class PooledExecutor(_ExecutorBase):
                 time.sleep(POLL_S)
 
         while next_yield in ready:
+            self._fold(spec, next_yield)
             yield next_yield, ready[next_yield]
             next_yield += 1
         self.executed.sort()

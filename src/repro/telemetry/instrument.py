@@ -5,7 +5,9 @@ Two kinds of function live here:
 * **hot hooks** (:func:`kernel_run`, :func:`device_burst`,
   :func:`injection`) — called from instrumented code *after* it checked
   ``STATE.registry is not None``, at run/burst/injection granularity (never per
-  event), so the enabled cost stays a few dict lookups per burst;
+  event).  Each binds its series once per registry and keeps the handles
+  on the observed component, so the enabled cost is attribute loads plus
+  ``inc``/``set``/``observe``;
 * **samplers** (:func:`sample_simulator`, :func:`sample_device`,
   :func:`publish_direction_stats`) — pull cumulative counters out of
   existing components (``injector.stats``, ``DirectionStats``) into the
@@ -23,7 +25,7 @@ us, not the other way around).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Dict
 
 from repro.telemetry.metrics import (
     LATENCY_NS_BUCKETS,
@@ -47,6 +49,21 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _bound(owner: Any, registry: MetricsRegistry) -> Dict[Any, Any]:
+    """``owner``'s metric handles for ``registry`` (empty after a switch).
+
+    A hot hook resolves each series once per registry and keeps the
+    metric object on the component it observes, so later calls skip
+    the registry's label-sorting lookup.  The cache is keyed on the
+    registry's identity: a new session rebinds on its first call.
+    """
+    cached = getattr(owner, "_metric_handles", None)
+    if cached is None or cached[0] is not registry:
+        cached = (registry, {})
+        owner._metric_handles = cached
+    return cached[1]
+
+
 def kernel_run(sim: Any, fired: int) -> None:
     """Account one ``Simulator.run``/``run_until`` batch.
 
@@ -56,12 +73,20 @@ def kernel_run(sim: Any, fired: int) -> None:
     work is.
     """
     registry = STATE.registry
-    registry.counter("sim.events_fired").inc(fired)
-    registry.gauge("sim.queue_depth").set(sim.pending)
-    registry.gauge("sim.now_ps").set(sim.now)
-    registry.histogram("sim.run_events", buckets=RUN_EVENT_BUCKETS).observe(
-        fired
-    )
+    handles = _bound(sim, registry)
+    metrics = handles.get(None)
+    if metrics is None:
+        metrics = handles[None] = (
+            registry.counter("sim.events_fired"),
+            registry.gauge("sim.queue_depth"),
+            registry.gauge("sim.now_ps"),
+            registry.histogram("sim.run_events", buckets=RUN_EVENT_BUCKETS),
+        )
+    events_fired, queue_depth, now_ps, run_events = metrics
+    events_fired.inc(fired)
+    queue_depth.set(sim.pending)
+    now_ps.set(sim.now)
+    run_events.observe(fired)
 
 
 def device_burst(
@@ -72,44 +97,62 @@ def device_burst(
     The added-latency observation is the device's full per-burst cost:
     pipeline transit plus the output re-serialization modelled in
     :mod:`repro.core.device` — comparable against the paper's ~250 ns
-    pipeline claim and Table 2's end-to-end rows.
+    pipeline claim and Table 2's end-to-end rows.  A direction's series
+    are created on its first burst, as the registry would.
     """
     registry = STATE.registry
-    registry.counter("device.bursts", direction=direction).inc()
-    registry.counter("device.symbols_in", direction=direction).inc(symbols_in)
-    registry.counter("device.symbols_out", direction=direction).inc(
-        symbols_out
+    handles = _bound(device, registry)
+    metrics = handles.get(direction)
+    if metrics is None:
+        metrics = handles[direction] = (
+            registry.counter("device.bursts", direction=direction),
+            registry.counter("device.symbols_in", direction=direction),
+            registry.counter("device.symbols_out", direction=direction),
+            registry.gauge("device.fifo.depth", direction=direction),
+            registry.gauge("device.fifo.high_watermark",
+                           direction=direction),
+            registry.histogram("device.added_latency_ns",
+                               buckets=LATENCY_NS_BUCKETS),
+        )
+    bursts, counted_in, counted_out, depth, high_watermark, latency = metrics
+    bursts.inc()
+    counted_in.inc(symbols_in)
+    counted_out.inc(symbols_out)
+    fifo = device.injector(direction).fifo
+    depth.set(fifo.occupancy)
+    high_watermark.set(fifo.high_watermark)
+    latency.observe(
+        (device.pipeline_latency_ps
+         + symbols_out * getattr(device, "_char_period_ps", 0)) / 1_000.0
     )
-    injector = device.injector(direction)
-    registry.gauge("device.fifo.depth", direction=direction).set(
-        injector.fifo.occupancy
-    )
-    registry.gauge("device.fifo.high_watermark", direction=direction).set(
-        injector.fifo.high_watermark
-    )
-    added_ps = (
-        device.pipeline_latency_ps
-        + symbols_out * getattr(device, "_char_period_ps", 0)
-    )
-    registry.histogram(
-        "device.added_latency_ns", buckets=LATENCY_NS_BUCKETS
-    ).observe(added_ps / 1_000.0)
 
 
-def injection(injector_name: str, event: Any) -> None:
-    """Account one trigger firing (pattern match or forced inject)."""
+def injection(injector: Any, event: Any) -> None:
+    """Account one trigger firing (pattern match or forced inject).
+
+    ``injector.lanes_unreachable`` is created by the first firing that
+    has unreachable lanes, and each ``kind`` by its first firing.
+    """
     registry = STATE.registry
+    handles = _bound(injector, registry)
+    name = injector.name
     kind = "forced" if event.forced else "matched"
-    registry.counter(
-        "injector.injections", injector=injector_name, kind=kind
-    ).inc()
-    registry.counter(
-        "injector.lanes_rewritten", injector=injector_name
-    ).inc(event.lanes_rewritten)
+    fired = handles.get(kind)
+    if fired is None:
+        fired = handles[kind] = registry.counter(
+            "injector.injections", injector=name, kind=kind)
+    fired.inc()
+    rewritten = handles.get("lanes_rewritten")
+    if rewritten is None:
+        rewritten = handles["lanes_rewritten"] = registry.counter(
+            "injector.lanes_rewritten", injector=name)
+    rewritten.inc(event.lanes_rewritten)
     if event.lanes_unreachable:
-        registry.counter(
-            "injector.lanes_unreachable", injector=injector_name
-        ).inc(event.lanes_unreachable)
+        unreachable = handles.get("lanes_unreachable")
+        if unreachable is None:
+            unreachable = handles["lanes_unreachable"] = registry.counter(
+                "injector.lanes_unreachable", injector=name)
+        unreachable.inc(event.lanes_unreachable)
 
 
 # ---------------------------------------------------------------------------

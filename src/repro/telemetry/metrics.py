@@ -23,6 +23,7 @@ campaign without perturbing it.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -189,12 +190,10 @@ class Histogram(_Metric):
         self.count: int = 0
 
     def observe(self, value: float) -> None:
-        """Record one observation."""
-        index = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
+        """Record one observation (NaN lands in the ``+Inf`` tail)."""
+        buckets = self.buckets
+        index = bisect_left(buckets, value) if value == value \
+            else len(buckets)
         self.counts[index] += 1
         self.total += value
         self.count += 1

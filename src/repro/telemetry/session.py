@@ -128,7 +128,7 @@ class ObservationSession:
                 "max_events": recorder.max_events,
             },
             "experiments": len(recorder.experiments),
-            "events_retained": len(recorder.events),
+            "events_retained": len(recorder.frames),
             "events_dropped": recorder.events_dropped,
             "corr_ids_assigned": recorder.corr_ids_assigned,
         }
@@ -155,6 +155,6 @@ class ObservationSession:
                 writer.write_experiment(experiment.meta())
                 for record in experiment.records:
                     writer.write_capture(experiment.index, record)
-            for event in self.recorder.events:
-                writer.write_event(event)
+            frames = self.recorder.frames
+            writer.write_framed(b"".join(frames), len(frames))
         return root

@@ -1,5 +1,6 @@
 """Round-trip tests for the versioned binary ``.rcap`` format."""
 
+import dataclasses
 import enum
 import io
 import json
@@ -13,13 +14,19 @@ from repro.capture.format import (
     MAGIC,
     VERSION,
     CaptureWriter,
+    EventTemplate,
     pack_symbol,
     read_capture,
     scan_capture,
     unpack_symbol,
     walk_capture,
 )
-from repro.capture.provenance import LifecycleEvent, Stage
+from repro.capture.provenance import (
+    ExperimentCapture,
+    FlightRecorder,
+    LifecycleEvent,
+    Stage,
+)
 from repro.core.monitor import CaptureRecord
 from repro.errors import ConfigurationError
 from repro.hw.injector import InjectionEvent
@@ -222,10 +229,48 @@ def _reference_blob(event):
                       sort_keys=True).encode()
 
 
+def _reference_frame(event):
+    blob = _reference_blob(event)
+    body = struct.pack(
+        "<QqIII", event.time_ps,
+        -1 if event.corr_id is None else event.corr_id,
+        event.seq, event.experiment_index, len(blob)) + blob
+    return struct.pack("<BI", 2, len(body)) + body
+
+
+def _template_frame(event):
+    """Frame ``event`` through the one encoder, as a hook would."""
+    template = EventTemplate(event.stage, event.node, event.direction,
+                             tuple(event.attrs))
+    return template.frame(event.time_ps, event.corr_id, event.seq,
+                          event.experiment_index, tuple(event.attrs.values()))
+
+
+def _json_attrs(attrs):
+    """What ``json.loads`` makes of ``attrs`` (str keys, IntEnum ints)."""
+    return repr(json.loads(json.dumps(attrs, sort_keys=True)))
+
+
+#: Events as a hook records them: lanes shared across stages, attr
+#: names from a small pool (some sorted, some not) and any JSON value.
+_recorded = st.lists(st.tuples(
+    st.integers(0, 2 ** 64 - 1),
+    st.sampled_from(Stage.ALL),
+    st.sampled_from(("pc", "sparc1", "switch")),
+    st.sampled_from(("tx", "rx", "")),
+    st.one_of(st.none(), st.integers(0, 2 ** 63 - 1)),
+    st.dictionaries(st.sampled_from(("packet_type", "matched", "b", "\u00e9")),
+                    _values, max_size=3),
+), max_size=12)
+
+
 class TestEventEncoder:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_events, min_size=1, max_size=8))
     def test_event_bodies_equal_the_json_dumps_reference(self, events):
+        # The one encoder, driven directly, frames the reference bytes.
+        assert [_template_frame(event) for event in events] \
+            == [_reference_frame(event) for event in events]
         buffer = io.BytesIO()
         with CaptureWriter(buffer, meta={}) as writer:
             for event in events:
@@ -259,6 +304,51 @@ class TestEventEncoder:
                                attrs={"a": 1, 2: 3})
         with pytest.raises(TypeError):
             _reference_blob(event)
+        with pytest.raises(TypeError):
+            _template_frame(event)
         with CaptureWriter(io.BytesIO(), meta={}) as writer:
             with pytest.raises(TypeError):
                 writer.write_event(event)
+        with pytest.raises(TypeError):
+            FlightRecorder().emit(1, "drop", "pc", "", None, ("a", 2), 1, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_recorded, st.integers(1, 6), st.integers(0, 12))
+    def test_recorder_frames_round_trip_through_read_capture(
+            self, steps, max_events, finish_at):
+        """Hook-time frames, written verbatim as a session writes its
+        ring, read back as the recorded events: the newest
+        ``max_events`` survive, the rest are counted as dropped, and
+        each (node, direction) lane keeps its own sequence numbers."""
+        recorder = FlightRecorder(max_events=max_events)
+        expected, seqs = [], {}
+        for step, (time_ps, stage, node, direction, corr, attrs) in \
+                enumerate(steps):
+            if step == finish_at:
+                recorder.finish_experiment(ExperimentCapture(0, "first"))
+            seq = seqs.get((node, direction), 0)
+            seqs[(node, direction)] = seq + 1
+            expected.append(LifecycleEvent(
+                time_ps=time_ps, stage=stage, node=node,
+                direction=direction, corr_id=corr, seq=seq,
+                experiment_index=recorder.current_experiment_index,
+                attrs=attrs))
+            recorder.emit(time_ps, stage, node, direction, corr,
+                          tuple(attrs), *attrs.values())
+        kept = expected[len(expected) - len(recorder.frames):]
+        assert len(recorder.frames) == min(len(steps), max_events)
+        assert recorder.events_dropped == len(steps) - len(kept)
+        assert list(recorder.frames) == [_reference_frame(e) for e in kept]
+
+        buffer = io.BytesIO()
+        with CaptureWriter(buffer, meta={}) as writer:
+            writer.write_framed(b"".join(recorder.frames),
+                                len(recorder.frames))
+        decoded = read_capture(buffer.getvalue()).events
+        assert [repr(e) for e in decoded] \
+            == [repr(e) for e in recorder.events]
+        assert len(decoded) == len(kept)
+        for back, event in zip(decoded, kept):
+            assert dataclasses.replace(back, attrs={}) \
+                == dataclasses.replace(event, attrs={})
+            assert repr(back.attrs) == _json_attrs(event.attrs)

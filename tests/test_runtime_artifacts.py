@@ -8,6 +8,8 @@ and re-encode everything.  Both must write the same bytes.
 
 import dataclasses
 import io
+import itertools
+import json
 import struct
 import tracemalloc
 
@@ -27,12 +29,21 @@ from repro.core.monitor import CaptureRecord
 from repro.errors import ConfigurationError
 from repro.hw.injector import InjectionEvent
 from repro.myrinet.symbols import GAP, GO, STOP, data_symbols
+from repro.nftape.campaign import Campaign
+from repro.runtime import SerialExecutor
 from repro.runtime.artifacts import (
     CAPTURE_SUBDIR,
+    METRICS_FILE_NAME,
+    TELEMETRY_SUBDIR,
+    ArtifactMerge,
     merge_artifacts,
     merged_capture_path,
+    merged_metrics_path,
     shard_dir,
 )
+from repro.scenario.compile import compile_scenario
+from repro.scenario.library import load_scenario
+from repro.telemetry.metrics import MetricsRegistry
 
 LABEL = "splice"
 
@@ -266,3 +277,121 @@ def test_merge_memory_is_bounded_by_one_shard_not_the_campaign(tmp_path):
     large = _traced_merge_peak(tmp_path / "thirty-two", 32, blob)
     assert large <= 1.25 * small, (small, large)
     assert max(small, large) < 3 * len(blob), (small, large, len(blob))
+
+
+# ---------------------------------------------------------------------------
+# the streaming merge: failure cleanup, resume, histogram bounds
+# ---------------------------------------------------------------------------
+
+
+def _leftovers(root):
+    """Every file the capture merge left under ``root/capture``."""
+    out = merged_capture_path(root).parent
+    return sorted(path.name for path in out.glob("*")) if out.exists() else []
+
+
+@pytest.mark.parametrize("blob", MALFORMED)
+def test_a_malformed_last_shard_leaves_no_merged_or_temporary_file(
+        tmp_path, blob):
+    """Two good shards are spooled before the bad one arrives; the
+    failed merge removes the spool, and no merged file ever appears."""
+    for index in (0, 1):
+        with CaptureWriter(_shard_path(tmp_path, index, "good"),
+                           meta={}) as writer:
+            writer.write_experiment({"index": 0, "name": "good"})
+            writer.write_event(_event(20 + index))
+    _shard_path(tmp_path, 2, "bad").write_bytes(blob)
+    merge = ArtifactMerge(tmp_path, label=LABEL)
+    merge.add(0, "good")
+    merge.add(1, "good")
+    assert _leftovers(tmp_path) == [f"{CAPTURE_FILE_NAME}.body.tmp"]
+    with pytest.raises(ConfigurationError):
+        merge.add(2, "bad")
+    assert _leftovers(tmp_path) == []
+    merge.abort()  # idempotent after a failed add
+    assert _leftovers(tmp_path) == []
+
+
+def test_shards_must_arrive_in_index_order(tmp_path):
+    merge = ArtifactMerge(tmp_path, label=LABEL)
+    merge.add(1, "a")
+    with pytest.raises(ValueError):
+        merge.add(1, "a")
+    with pytest.raises(ValueError):
+        merge.add(0, "a")
+
+
+def _metrics_shard(root, index, buckets, values):
+    registry = MetricsRegistry()
+    histogram = registry.histogram("device.added_latency_ns",
+                                   buckets=buckets, direction="R")
+    for value in values:
+        histogram.observe(value)
+    path = (shard_dir(root, index, "h") / TELEMETRY_SUBDIR
+            / METRICS_FILE_NAME)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"wall_s": 0.0,
+                                "metrics": registry.to_dict()}))
+
+
+def test_histograms_with_equal_bounds_sum_bucket_by_bucket(tmp_path):
+    _metrics_shard(tmp_path, 0, (1, 2), [1, 3])
+    _metrics_shard(tmp_path, 1, (2, 1), [2, 0.5, 9])
+    merge_artifacts(tmp_path, [(0, "h"), (1, "h")], label=LABEL)
+    document = json.loads(merged_metrics_path(tmp_path).read_text())
+    [series] = [entry for entry in document["metrics"]["series"]
+                if entry["kind"] == "histogram"]
+    assert series["buckets"] == [1.0, 2.0]
+    assert series["counts"] == [2, 1, 2]
+    assert series["count"] == sum(series["counts"]) == 5
+    assert series["sum"] == 15.5
+
+
+def test_histograms_with_different_bounds_fail_the_merge_naming_the_shard(
+        tmp_path):
+    """Summing counts over different bounds cannot be right: the merge
+    once kept the first shard's bounds, skipped counts of another length
+    and counted a 15 from bounds (10, 20) in the <= 2 bucket."""
+    _metrics_shard(tmp_path, 0, (1, 2), [1])
+    _metrics_shard(tmp_path, 1, (1, 2, 4), [3])
+    _metrics_shard(tmp_path, 2, (10, 20), [15])
+    with pytest.raises(ConfigurationError,
+                       match=shard_dir(tmp_path, 1, "h").name):
+        merge_artifacts(tmp_path, [(0, "h"), (1, "h"), (2, "h")],
+                        label=LABEL)
+    assert not merged_metrics_path(tmp_path).exists()
+    _metrics_shard(tmp_path, 1, (1, 2), [3])
+    with pytest.raises(ConfigurationError,
+                       match=shard_dir(tmp_path, 2, "h").name):
+        merge_artifacts(tmp_path, [(0, "h"), (1, "h"), (2, "h")],
+                        label=LABEL)
+
+
+def _sweep_spec():
+    doc = dataclasses.replace(
+        load_scenario("seu-sweep"), seed=3, duration_ms=1.0, drain_ms=0.5)
+    return compile_scenario(doc)
+
+
+def test_a_resumed_campaign_merges_the_bytes_of_a_fresh_run(tmp_path):
+    """Stop a serial artifacts run after two of four experiments, then
+    resume it: the two restored shards and the two new ones merge to
+    the capture file of an uninterrupted run, byte for byte."""
+    spec = _sweep_spec()
+    fresh = tmp_path / "fresh"
+    Campaign.from_spec(spec).run(SerialExecutor(artifacts_dir=fresh))
+
+    resumed = tmp_path / "resumed"
+    stream = SerialExecutor(artifacts_dir=resumed).execute(spec)
+    assert [index for index, _ in itertools.islice(stream, 2)] == [0, 1]
+    stream.close()
+    assert _leftovers(resumed) == []
+    executor = SerialExecutor(artifacts_dir=resumed, resume=True)
+    Campaign.from_spec(spec).run(executor)
+    assert executor.skipped == [0, 1]
+    assert executor.executed == [2, 3]
+
+    assert _leftovers(resumed) == [CAPTURE_FILE_NAME]
+    assert merged_capture_path(resumed).read_bytes() \
+        == merged_capture_path(fresh).read_bytes()
+    assert executor.merge_summary["capture_shards"] == len(spec)

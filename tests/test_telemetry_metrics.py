@@ -1,6 +1,8 @@
 """Unit tests for the telemetry metric primitives and registry."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.telemetry.metrics import (
@@ -91,6 +93,22 @@ class TestHistogram:
     def test_empty_buckets_rejected(self):
         with pytest.raises(ConfigurationError):
             Histogram("h.test", (), buckets=())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
+           st.lists(st.one_of(st.floats(allow_nan=True),
+                              st.integers(-10 ** 7, 10 ** 7)), max_size=20))
+    def test_each_value_lands_in_its_first_bound_at_or_above(self, bounds,
+                                                             values):
+        """The bucket of ``v`` is the first bound with ``v <= bound``;
+        NaN, which is below no bound, and larger values land in +Inf."""
+        histogram = Histogram("h.test", (), buckets=bounds)
+        expected = [0] * (len(histogram.buckets) + 1)
+        for value in values:
+            histogram.observe(value)
+            expected[next((i for i, bound in enumerate(histogram.buckets)
+                           if value <= bound), len(histogram.buckets))] += 1
+        assert histogram.counts == expected
 
     def test_default_bucket_constants_sorted(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
