@@ -37,10 +37,6 @@ class OrderedSet:
         assert len(self.characters) == 4
         assert self.characters[0] == K28_5
 
-    @property
-    def bytes_view(self) -> Tuple[int, ...]:
-        return tuple(value for value, _is_k in self.characters)
-
 
 def _ordered_set(name: str, second: Tuple[int, bool],
                  qualifier: Tuple[int, bool]) -> OrderedSet:

@@ -128,11 +128,6 @@ class FifoInjector:
         self._on_injection = callback
 
     @property
-    def inject_pending(self) -> bool:
-        """True while an ``inject now`` pulse awaits its even cycle."""
-        return self._inject_now
-
-    @property
     def armed(self) -> bool:
         """True if the trigger can still fire."""
         if self._inject_now:

@@ -76,11 +76,6 @@ class TxFlowState:
         self.gos_received = 0
         self.timeout_recoveries = 0
 
-    @property
-    def decay_ps(self) -> int:
-        """Quiet time after which a STOP state decays to GO."""
-        return self._decay_ps
-
     def on_stop_symbol(self) -> None:
         """A STOP symbol arrived: stop, and re-arm the timeout counter."""
         self.stops_received += 1
@@ -151,10 +146,6 @@ class TxFlowState:
     def notify_unblocked(self, callback: Callable[[], None]) -> None:
         """Register a callback fired whenever the state unblocks."""
         self._on_unblock.append(callback)
-
-    def note_timeout_recovery(self) -> None:
-        """Record that a sender resumed via decay rather than a GO."""
-        self.timeout_recoveries += 1
 
     def _notify(self) -> None:
         for callback in list(self._on_unblock):
@@ -267,10 +258,6 @@ class PortFlowControl:
     @property
     def refresher(self) -> StopRefresher:
         return self._refresher
-
-    def bind_remote(self, remote_tx_state: TxFlowState) -> None:
-        """Late-bind the remote sender's state (``direct`` transport)."""
-        self._remote_tx_state = remote_tx_state
 
     def _resolve_remote(self) -> TxFlowState:
         if self._remote_tx_state is not None:

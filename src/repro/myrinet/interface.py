@@ -161,12 +161,6 @@ class HostInterface:
         return self._flow
 
     @property
-    def rx_slack(self) -> RateDrainedSlackBuffer:
-        if self._rx_slack is None:
-            raise ConfigurationError(f"{self.name} is not attached to a link")
-        return self._rx_slack
-
-    @property
     def long_timeout_ps(self) -> int:
         if self._link is None:
             return long_timeout_ps(12_500, self._long_timeout_periods)

@@ -52,10 +52,6 @@ class NetworkMap:
     entries: Dict[str, MapEntry] = field(default_factory=dict)
     conflict: bool = False
 
-    @property
-    def live_positions(self) -> List[str]:
-        return sorted(self.entries)
-
     def macs(self) -> List[MacAddress]:
         return [entry.mac for entry in self.entries.values()]
 
@@ -273,23 +269,18 @@ class TopologyOracle:
 
 
 def paper_oracle(instrumented_host: str = "pc") -> TopologyOracle:
-    """The Figure 10 test-bed wiring as a :class:`TopologyOracle`.
-
-    Mirrors :func:`repro.myrinet.network.build_paper_testbed`: hosts
-    ``pc``/``sparc1``/``sparc2`` on ports 0/1/2 of one 8-port switch
-    named ``switch``.  ``instrumented_host`` is accepted (and validated)
-    so offline analyzers can assert the host named in a campaign spec
-    actually exists in this topology.
+    """The Figure 10 test-bed wiring
+    (:data:`repro.myrinet.network.PAPER_FABRIC`) as a
+    :class:`TopologyOracle`.  ``instrumented_host`` is accepted (and
+    validated) so offline analyzers can assert the host named in a
+    campaign spec actually exists in this topology.
     """
-    hosts = ("pc", "sparc1", "sparc2")
+    from repro.myrinet.network import PAPER_FABRIC
+
+    hosts = PAPER_FABRIC.hosts
     if instrumented_host not in hosts:
         raise ConfigurationError(
             f"instrumented host {instrumented_host!r} is not part of the "
             f"paper test bed {hosts}"
         )
-    oracle = TopologyOracle()
-    oracle.add_switch("switch")
-    for port, name in enumerate(hosts):
-        oracle.add_host(name)
-        oracle.connect_host(name, "switch", port)
-    return oracle
+    return PAPER_FABRIC.oracle()

@@ -287,22 +287,17 @@ def build_paper_testbed(
     switch_kwargs: Optional[Dict] = None,
     **network_kwargs,
 ) -> MyrinetNetwork:
-    """The paper's Figure 10 test-bed: three nodes on one 8-port switch.
+    """The paper's Figure 10 test-bed (:data:`PAPER_FABRIC`).
 
     ``device``, if given, is spliced into ``instrumented_host``'s link —
     the paper placed the fault injector between one host and the switch.
-    Hosts: ``pc`` (the 200 MHz Pentium Pro Linux box) on port 0 and
-    ``sparc1``/``sparc2`` (the 170 MHz UltraSPARCs) on ports 1 and 2;
-    ``sparc2`` holds the highest MCP address and maps the network.
     """
-    network = MyrinetNetwork(sim, rng=rng, **network_kwargs)
-    network.add_switch("switch", num_ports=8, **(switch_kwargs or {}))
-    for name in ("pc", "sparc1", "sparc2"):
-        network.add_host(name, **(host_kwargs or {}))
-    for port, name in enumerate(("pc", "sparc1", "sparc2")):
-        spliced = device if name == instrumented_host else None
-        network.connect(name, "switch", port, device=spliced)
-    return network
+    return build_fabric(
+        sim, PAPER_FABRIC, device=device,
+        instrumented_host=instrumented_host, rng=rng,
+        host_kwargs=host_kwargs, switch_kwargs=switch_kwargs,
+        **network_kwargs,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +453,18 @@ class FabricSpec:
         for sw_a, port_a, sw_b, port_b in self.trunks:
             oracle.connect_switches(sw_a, port_a, sw_b, port_b)
         return oracle
+
+
+#: The paper's Figure 10 LAN: ``pc`` (the 200 MHz Pentium Pro Linux box)
+#: on port 0 and ``sparc1``/``sparc2`` (the 170 MHz UltraSPARCs) on ports
+#: 1 and 2 of one 8-port switch named ``switch``; ``sparc2`` holds the
+#: highest MCP address and maps the network.
+PAPER_FABRIC = FabricSpec(
+    hosts=("pc", "sparc1", "sparc2"),
+    switches=(("switch", 8),),
+    host_links=(("pc", "switch", 0), ("sparc1", "switch", 1),
+                ("sparc2", "switch", 2)),
+)
 
 
 def star_fabric(hosts: int, ports: int = 16,

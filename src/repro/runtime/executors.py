@@ -53,8 +53,8 @@ from repro.runtime.fabric import (
     POLL_S,
     forfeit_count,
     forfeit_lease,
+    queue_bytes,
     read_lease,
-    read_queue,
     release_lease,
     run_fabric_worker,
     write_queue,
@@ -405,7 +405,8 @@ class PooledExecutor(_ExecutorBase):
         if leases_dir.exists():
             shutil.rmtree(leases_dir)  # no workers are live yet
         leases_dir.mkdir(parents=True, exist_ok=True)
-        write_queue(fabric_dir, digest, spec)
+        queue_file = write_queue(fabric_dir, digest, spec)
+        queue_written = queue_bytes(digest, spec)
 
         self._emit("campaign_started", executor="pooled",
                    experiments=total, workers=self.workers,
@@ -544,8 +545,13 @@ class PooledExecutor(_ExecutorBase):
                       forfeit_count(leases_dir, index) + 1,
                       detail=f"\n{info.get('traceback', '')}")
 
-            # 4. queue integrity (truncation / corruption repair)
-            if read_queue(fabric_dir, digest) is None:
+            # 4. queue integrity: any difference from the bytes written
+            #    (truncation, corruption, deletion) is repaired
+            try:
+                intact = queue_file.read_bytes() == queue_written
+            except OSError:
+                intact = False
+            if not intact:
                 write_queue(fabric_dir, digest, spec)
                 self.queue_repairs += 1
 

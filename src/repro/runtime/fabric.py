@@ -70,6 +70,7 @@ __all__ = [
     "QUEUE_FILE_NAME",
     "FABRIC_SUBDIR",
     "POLL_S",
+    "queue_bytes",
     "write_queue",
     "read_queue",
     "run_fabric_worker",
@@ -97,18 +98,10 @@ POLL_S = 0.02
 # ---------------------------------------------------------------------------
 
 
-def write_queue(fabric_dir: Union[str, Path], digest: str,
-                spec: CampaignSpec) -> Path:
-    """Atomically (re)write the campaign's work queue.
-
-    Written to a temp name and ``os.replace``-d into place, so a reader
-    never observes a partial queue — and a *damaged* queue (truncated,
-    edited, torn by a crash) is repaired by simply calling this again:
-    the queue is a pure function of the spec.
-    """
-    fabric_dir = Path(fabric_dir)
-    fabric_dir.mkdir(parents=True, exist_ok=True)
-    target = fabric_dir / QUEUE_FILE_NAME
+def queue_bytes(digest: str, spec: CampaignSpec) -> bytes:
+    """The exact bytes of the campaign's work queue file — a pure
+    function of the spec, so the coordinator can check the file against
+    them without parsing it."""
     lines = [json.dumps({
         "type": "fabric-queue",
         "version": QUEUE_VERSION,
@@ -123,8 +116,23 @@ def write_queue(fabric_dir: Union[str, Path], digest: str,
             "name": experiment.name,
             "seed": spec.seed_for(index),
         }, sort_keys=True))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def write_queue(fabric_dir: Union[str, Path], digest: str,
+                spec: CampaignSpec) -> Path:
+    """Atomically (re)write the campaign's work queue.
+
+    Written to a temp name and ``os.replace``-d into place, so a reader
+    never observes a partial queue — and a *damaged* queue (truncated,
+    edited, torn by a crash) is repaired by simply calling this again:
+    the queue is a pure function of the spec.
+    """
+    fabric_dir = Path(fabric_dir)
+    fabric_dir.mkdir(parents=True, exist_ok=True)
+    target = fabric_dir / QUEUE_FILE_NAME
     scratch = target.with_name(target.name + ".tmp")
-    scratch.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    scratch.write_bytes(queue_bytes(digest, spec))
     os.replace(scratch, target)
     return target
 

@@ -1,5 +1,5 @@
 """Lossless JSON codec for campaign specs — the one JSON form of a
-campaign.
+campaign — and the field-driven walk every document codec shares.
 
 ``spec_to_json`` serializes a :class:`~repro.runtime.spec.CampaignSpec`
 (plans, injector registers, workload, test-bed options, fabric wiring)
@@ -12,171 +12,215 @@ the executors drop into an artifacts root for offline analyzers
 (``repro.insight``).  So a campaign submitted over HTTP runs
 byte-identically to the same spec run offline through :mod:`repro.api`.
 
-The codec is strict on decode: unknown keys, malformed enum values, or
-non-JSON-representable kwargs raise
-:class:`~repro.errors.ConfigurationError` with a path-qualified message
-(the server surfaces it as the HTTP 400 body), never a bare
-``KeyError``.  One non-scalar kwarg is special-cased because the CLI
-campaign uses it: ``device_kwargs["monitor_config"]`` round-trips as a
-``{"enabled", "pre_symbols", "post_symbols"}`` object.
+Neither direction lists fields by hand: :class:`Walk` follows the
+dataclass fields.  Encoding writes enums by value, sets as sorted lists,
+tuples as lists and nested dataclasses as objects.  Decoding resolves
+each class's field types once and enforces them strictly: ``int``
+rejects ``bool``, ``float`` accepts ``int``, ``bool`` accepts only
+``true``/``false``, and kwargs dicts (``host_kwargs``, ``params``, ...)
+hold JSON scalars only, on decode as on encode.  The one non-scalar
+kwarg is ``monitor_config`` (the CLI campaign's capture settings), which
+travels as a :class:`~repro.core.monitor.MonitorConfig` object.  Every
+failure raises :class:`~repro.errors.ConfigurationError` naming the
+path (``spec.experiments[0].plan.use_serial``) — the server's HTTP 400
+body — never a bare ``KeyError``.  The scenario codec
+(:mod:`repro.scenario.codec`) runs the same walk.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Optional
+import functools
+import typing
+from enum import Enum
+from typing import Any, Callable, Dict, Tuple, Union
 
 from repro.core.monitor import MonitorConfig
 from repro.errors import ConfigurationError
-from repro.hw.registers import CorruptMode, InjectorConfig, MatchMode
-from repro.myrinet.network import FabricSpec
-from repro.nftape.experiment import TestbedOptions
-from repro.nftape.workload import WorkloadConfig
-from repro.runtime.spec import CampaignSpec, ExperimentSpec, PlanSpec
+from repro.runtime.spec import CampaignSpec
 
-__all__ = ["SPEC_CODEC_VERSION", "spec_to_json", "spec_from_json"]
+__all__ = ["SPEC_CODEC_VERSION", "spec_to_json", "spec_from_json", "Walk"]
 
 #: Wire-format version (bump on incompatible layout changes).
 SPEC_CODEC_VERSION = 1
 
 _SCALARS = (bool, int, float, str, type(None))
+#: Kwargs that carry a dataclass instead of a JSON scalar.
+_KWARG_TYPES = {"monitor_config": MonitorConfig}
+
+_Path = Tuple[Union[str, int], ...]
+_Decoder = Callable[[Any, _Path, "Walk"], Any]
 
 
-def _check_kwargs(mapping: Dict[str, Any], path: str) -> Dict[str, Any]:
-    """Validate a kwargs dict as JSON-scalar-only (codec-representable)."""
-    out: Dict[str, Any] = {}
-    for key, value in mapping.items():
-        if not isinstance(value, _SCALARS):
-            raise ConfigurationError(
-                f"{path}[{key!r}] is not JSON-representable "
-                f"({type(value).__name__}); the spec codec carries "
-                "scalar kwargs only"
+def _kind(value: Any) -> str:
+    return type(value).__name__
+
+
+class Walk:
+    """The field-driven encode/decode walk.
+
+    A document supplies the only two things that differ between codecs:
+    ``omits(obj, field, value)`` says which fields its JSON leaves out,
+    and ``error(path, problem)`` builds the exception naming a path (a
+    tuple of keys and list indices).
+    """
+
+    def __init__(self, omits: Callable[[Any, dataclasses.Field, Any], bool],
+                 error: Callable[[_Path, str], Exception]) -> None:
+        self.omits = omits
+        self.error = error
+
+    def encode(self, value: Any, path: _Path = ()) -> Any:
+        if isinstance(value, _SCALARS):
+            return value
+        if isinstance(value, Enum):
+            return value.value
+        fields = _fields_of(type(value))
+        if fields:
+            out = {}
+            for field in fields:
+                item = getattr(value, field.name)
+                if not self.omits(value, field, item):
+                    out[field.name] = self.encode(item, path + (field.name,))
+            return out
+        if isinstance(value, (set, frozenset)):
+            return sorted(value)
+        if isinstance(value, (tuple, list)):
+            return [self.encode(item, path + (index,))
+                    for index, item in enumerate(value)]
+        if isinstance(value, dict):
+            out = {}
+            for key, item in value.items():
+                if isinstance(item, _SCALARS + (_KWARG_TYPES.get(key, ()),)):
+                    out[str(key)] = self.encode(item, path + (key,))
+                else:
+                    raise self.error(
+                        path + (key,),
+                        f"holds JSON scalars only, got {_kind(item)}"
+                    )
+            return out
+        raise self.error(path, f"cannot encode {_kind(value)}")
+
+    def decode(self, kind: Any, data: Any, path: _Path = ()) -> Any:
+        return _decoder(kind)(data, path, self)
+
+
+@functools.lru_cache(maxsize=None)
+def _fields_of(cls: type) -> Tuple[dataclasses.Field, ...]:
+    return dataclasses.fields(cls) if dataclasses.is_dataclass(cls) else ()
+
+
+@functools.lru_cache(maxsize=None)
+def _decoder(kind: Any) -> _Decoder:
+    """The decode function of a field type (built once per type)."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is Union:  # Optional[X]
+        inner = _decoder(next(a for a in args if a is not type(None)))
+        return lambda data, path, walk: (
+            None if data is None else inner(data, path, walk))
+    if origin is dict:
+        return _decode_kwargs
+    if origin in (tuple, set):
+        many = origin is set or args[-1] is Ellipsis
+        items = [_decoder(arg) for arg in (args[:1] if many else args)]
+
+        def _sequence(data: Any, path: _Path, walk: Walk) -> Any:
+            if not isinstance(data, list) or not (
+                    many or len(data) == len(items)):
+                shape = "a list" if many else f"{len(items)} items"
+                got = (f"{len(data)}" if isinstance(data, list)
+                       else _kind(data))
+                raise walk.error(path, f"expected {shape}, got {got}")
+            return origin(
+                items[0 if many else index](item, path + (index,), walk)
+                for index, item in enumerate(data)
             )
-        out[str(key)] = value
-    return out
+        return _sequence
+    if dataclasses.is_dataclass(kind):
+        return lambda data, path, walk: _decode_object(kind, data, path, walk)
+    if issubclass(kind, Enum):
+        def _enum(data: Any, path: _Path, walk: Walk) -> Any:
+            try:
+                return kind(data)
+            except ValueError as exc:
+                raise walk.error(path, str(exc)) from None
+        return _enum
+
+    def _scalar(data: Any, path: _Path, walk: Walk) -> Any:
+        if isinstance(data, bool) is (kind is bool):
+            if isinstance(data, kind):
+                return data
+            if kind is float and isinstance(data, int):
+                return float(data)
+        raise walk.error(path, f"expected {kind.__name__}, got {_kind(data)}")
+    return _scalar
 
 
-# ---------------------------------------------------------------------------
-# encode
-# ---------------------------------------------------------------------------
-
-
-def _encode_injector(config: InjectorConfig) -> Dict[str, Any]:
-    doc = dataclasses.asdict(config)
-    doc["match_mode"] = config.match_mode.value
-    doc["corrupt_mode"] = config.corrupt_mode.value
-    return doc
-
-
-def _encode_plan(plan: PlanSpec) -> Dict[str, Any]:
+@functools.lru_cache(maxsize=None)
+def _object_fields(cls: type) -> Dict[str, Tuple[_Decoder, bool]]:
+    """``name -> (decoder, required)`` for a dataclass, resolved once."""
+    hints = typing.get_type_hints(cls)
     return {
-        "kind": plan.kind,
-        "direction": plan.direction,
-        "config": (
-            None if plan.config is None
-            else _encode_injector(plan.config)
-        ),
-        "use_serial": plan.use_serial,
-        "rearm_interval_ps": plan.rearm_interval_ps,
-        "on_ps": plan.on_ps,
-        "off_ps": plan.off_ps,
-        "interval_ps": plan.interval_ps,
-        "mean_interval_ps": plan.mean_interval_ps,
-        "seed": plan.seed,
-        "flip_control_bit_probability": plan.flip_control_bit_probability,
+        field.name: (
+            _decoder(hints[field.name]),
+            field.default is dataclasses.MISSING
+            and field.default_factory is dataclasses.MISSING,
+        )
+        for field in dataclasses.fields(cls)
     }
 
 
-def _encode_workload(workload: WorkloadConfig) -> Dict[str, Any]:
-    return {
-        "payload_size": workload.payload_size,
-        "send_interval_ps": workload.send_interval_ps,
-        "flood_ping": workload.flood_ping,
-        "forbidden_bytes": sorted(workload.forbidden_bytes),
-        "stack_kwargs": _check_kwargs(
-            workload.stack_kwargs, "workload.stack_kwargs"
-        ),
-        "burst_max": workload.burst_max,
-        "burst_alpha": workload.burst_alpha,
-    }
+def _decode_object(cls: type, data: Any, path: _Path, walk: Walk) -> Any:
+    if not isinstance(data, dict):
+        raise walk.error(path, f"expected a JSON object, got {_kind(data)}")
+    fields = _object_fields(cls)
+    unknown = sorted(str(key) for key in data if key not in fields)
+    if unknown:
+        raise walk.error(
+            path, f"unknown field(s) {unknown}; expected only {sorted(fields)}"
+        )
+    kwargs = {}
+    for name, (decode, required) in fields.items():
+        if name in data:
+            kwargs[name] = decode(data[name], path + (name,), walk)
+        elif required:
+            raise walk.error(path + (name,), "is required")
+    try:
+        return cls(**kwargs)
+    except ConfigurationError as exc:
+        raise walk.error(path, str(exc)) from None
 
 
-def _encode_fabric(fabric: FabricSpec) -> Dict[str, Any]:
-    return {
-        "hosts": list(fabric.hosts),
-        "switches": [list(entry) for entry in fabric.switches],
-        "host_links": [list(entry) for entry in fabric.host_links],
-        "trunks": [list(entry) for entry in fabric.trunks],
-    }
-
-
-def _encode_device_kwargs(kwargs: Dict[str, Any]) -> Dict[str, Any]:
-    out: Dict[str, Any] = {}
-    for key, value in kwargs.items():
-        if key == "monitor_config" and isinstance(value, MonitorConfig):
-            out[key] = {
-                "enabled": value.enabled,
-                "pre_symbols": value.pre_symbols,
-                "post_symbols": value.post_symbols,
-            }
+def _decode_kwargs(data: Any, path: _Path, walk: Walk) -> Dict[str, Any]:
+    if not isinstance(data, dict):
+        raise walk.error(path, f"expected a JSON object, got {_kind(data)}")
+    out = {}
+    for key, value in data.items():
+        if key in _KWARG_TYPES and isinstance(value, dict):
+            out[key] = walk.decode(_KWARG_TYPES[key], value, path + (key,))
         elif isinstance(value, _SCALARS):
-            out[str(key)] = value
+            out[key] = value
         else:
-            raise ConfigurationError(
-                f"testbed.device_kwargs[{key!r}] is not "
-                f"JSON-representable ({type(value).__name__})"
+            raise walk.error(
+                path + (key,), f"holds JSON scalars only, got {_kind(value)}"
             )
     return out
 
 
-def _encode_testbed(testbed: TestbedOptions) -> Dict[str, Any]:
-    return {
-        "seed": testbed.seed,
-        "instrumented_host": testbed.instrumented_host,
-        "with_device": testbed.with_device,
-        "char_period_ps": testbed.char_period_ps,
-        "map_interval_ps": testbed.map_interval_ps,
-        "mcp_reply_timeout_ps": testbed.mcp_reply_timeout_ps,
-        "mcp_initial_delay_ps": testbed.mcp_initial_delay_ps,
-        "settle_ps": testbed.settle_ps,
-        "pipeline_depth": testbed.pipeline_depth,
-        "device_kwargs": _encode_device_kwargs(testbed.device_kwargs),
-        "host_kwargs": _check_kwargs(
-            testbed.host_kwargs, "testbed.host_kwargs"
-        ),
-        "switch_kwargs": _check_kwargs(
-            testbed.switch_kwargs, "testbed.switch_kwargs"
-        ),
-        "long_timeout_periods": testbed.long_timeout_periods,
-        "topology": (
-            None if testbed.topology is None
-            else _encode_fabric(testbed.topology)
-        ),
-    }
+# ---------------------------------------------------------------------------
+# the spec document
+# ---------------------------------------------------------------------------
 
 
-def _encode_experiment(experiment: ExperimentSpec) -> Dict[str, Any]:
-    return {
-        "name": experiment.name,
-        "duration_ps": experiment.duration_ps,
-        "drain_ps": experiment.drain_ps,
-        "plan": (
-            None if experiment.plan is None
-            else _encode_plan(experiment.plan)
-        ),
-        "workload": (
-            None if experiment.workload is None
-            else _encode_workload(experiment.workload)
-        ),
-        "testbed": (
-            None if experiment.testbed is None
-            else _encode_testbed(experiment.testbed)
-        ),
-        "params": _check_kwargs(experiment.params, "experiment.params"),
-        "extra_plans": [
-            _encode_plan(plan) for plan in experiment.extra_plans
-        ],
-    }
+def _dotted(path: _Path) -> str:
+    return "".join(
+        f"[{key}]" if isinstance(key, int) else f".{key}" for key in path
+    ).lstrip(".")
+
+
+_SPEC = Walk(lambda obj, field, value: False,
+             lambda path, problem: ConfigurationError(
+                 f"{_dotted(path)}: {problem}"))
 
 
 def spec_to_json(spec: CampaignSpec) -> Dict[str, Any]:
@@ -184,319 +228,59 @@ def spec_to_json(spec: CampaignSpec) -> Dict[str, Any]:
     return {
         "codec": "repro.runtime.spec_codec",
         "version": SPEC_CODEC_VERSION,
-        "name": spec.name,
-        "base_seed": spec.base_seed,
-        "experiments": [
-            _encode_experiment(experiment)
-            for experiment in spec.experiments
-        ],
+        **_SPEC.encode(spec, ("spec",)),
     }
 
 
-# ---------------------------------------------------------------------------
-# decode
-# ---------------------------------------------------------------------------
+def _with_config(plan: Any) -> Any:
+    return {"config": {}, **plan} if isinstance(plan, dict) else plan
 
 
-def _require_mapping(doc: Any, path: str) -> Dict[str, Any]:
-    if not isinstance(doc, dict):
-        raise ConfigurationError(
-            f"{path} must be a JSON object, got {type(doc).__name__}"
-        )
-    return doc
-
-
-def _take_int(doc: Dict[str, Any], key: str, path: str,
-              default: Optional[int] = None,
-              required: bool = False) -> Any:
-    if key not in doc:
-        if required:
-            raise ConfigurationError(f"{path}.{key} is required")
-        return default
-    value = doc[key]
-    if value is None and not required:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(
-            f"{path}.{key} must be an integer, got {type(value).__name__}"
-        )
-    return value
-
-
-def _decode_injector(doc: Any, path: str) -> InjectorConfig:
-    doc = _require_mapping(doc, path)
-    kwargs: Dict[str, Any] = {}
-    try:
-        if "match_mode" in doc:
-            kwargs["match_mode"] = MatchMode(doc["match_mode"])
-        if "corrupt_mode" in doc:
-            kwargs["corrupt_mode"] = CorruptMode(doc["corrupt_mode"])
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
-    for field in ("compare_data", "compare_mask", "compare_ctl",
-                  "compare_ctl_mask", "corrupt_data", "corrupt_mask",
-                  "corrupt_ctl", "corrupt_ctl_mask"):
-        value = _take_int(doc, field, path)
-        if value is not None:
-            kwargs[field] = value
-    if "crc_fixup" in doc:
-        kwargs["crc_fixup"] = bool(doc["crc_fixup"])
-    known = set(kwargs) | {"match_mode", "corrupt_mode", "crc_fixup"}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown field(s) {unknown}")
-    return InjectorConfig(**kwargs)
-
-
-def _decode_plan(doc: Any, path: str) -> PlanSpec:
-    doc = _require_mapping(doc, path)
-    unknown = sorted(
-        set(doc) - {"kind", "direction", "config", "use_serial",
-                    "rearm_interval_ps", "on_ps", "off_ps", "interval_ps",
-                    "mean_interval_ps", "seed",
-                    "flip_control_bit_probability"}
-    )
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown field(s) {unknown}")
-    if "kind" not in doc or "direction" not in doc:
-        raise ConfigurationError(
-            f"{path}.kind and {path}.direction are required"
-        )
-    kwargs: Dict[str, Any] = {}
-    if "use_serial" in doc:
-        kwargs["use_serial"] = bool(doc["use_serial"])
-    kwargs["rearm_interval_ps"] = _take_int(doc, "rearm_interval_ps", path)
-    for field in ("on_ps", "off_ps", "interval_ps", "mean_interval_ps",
-                  "seed"):
-        value = _take_int(doc, field, path)
-        if value is not None:
-            kwargs[field] = value
-    if "flip_control_bit_probability" in doc:
-        value = doc["flip_control_bit_probability"]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(
-                f"{path}.flip_control_bit_probability must be a number, "
-                f"got {type(value).__name__}"
-            )
-        kwargs["flip_control_bit_probability"] = float(value)
-    # An *absent* config keeps the historical default-injector decode;
-    # an explicit null means "no config" (the seu kind).
-    config = doc.get("config", {})
-    return PlanSpec(
-        str(doc["kind"]), str(doc["direction"]),
-        (None if config is None
-         else _decode_injector(config, f"{path}.config")),
-        **kwargs,
-    )
-
-
-def _decode_workload(doc: Any, path: str) -> WorkloadConfig:
-    doc = _require_mapping(doc, path)
-    unknown = sorted(
-        set(doc) - {"payload_size", "send_interval_ps", "flood_ping",
-                    "forbidden_bytes", "stack_kwargs", "burst_max",
-                    "burst_alpha"}
-    )
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown field(s) {unknown}")
-    kwargs: Dict[str, Any] = {}
-    for field in ("payload_size", "send_interval_ps", "burst_max"):
-        value = _take_int(doc, field, path)
-        if value is not None:
-            kwargs[field] = value
-    if "burst_alpha" in doc:
-        value = doc["burst_alpha"]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(
-                f"{path}.burst_alpha must be a number, "
-                f"got {type(value).__name__}"
-            )
-        kwargs["burst_alpha"] = float(value)
-    if "flood_ping" in doc:
-        kwargs["flood_ping"] = bool(doc["flood_ping"])
-    if "forbidden_bytes" in doc:
-        raw = doc["forbidden_bytes"]
-        if not isinstance(raw, list):
-            raise ConfigurationError(
-                f"{path}.forbidden_bytes must be a list of ints"
-            )
-        kwargs["forbidden_bytes"] = {int(b) for b in raw}
-    if "stack_kwargs" in doc:
-        kwargs["stack_kwargs"] = dict(
-            _require_mapping(doc["stack_kwargs"], f"{path}.stack_kwargs")
-        )
-    return WorkloadConfig(**kwargs)
-
-
-def _decode_testbed(doc: Any, path: str) -> TestbedOptions:
-    doc = _require_mapping(doc, path)
-    # ``pipeline`` is the retired data-path selector: documents written
-    # while it existed still carry it, and it is ignored.
-    unknown = sorted(
-        set(doc) - {"seed", "instrumented_host", "with_device",
-                    "char_period_ps", "map_interval_ps",
-                    "mcp_reply_timeout_ps", "mcp_initial_delay_ps",
-                    "settle_ps", "pipeline_depth", "pipeline",
-                    "device_kwargs", "host_kwargs", "switch_kwargs",
-                    "long_timeout_periods", "topology"}
-    )
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown field(s) {unknown}")
-    kwargs: Dict[str, Any] = {}
-    for field in ("seed", "char_period_ps", "map_interval_ps",
-                  "mcp_reply_timeout_ps", "mcp_initial_delay_ps",
-                  "settle_ps", "pipeline_depth"):
-        value = _take_int(doc, field, path)
-        if value is not None:
-            kwargs[field] = value
-    if "instrumented_host" in doc:
-        kwargs["instrumented_host"] = str(doc["instrumented_host"])
-    if "with_device" in doc:
-        kwargs["with_device"] = bool(doc["with_device"])
-    if "long_timeout_periods" in doc:
-        kwargs["long_timeout_periods"] = _take_int(
-            doc, "long_timeout_periods", path
-        )
-    if "device_kwargs" in doc:
-        device_kwargs = dict(
-            _require_mapping(doc["device_kwargs"], f"{path}.device_kwargs")
-        )
-        monitor = device_kwargs.get("monitor_config")
-        if monitor is not None:
-            monitor = _require_mapping(
-                monitor, f"{path}.device_kwargs.monitor_config"
-            )
-            device_kwargs["monitor_config"] = MonitorConfig(
-                enabled=bool(monitor.get("enabled", False)),
-                pre_symbols=int(monitor.get("pre_symbols", 32)),
-                post_symbols=int(monitor.get("post_symbols", 32)),
-            )
-        kwargs["device_kwargs"] = device_kwargs
-    for field in ("host_kwargs", "switch_kwargs"):
-        if field in doc:
-            kwargs[field] = dict(
-                _require_mapping(doc[field], f"{path}.{field}")
-            )
-    if doc.get("topology") is not None:
-        kwargs["topology"] = _decode_fabric(
-            doc["topology"], f"{path}.topology"
-        )
-    return TestbedOptions(**kwargs)
-
-
-def _decode_fabric(doc: Any, path: str) -> FabricSpec:
-    doc = _require_mapping(doc, path)
-    unknown = sorted(
-        set(doc) - {"hosts", "switches", "host_links", "trunks"}
-    )
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown field(s) {unknown}")
-
-    def _rows(key: str, width: int, required: bool) -> list:
-        raw = doc.get(key, None if required else [])
-        if raw is None and required:
-            raise ConfigurationError(f"{path}.{key} is required")
-        if not isinstance(raw, list) or any(
-            not isinstance(row, list) or len(row) != width
-            for row in raw
-        ):
-            raise ConfigurationError(
-                f"{path}.{key} must be a list of {width}-element lists"
-            )
-        return raw
-
-    hosts = doc.get("hosts")
-    if not isinstance(hosts, list) or any(
-        not isinstance(h, str) for h in hosts
-    ):
-        raise ConfigurationError(
-            f"{path}.hosts must be a list of host names"
-        )
-    fabric = FabricSpec(
-        hosts=tuple(hosts),
-        switches=tuple(
-            (str(name), int(ports))
-            for name, ports in _rows("switches", 2, required=True)
-        ),
-        host_links=tuple(
-            (str(host), str(switch), int(port))
-            for host, switch, port in _rows("host_links", 3, required=True)
-        ),
-        trunks=tuple(
-            (str(a), int(pa), str(b), int(pb))
-            for a, pa, b, pb in _rows("trunks", 4, required=False)
-        ),
-    )
-    try:
-        fabric.validate()
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
-    return fabric
-
-
-def _decode_experiment(doc: Any, path: str) -> ExperimentSpec:
-    doc = _require_mapping(doc, path)
-    unknown = sorted(
-        set(doc) - {"name", "duration_ps", "drain_ps", "plan", "workload",
-                    "testbed", "params", "extra_plans"}
-    )
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown field(s) {unknown}")
-    if "name" not in doc:
-        raise ConfigurationError(f"{path}.name is required")
-    duration_ps = _take_int(doc, "duration_ps", path, required=True)
-    kwargs: Dict[str, Any] = {}
-    drain_ps = _take_int(doc, "drain_ps", path)
-    if drain_ps is not None:
-        kwargs["drain_ps"] = drain_ps
-    if doc.get("plan") is not None:
-        kwargs["plan"] = _decode_plan(doc["plan"], f"{path}.plan")
-    if doc.get("workload") is not None:
-        kwargs["workload"] = _decode_workload(
-            doc["workload"], f"{path}.workload"
-        )
-    if doc.get("testbed") is not None:
-        kwargs["testbed"] = _decode_testbed(
-            doc["testbed"], f"{path}.testbed"
-        )
-    if "params" in doc:
-        kwargs["params"] = dict(
-            _require_mapping(doc["params"], f"{path}.params")
-        )
-    if doc.get("extra_plans"):
-        extra = doc["extra_plans"]
-        if not isinstance(extra, list):
-            raise ConfigurationError(
-                f"{path}.extra_plans must be a list"
-            )
-        kwargs["extra_plans"] = tuple(
-            _decode_plan(entry, f"{path}.extra_plans[{index}]")
-            for index, entry in enumerate(extra)
-        )
-    return ExperimentSpec(str(doc["name"]), duration_ps, **kwargs)
+def _upgrade(experiment: Any) -> Any:
+    """Hand-written and older documents: a plan without a ``config`` key
+    uses the default injector (an explicit ``null`` means none), and a
+    testbed's retired ``pipeline`` data-path selector is ignored."""
+    if not isinstance(experiment, dict):
+        return experiment
+    experiment = dict(experiment)
+    if "plan" in experiment:
+        experiment["plan"] = _with_config(experiment["plan"])
+    if isinstance(experiment.get("extra_plans"), list):
+        experiment["extra_plans"] = [
+            _with_config(plan) for plan in experiment["extra_plans"]
+        ]
+    if isinstance(experiment.get("testbed"), dict):
+        experiment["testbed"] = {
+            k: v for k, v in experiment["testbed"].items() if k != "pipeline"
+        }
+    return experiment
 
 
 def spec_from_json(doc: Any) -> CampaignSpec:
     """Reconstruct the :class:`CampaignSpec` a :func:`spec_to_json`
     document describes (strict: malformed input raises
-    :class:`ConfigurationError`, never ``KeyError``)."""
-    doc = _require_mapping(doc, "spec")
+    :class:`ConfigurationError` with the offending path)."""
+    if not isinstance(doc, dict):
+        raise _SPEC.error(("spec",),
+                          f"expected a JSON object, got {_kind(doc)}")
+    body = {k: v for k, v in doc.items() if k not in ("codec", "version")}
     version = doc.get("version", SPEC_CODEC_VERSION)
     if version != SPEC_CODEC_VERSION:
         raise ConfigurationError(
             f"spec codec version {version!r} is not supported "
             f"(this build speaks {SPEC_CODEC_VERSION})"
         )
-    if "name" not in doc:
-        raise ConfigurationError("spec.name is required")
-    experiments = doc.get("experiments", [])
-    if not isinstance(experiments, list):
-        raise ConfigurationError("spec.experiments must be a list")
-    specs = [
-        _decode_experiment(entry, f"spec.experiments[{index}]")
-        for index, entry in enumerate(experiments)
-    ]
-    base_seed = _take_int(doc, "base_seed", "spec", default=0)
-    return CampaignSpec(
-        str(doc["name"]), specs, base_seed=int(base_seed or 0)
-    )
+    if isinstance(body.get("experiments"), list):
+        body["experiments"] = [_upgrade(e) for e in body["experiments"]]
+    spec = _SPEC.decode(CampaignSpec, body, ("spec",))
+    for index, experiment in enumerate(spec.experiments):
+        if experiment.testbed is not None \
+                and experiment.testbed.topology is not None:
+            try:
+                experiment.testbed.topology.validate()
+            except ConfigurationError as exc:
+                raise _SPEC.error(
+                    ("spec", "experiments", index, "testbed", "topology"),
+                    str(exc),
+                ) from None
+    return spec

@@ -225,6 +225,23 @@ class TestErrors:
         assert response.status == 400
         assert "duration_ps" in json.loads(payload)["error"]
 
+    def test_string_bool_and_nested_kwargs_are_400_with_path(self, server):
+        """Neither is queued to fail later in the runner: a string where
+        a boolean belongs and a nested kwarg are rejected at submit."""
+        client = Client(server)
+        string_bool = spec_to_json(tiny_spec(n=2))
+        string_bool["experiments"][1]["plan"]["use_serial"] = "false"
+        nested = spec_to_json(tiny_spec(n=1))
+        nested["experiments"][0]["testbed"] = {"host_kwargs": {"mtu": [1]}}
+        for document, path in (
+                (string_bool, "spec.experiments[1].plan.use_serial"),
+                (nested, "spec.experiments[0].testbed.host_kwargs.mtu")):
+            response, payload = client.request(
+                "POST", "/campaigns", body=json.dumps({"spec": document}))
+            assert response.status == 400, payload
+            assert path in json.loads(payload)["error"]
+        assert client.get_json("/campaigns")["campaigns"] == []
+
     def test_bad_scenario_is_400_with_pointer(self, server):
         document = {"scenario": {
             "scenario": 1, "name": "x",
